@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,9 +35,7 @@ from macroreal.conditions import (
 from macroreal.mach_zehnder import (
     CONDITION_NAMES,
     CONVENTIONS,
-    LatticeReport,
     MZParams,
-    calibrate_convention,
     verify_lattice,
 )
 from macroreal.overlap import (
@@ -68,7 +65,6 @@ class RunConfig:
     tol: float
     out: str | None
     fmt: str
-    jobs: int
     seed: int | None
 
 
@@ -111,14 +107,15 @@ def parse_complex_list(spec: str) -> list[complex]:
 
 
 def _format_cell(value) -> str:
+    # floats first: they fill most cells of every sweep
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".12g")
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
     return str(value)
 
 
@@ -150,15 +147,6 @@ def write_rows(rows: list[dict], fieldnames: list[str], config: RunConfig) -> No
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _map_ordered(fn, items, jobs: int) -> list:
-    """Apply fn to items, optionally with a thread pool, preserving order."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _note(message: str) -> None:
@@ -200,21 +188,6 @@ def _state_list(options: dict) -> list[dict]:
         _note("mz-scan: no admissible state; every |c|^2 exceeds q(1-q)")
         raise SystemExit(EXIT_USAGE)
     return states
-
-
-def _merge_reports(parts: list, convention: str, calibration: dict) -> LatticeReport:
-    return LatticeReport(
-        convention=convention,
-        calibration=calibration,
-        n_points=sum(p.n_points for p in parts),
-        n_comparisons=sum(p.n_comparisons for p in parts),
-        n_skipped_guard=sum(p.n_skipped_guard for p in parts),
-        mismatches=[m for p in parts for m in p.mismatches],
-        max_formula_error=max(p.max_formula_error for p in parts),
-        threshold=parts[0].threshold,
-        guard=parts[0].guard,
-        elapsed_s=sum(p.elapsed_s for p in parts),
-    )
 
 
 def _flatten_rows(raw_rows: list[dict], threshold: float, guard: float) -> list[dict]:
@@ -262,52 +235,25 @@ def cmd_mz_scan(config: RunConfig) -> int:
     opts = config.options
     guard = opts["guard"]
     states = _state_list(opts)
-    if opts["convention"] == "auto":
-        convention, calibration = calibrate_convention()
-    else:
-        convention, calibration = opts["convention"], {}
-
     r1s = opts.get("r1") or [float(v) for v in np.linspace(0.0, 1.0, 11)]
     r2s = opts.get("r2") or r1s
     phis = opts.get("phi") or [
         float(v) for v in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
     ]
 
-    def run_chunk(r1):
-        return verify_lattice(
-            [r1],
-            phis,
-            states,
-            r2_values=r2s,
-            threshold=config.tol,
-            guard=guard,
-            convention=convention,
-            collect_rows=True,
-        )
-
-    parts = _map_ordered(run_chunk, r1s, config.jobs)
-    reports = [p[0] for p in parts]
-    raw_rows = [row for p in parts for row in p[1]]
-
-    n_random = opts.get("random_points") or 0
-    if n_random:
-        rng = np.random.default_rng(config.seed)
-        for _ in range(n_random):
-            p = _random_params(rng)
-            rep, rows = verify_lattice(
-                [p.r1],
-                [p.phi],
-                [{"q": p.q, "c": p.c}],
-                r2_values=[p.r2],
-                threshold=config.tol,
-                guard=guard,
-                convention=convention,
-                collect_rows=True,
-            )
-            reports.append(rep)
-            raw_rows.extend(rows)
-
-    report = _merge_reports(reports, convention, calibration)
+    rng = np.random.default_rng(config.seed)
+    extra = [_random_params(rng) for _ in range(opts.get("random_points") or 0)]
+    report, raw_rows = verify_lattice(
+        r1s,
+        phis,
+        states,
+        r2_values=r2s,
+        extra_points=extra,
+        threshold=config.tol,
+        guard=guard,
+        convention=None if opts["convention"] == "auto" else opts["convention"],
+        collect_rows=True,
+    )
     flat = _flatten_rows(raw_rows, config.tol, guard)
     write_rows(flat, MZ_FIELDS, config)
     summary = report.to_dict()
@@ -318,7 +264,7 @@ def cmd_mz_scan(config: RunConfig) -> int:
         print(
             f"mz-scan: {len(report.mismatches)} mismatches over {report.n_points} "
             f"points ({report.n_comparisons} comparisons, "
-            f"{report.n_skipped_guard} guard-skipped); convention {convention}"
+            f"{report.n_skipped_guard} guard-skipped); convention {report.convention}"
         )
     else:
         _note(
@@ -415,7 +361,7 @@ def _overlap_quadrature(config: RunConfig) -> int:
         "sigma": opts["sigma"],
         "mass": opts["mass"],
     }
-    n = int(opts["grid"]) if opts.get("grid") else 4096
+    n = opts.get("grid") or 4096
 
     def point(t):
         analytic = quadrature_overlap_analytic(opts["case"], t=t, **kwargs)
@@ -427,7 +373,7 @@ def _overlap_quadrature(config: RunConfig) -> int:
             "abs_diff": abs(analytic - numeric),
         }
 
-    rows = _map_ordered(point, opts["t"], config.jobs)
+    rows = [point(t) for t in opts["t"]]
     write_rows(rows, ["t", "analytic", "numeric", "abs_diff"], config)
     worst = max(row["abs_diff"] for row in rows)
     _note(f"overlap quadrature {opts['case']}: max |analytic - numeric| = {worst:.3e}")
@@ -450,7 +396,7 @@ def _overlap_coherent(config: RunConfig) -> int:
                 "abs_diff": abs(res.value - res.meta["exact"]),
             }
 
-        rows = _map_ordered(point, opts["delta_sq"], config.jobs)
+        rows = [point(delta_sq) for delta_sq in opts["delta_sq"]]
         write_rows(rows, ["delta_sq", "value", "exact", "abs_diff"], config)
         return EXIT_OK
 
@@ -466,7 +412,7 @@ def _overlap_coherent(config: RunConfig) -> int:
             "abs_diff": abs(res.value - ideal),
         }
 
-    rows = _map_ordered(point, gammas, config.jobs)
+    rows = [point(gamma) for gamma in gammas]
     write_rows(rows, ["gamma", "value", "ideal", "abs_diff"], config)
     return EXIT_OK
 
@@ -496,7 +442,7 @@ def _overlap_ring(config: RunConfig) -> int:
     if mode == "fixed" and not fixed:
         _note("overlap ring: --gamma-mode fixed needs --gamma")
         return EXIT_USAGE
-    rows = _map_ordered(point, opts["d"], config.jobs)
+    rows = [point(d) for d in opts["d"]]
     write_rows(rows, ["d", "gamma", "value", "raw_defect"], config)
     return EXIT_OK
 
@@ -513,7 +459,7 @@ def _overlap_fock(config: RunConfig) -> int:
         res = fock_overlap(opts["g"], gamma, dim=dim, step=step)
         return {"gamma": gamma, "value": res.value, "n_bins": res.meta["n_bins"]}
 
-    rows = _map_ordered(point, gammas, config.jobs)
+    rows = [point(gamma) for gamma in gammas]
     write_rows(rows, ["gamma", "value", "n_bins"], config)
     return EXIT_OK
 
@@ -533,9 +479,6 @@ def _common_options() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help=f"condition threshold (default: ${DEFAULT_TOL_ENV} or 1e-9)",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1, help="max parallel workers for sweeps"
     )
     common.add_argument(
         "--seed", type=int, default=None, help="seed for randomized sweep points"
@@ -593,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     quad.add_argument("--mass", type=float, default=1.0)
     quad.add_argument("--t", type=parse_range, default=[0.0], help="evolution times")
     quad.add_argument(
-        "--grid", type=float, default=None, help="position grid points (default 4096)"
+        "--grid", type=int, default=None, help="position grid points (default 4096)"
     )
 
     coh = ovsub.add_parser(
@@ -645,7 +588,6 @@ def main(argv=None) -> int:
         tol=tol,
         out=args.out,
         fmt=args.format,
-        jobs=max(1, args.jobs),
         seed=args.seed,
     )
     if args.command == "mz-scan":

@@ -31,10 +31,48 @@ def is_hermitian(m, atol: float = DEFAULT_ATOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= atol)
 
 
+def as_operator_stack(m) -> np.ndarray:
+    """Coerce to an (N, d, d) complex matrix stack, rejecting non-finite entries."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected an (N, d, d) matrix stack, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix stack contains non-finite entries")
+    return a
+
+
+def unitary_error(m) -> np.ndarray:
+    """Largest entry of |U'U - I| for each matrix of a (..., d, d) stack."""
+    d = m.shape[-1]
+    return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(d)).max(axis=(-2, -1))
+
+
 def is_unitary(m, atol: float = DEFAULT_ATOL) -> bool:
-    a = as_operator(m)
-    d = a.shape[0]
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(d))) <= atol)
+    return bool(unitary_error(as_operator(m)) <= atol)
+
+
+def check_density_stack(m: np.ndarray, atol: float = DEFAULT_ATOL) -> None:
+    """Raise unless every matrix of an (N, d, d) stack is a density matrix.
+
+    Hermitian within atol, no eigenvalue below -atol and trace within
+    max(atol, 1e-9) of 1. For N > 1 the message names the first bad index.
+    """
+
+    def where(bad):
+        return "" if m.shape[0] == 1 else f" {int(bad[0])}"
+
+    mh = m.conj().swapaxes(-1, -2)
+    bad = np.flatnonzero(np.abs(m - mh).max(axis=(1, 2)) > atol)
+    if bad.size:
+        raise ValueError(f"density matrix{where(bad)} is not Hermitian within tolerance")
+    w = np.linalg.eigvalsh((m + mh) / 2)[:, 0]
+    bad = np.flatnonzero(w < -atol)
+    if bad.size:
+        raise ValueError(f"density matrix{where(bad)} has negative eigenvalue {w[bad[0]]:g}")
+    tr = np.trace(m, axis1=1, axis2=2).real
+    bad = np.flatnonzero(np.abs(tr - 1.0) > max(atol, 1e-9))
+    if bad.size:
+        raise ValueError(f"density matrix{where(bad)} trace {tr[bad[0]]!r} is not 1")
 
 
 def is_positive_semidefinite(m, atol: float = DEFAULT_ATOL) -> bool:
@@ -80,14 +118,7 @@ class DensityState:
 
     def __post_init__(self):
         m = as_operator(self.matrix)
-        if np.max(np.abs(m - m.conj().T)) > self.atol:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w.min() < -self.atol:
-            raise ValueError(f"density matrix has negative eigenvalue {w.min():g}")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > max(self.atol, 1e-9):
-            raise ValueError(f"density matrix trace {tr!r} is not 1")
+        check_density_stack(m[None], self.atol)
         object.__setattr__(self, "matrix", m)
 
     @property

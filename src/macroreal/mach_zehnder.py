@@ -23,14 +23,7 @@ from scipy import optimize
 from macroreal.conditions import DEFAULT_THRESHOLD, nsit_two_time
 from macroreal.hilbert import DensityState
 from macroreal.instruments import projective_family
-from macroreal.scenario import (
-    Scenario,
-    Slot,
-    correlation,
-    joint_distribution,
-    marginalize,
-    table_distance_sup,
-)
+from macroreal.scenario import Scenario, ScenarioBatch, Slot, batch_joint_distribution
 
 CONDITION_NAMES = (
     "NSIT_(0)1",
@@ -84,37 +77,49 @@ class MZParams:
         return d
 
 
+def _state_matrices(q, c) -> np.ndarray:
+    """Initial density matrices [[q, c], [c*, 1 - q]], stacked over array inputs."""
+    q = np.asarray(q, dtype=float)
+    c = np.asarray(c, dtype=complex)
+    m = np.empty(q.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = q
+    m[..., 0, 1] = c
+    m[..., 1, 0] = c.conj()
+    m[..., 1, 1] = 1.0 - q
+    return m
+
+
 def initial_state(params: MZParams) -> DensityState:
-    c = params.coherence
-    m = np.array([[params.q, c], [np.conj(c), 1.0 - params.q]], dtype=complex)
-    return DensityState(m)
+    return DensityState(_state_matrices(params.q, params.coherence))
 
 
-def beamsplitter(r: float) -> np.ndarray:
-    """Lossless beamsplitter of reflectivity r, i-phase on the cross terms."""
-    t = 1.0 - r
-    return np.array(
-        [
-            [math.sqrt(t), 1j * math.sqrt(r)],
-            [1j * math.sqrt(r), math.sqrt(t)],
-        ]
-    )
+def beamsplitter(r) -> np.ndarray:
+    """Lossless beamsplitter of reflectivity r, i-phase on the cross terms.
+
+    An array of reflectivities gives the (..., 2, 2) stack of beamsplitters.
+    """
+    r = np.asarray(r, dtype=float)
+    t = np.sqrt(1.0 - r).astype(complex)
+    x = 1j * np.sqrt(r)
+    return np.stack([np.stack([t, x], axis=-1), np.stack([x, t], axis=-1)], axis=-2)
 
 
-def phase_plate(phi: float, arm: int) -> np.ndarray:
-    if arm == 0:
-        return np.diag([np.exp(1j * phi), 1.0])
-    return np.diag([1.0, np.exp(1j * phi)])
+def phase_plate(phi, arm: int) -> np.ndarray:
+    """Phase exp(i phi) on one arm; an array of phases gives a (..., 2, 2) stack."""
+    shift = np.exp(1j * np.asarray(phi, dtype=float))
+    m = np.zeros(shift.shape + (2, 2), dtype=complex)
+    m[..., arm, arm] = shift
+    m[..., 1 - arm, 1 - arm] = 1.0
+    return m
 
 
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def mz_unitaries(params: MZParams, convention: str = "crossed-p0"):
-    """(U01, U12) for the chosen layout convention."""
-    u01 = beamsplitter(params.r1)
-    bs2 = beamsplitter(params.r2)
-    plate = phase_plate(params.phi, 0 if convention.endswith("p0") else 1)
+def _unitaries(r1, r2, phi, convention: str):
+    u01 = beamsplitter(r1)
+    bs2 = beamsplitter(r2)
+    plate = phase_plate(phi, 0 if convention.endswith("p0") else 1)
     if convention.startswith("crossed"):
         u12 = _SWAP @ bs2 @ plate
     elif convention.startswith("straight"):
@@ -122,6 +127,11 @@ def mz_unitaries(params: MZParams, convention: str = "crossed-p0"):
     else:
         raise ValueError(f"unknown convention {convention!r}")
     return u01, u12
+
+
+def mz_unitaries(params: MZParams, convention: str = "crossed-p0"):
+    """(U01, U12) for the chosen layout convention."""
+    return _unitaries(params.r1, params.r2, params.phi, convention)
 
 
 CONVENTIONS = ("crossed-p0", "crossed-p1", "straight-p0", "straight-p1")
@@ -134,13 +144,23 @@ def which_path_family():
     return projective_family([p0, p1], [1, -1], label="which_path")
 
 
+# Every interferometer scenario reads the path with the same family at t = 0, 1, 2.
+WHICH_PATH = which_path_family()
+MZ_SLOTS = tuple(Slot(float(k), WHICH_PATH) for k in range(3))
+
+
 def mz_scenario(params: MZParams, convention: str = "crossed-p0") -> Scenario:
-    u01, u12 = mz_unitaries(params, convention)
-    fam = which_path_family()
-    return Scenario(
-        initial=initial_state(params),
-        slots=(Slot(0.0, fam), Slot(1.0, fam), Slot(2.0, fam)),
-        evolutions=(u01, u12),
+    return Scenario(initial_state(params), MZ_SLOTS, mz_unitaries(params, convention))
+
+
+def mz_batch(points, convention: str = "crossed-p0") -> ScenarioBatch:
+    """The scenarios of many settings as one batch, in the order given."""
+    r1, r2, phi, q = (
+        np.array([getattr(p, name) for p in points]) for name in ("r1", "r2", "phi", "q")
+    )
+    c = np.array([p.coherence for p in points])
+    return ScenarioBatch(
+        _state_matrices(q, c), MZ_SLOTS, _unitaries(r1, r2, phi, convention)
     )
 
 
@@ -184,43 +204,59 @@ def analytic_residuals(params: MZParams) -> dict:
     return res
 
 
-def numeric_residuals(params: MZParams, convention: str = "crossed-p0") -> dict:
-    """Same conditions evaluated through the full scenario pipeline.
+SUBSETS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
+
+
+def _sup(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b).max(axis=tuple(range(1, a.ndim)))
+
+
+def _correlation(values: np.ndarray) -> np.ndarray:
+    """<q_i q_j> of each (2, 2) table in the stack, outcomes +1 and -1."""
+    o = WHICH_PATH.outcomes.astype(float)
+    return (o[:, None] * values * o).sum(axis=-1).sum(axis=-1)
+
+
+def batch_numeric_residuals(points, convention: str = "crossed-p0") -> dict:
+    """numeric_residuals of many settings at once: condition name -> (N,) array.
 
     All seven conditions are marginal comparisons and correlators over the
     seven experiments (one per nonempty slot subset), so those tables are
-    computed once and every residual is read off them. Each pairwise table is
-    its own experiment, not a marginal of the full joint.
+    computed once for the whole batch and every residual is read off them.
+    Each pairwise table is its own experiment, not a marginal of the full joint.
     """
-    sc = mz_scenario(params, convention)
-    subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
-    tables = {s: joint_distribution(sc, s) for s in subsets}
-    full = tables[(0, 1, 2)]
-
-    res_01 = table_distance_sup(tables[(1,)], marginalize(tables[(0, 1)], (1,)))
-    res_12 = table_distance_sup(tables[(2,)], marginalize(tables[(1, 2)], (2,)))
-    res_sandwich = table_distance_sup(tables[(0, 2)], marginalize(full, (0, 2)))
-    res_leading = table_distance_sup(tables[(1, 2)], marginalize(full, (1, 2)))
-    aot = max(
-        table_distance_sup(tables[(i,)], marginalize(tables[(i, j)], (i,)))
-        for i, j in ((0, 1), (0, 2), (1, 2))
+    batch = mz_batch(points, convention)
+    t = {s: batch_joint_distribution(batch, s) for s in SUBSETS}
+    full = t[(0, 1, 2)]
+    res_01 = _sup(t[(1,)], t[(0, 1)].sum(axis=1))
+    res_12 = _sup(t[(2,)], t[(1, 2)].sum(axis=1))
+    res_sandwich = _sup(t[(0, 2)], full.sum(axis=2))
+    res_leading = _sup(t[(1, 2)], full.sum(axis=1))
+    aot = np.maximum.reduce(
+        [_sup(t[(i,)], t[(i, j)].sum(axis=2)) for i, j in ((0, 1), (0, 2), (1, 2))]
     )
-    k = (
-        correlation(tables[(0, 1)], 0, 1)
-        + correlation(tables[(1, 2)], 1, 2)
-        - correlation(tables[(0, 2)], 0, 2)
-    )
+    k = _correlation(t[(0, 1)]) + _correlation(t[(1, 2)]) - _correlation(t[(0, 2)])
     return {
         "NSIT_(0)1": res_01,
         "NSIT_(1)2": res_12,
         "NSIT_0(1)2": res_sandwich,
         "NSIT_(0)12": res_leading,
-        "LGI_012": max(0.0, k - 1.0),
+        "LGI_012": np.maximum(k - 1.0, 0.0),
         "AoT": aot,
         # member max keeps the bundle verdict on the same sup-norm scale as
         # the closed forms; the TV mismatch stays inside mr012_check.
-        "MR_012": max(res_12, res_sandwich, res_leading, aot),
+        "MR_012": np.maximum.reduce([res_12, res_sandwich, res_leading, aot]),
         "_K": k,
+    }
+
+
+def numeric_residuals(params: MZParams, convention: str = "crossed-p0") -> dict:
+    """Same conditions evaluated through the full scenario pipeline.
+
+    This is the one-setting case of batch_numeric_residuals.
+    """
+    return {
+        name: float(v[0]) for name, v in batch_numeric_residuals([params], convention).items()
     }
 
 
@@ -281,6 +317,7 @@ def verify_lattice(
     states=None,
     *,
     r2_values=None,
+    extra_points=(),
     threshold: float = DEFAULT_THRESHOLD,
     guard: float = 1e-6,
     convention: str | None = None,
@@ -288,10 +325,12 @@ def verify_lattice(
 ):
     """Check closed-form verdicts against the numeric pipeline on a lattice.
 
-    Every (r1, r2, phi, state) combination is evaluated both ways; verdicts
-    are compared wherever the closed-form residual sits clear of the verdict
-    boundary by at least the guard band. r2_values defaults to r_values.
-    With convention=None the layout is calibrated first on a few probe points.
+    Every (r1, r2, phi, state) combination, followed by the MZParams in
+    extra_points, is evaluated both ways, the numeric side as one batch;
+    verdicts are compared wherever the closed-form residual sits clear of the
+    verdict boundary by at least the guard band. r2_values defaults to
+    r_values. With convention=None the layout is calibrated first on a few
+    probe points.
 
     Returns a LatticeReport, plus the per-point row dicts when collect_rows.
     """
@@ -309,46 +348,53 @@ def verify_lattice(
     if convention is None:
         convention, calibration = calibrate_convention()
 
+    points = [
+        MZParams(float(r1), float(r2), float(phi), st["q"], st["c"])
+        for r1 in r_values
+        for r2 in r2_values
+        for phi in phi_values
+        for st in states
+    ]
+    points.extend(extra_points)
+    numeric = {}
+    if points:
+        numeric = {
+            name: v.tolist() for name, v in batch_numeric_residuals(points, convention).items()
+        }
+
     mismatches = []
     rows = []
-    n_points = 0
     n_comp = 0
     n_skip = 0
     max_err = 0.0
-    for r1 in r_values:
-        for r2 in r2_values:
-            for phi in phi_values:
-                for st in states:
-                    params = MZParams(float(r1), float(r2), float(phi), st["q"], st["c"])
-                    ana = analytic_residuals(params)
-                    num = numeric_residuals(params, convention)
-                    n_points += 1
-                    row = {"params": params.describe()}
-                    for name in CONDITION_NAMES:
-                        a, n = ana[name], num[name]
-                        max_err = max(max_err, abs(a - n))
-                        verdict_a = a <= threshold
-                        verdict_n = n <= threshold
-                        row[name] = {"analytic": a, "numeric": n}
-                        if threshold < a < guard:
-                            n_skip += 1
-                            continue
-                        n_comp += 1
-                        if verdict_a != verdict_n:
-                            mismatches.append(
-                                {
-                                    "params": params.describe(),
-                                    "condition": name,
-                                    "analytic": a,
-                                    "numeric": n,
-                                }
-                            )
-                    if collect_rows:
-                        rows.append(row)
+    for i, params in enumerate(points):
+        ana = analytic_residuals(params)
+        row = {"params": params.describe()}
+        for name in CONDITION_NAMES:
+            a, n = ana[name], numeric[name][i]
+            max_err = max(max_err, abs(a - n))
+            verdict_a = a <= threshold
+            verdict_n = n <= threshold
+            row[name] = {"analytic": a, "numeric": n}
+            if threshold < a < guard:
+                n_skip += 1
+                continue
+            n_comp += 1
+            if verdict_a != verdict_n:
+                mismatches.append(
+                    {
+                        "params": params.describe(),
+                        "condition": name,
+                        "analytic": a,
+                        "numeric": n,
+                    }
+                )
+        if collect_rows:
+            rows.append(row)
     report = LatticeReport(
         convention=convention,
         calibration=calibration,
-        n_points=n_points,
+        n_points=len(points),
         n_comparisons=n_comp,
         n_skipped_guard=n_skip,
         mismatches=mismatches,
@@ -374,15 +420,18 @@ def calibrate_convention(probe_points=None):
             MZParams(0.5, 0.5, 1.1, 0.5, 0.45),
             MZParams(0.7, 0.2, 2.0, 0.2, 0.1 - 0.3j),
         ]
+    analytic = [analytic_residuals(p) for p in probe_points]
     errors = {}
     for conv in CONVENTIONS:
-        worst = 0.0
-        for p in probe_points:
-            ana = analytic_residuals(p)
-            num = numeric_residuals(p, conv)
-            for name in CONDITION_NAMES:
-                worst = max(worst, abs(ana[name] - num[name]))
-        errors[conv] = worst
+        numeric = batch_numeric_residuals(probe_points, conv)
+        errors[conv] = max(
+            (
+                abs(ana[name] - float(numeric[name][i]))
+                for i, ana in enumerate(analytic)
+                for name in CONDITION_NAMES
+            ),
+            default=0.0,
+        )
     best = min(errors, key=errors.get)
     return best, {"errors": errors, "chosen": best}
 

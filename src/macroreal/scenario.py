@@ -11,11 +11,21 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
+import os
 
 import numpy as np
 
-from macroreal.hilbert import DensityState, as_operator, is_unitary
+from macroreal.hilbert import (
+    DensityState,
+    as_operator,
+    as_operator_stack,
+    check_density_stack,
+    unitary_error,
+)
 from macroreal.instruments import KrausFamily
+
+PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,24 +45,7 @@ class Scenario:
     def __post_init__(self):
         slots = tuple(self.slots)
         evos = tuple(as_operator(u) for u in self.evolutions)
-        if len(slots) < 1:
-            raise ValueError("a scenario needs at least one slot")
-        if len(evos) != len(slots) - 1:
-            raise ValueError(
-                f"need {len(slots) - 1} evolutions for {len(slots)} slots, got {len(evos)}"
-            )
-        d = self.initial.dim
-        for k, s in enumerate(slots):
-            if s.instrument.dim != d:
-                raise ValueError(f"slot {k} instrument dimension mismatch")
-        for k, u in enumerate(evos):
-            if u.shape != (d, d):
-                raise ValueError(f"evolution {k} dimension mismatch")
-            if not is_unitary(u, 1e-10):
-                raise ValueError(f"evolution {k} is not unitary within 1e-10")
-        times = [s.time for s in slots]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("slot times must be strictly increasing")
+        _check_layout(self.initial.dim, slots, [u[None] for u in evos])
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "evolutions", evos)
 
@@ -63,6 +56,62 @@ class Scenario:
     @property
     def dim(self) -> int:
         return self.initial.dim
+
+
+@dataclasses.dataclass(frozen=True)
+class ScenarioBatch:
+    """N scenarios that share their slots and differ in state and evolutions.
+
+    initial is an (N, d, d) stack of density matrices and evolutions[k] the
+    (N, d, d) stack of unitaries from slot k to slot k + 1. Every matrix gets
+    the checks and tolerances that DensityState and Scenario apply to one.
+    """
+
+    initial: np.ndarray
+    slots: tuple[Slot, ...]
+    evolutions: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        initial = as_operator_stack(self.initial)
+        check_density_stack(initial)
+        slots = tuple(self.slots)
+        evos = tuple(as_operator_stack(u) for u in self.evolutions)
+        for k, u in enumerate(evos):
+            if u.shape[0] != initial.shape[0]:
+                raise ValueError(
+                    f"evolution {k} stacks {u.shape[0]} matrices for {initial.shape[0]} states"
+                )
+        _check_layout(initial.shape[1], slots, evos)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "evolutions", evos)
+
+    @property
+    def n_slots(self) -> int:
+        return len(self.slots)
+
+
+def _check_layout(dim: int, slots: tuple, evolutions) -> None:
+    """Slot and evolution checks of a scenario; evolutions are (N, d, d) stacks."""
+    if len(slots) < 1:
+        raise ValueError("a scenario needs at least one slot")
+    if len(evolutions) != len(slots) - 1:
+        raise ValueError(
+            f"need {len(slots) - 1} evolutions for {len(slots)} slots, got {len(evolutions)}"
+        )
+    for k, s in enumerate(slots):
+        if s.instrument.dim != dim:
+            raise ValueError(f"slot {k} instrument dimension mismatch")
+    for k, u in enumerate(evolutions):
+        if u.shape[1:] != (dim, dim):
+            raise ValueError(f"evolution {k} dimension mismatch")
+        bad = np.flatnonzero(unitary_error(u) > 1e-10)
+        if bad.size:
+            where = "" if u.shape[0] == 1 else f" (batch item {int(bad[0])})"
+            raise ValueError(f"evolution {k}{where} is not unitary within 1e-10")
+    times = [s.time for s in slots]
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise ValueError("slot times must be strictly increasing")
 
 
 def scenario_from_hamiltonian(initial: DensityState, slots, hamiltonian) -> Scenario:
@@ -103,41 +152,74 @@ class ProbabilityTable:
         return self.slots.index(slot)
 
 
-def joint_distribution(scenario: Scenario, measured=None) -> ProbabilityTable:
-    """Run the scenario measuring only the listed slots (all slots by default).
-
-    Branches are propagated as a stacked batch of conditional density matrices,
-    one per outcome combination so far; unmeasured slots apply no map.
-    """
+def _measured_slots(n_slots: int, measured) -> tuple[int, ...]:
     if measured is None:
-        measured = tuple(range(scenario.n_slots))
+        measured = tuple(range(n_slots))
     measured = tuple(sorted(measured))
-    if any(m < 0 or m >= scenario.n_slots for m in measured):
+    if any(m < 0 or m >= n_slots for m in measured):
         raise ValueError(f"measured slots {measured} out of range")
     if len(set(measured)) != len(measured):
         raise ValueError("measured slots must be distinct")
-    d = scenario.dim
-    branches = scenario.initial.matrix[None, :, :]
-    shape = []
-    for k in range(scenario.n_slots):
+    return measured
+
+
+def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
+    """Outcome tables of N scenarios with shared slots, shape (N, n_a, n_b, ...).
+
+    Branches are propagated as an (N, branch, d, d) stack of conditional
+    density matrices, one per outcome combination so far; unmeasured slots
+    apply no map. With nothing measured each table is the single value (1,).
+    """
+    n, d = initial.shape[0], initial.shape[-1]
+    fams = [slots[k].instrument for k in measured]
+    shape = [f.n_outcomes for f in fams]
+    # The last measure step holds the most branches; its product and the
+    # intermediate before it are the peak of the whole run.
+    peak = 2 * n * math.prod(shape) * d * d * 16
+    if peak > PHYSICAL_MEMORY_BYTES:
+        raise ValueError(
+            f"outcome tables need {peak:,} bytes at their peak, more than the "
+            f"{PHYSICAL_MEMORY_BYTES:,} bytes of physical memory"
+        )
+    branches = initial[:, None]
+    for k in range(len(slots)):
         if k > 0:
-            u = scenario.evolutions[k - 1]
-            branches = u @ branches @ u.conj().T
+            u = evolutions[k - 1][:, None]
+            branches = u @ branches @ u.conj().swapaxes(-1, -2)
         if k in measured:
-            fam = scenario.slots[k].instrument
-            ops = fam.dense_ops()
-            # (branch, outcome) order: K_a rho_n K_a^dagger at index [n, a]
-            branches = ops[None] @ branches[:, None] @ ops.conj().transpose(0, 2, 1)[None]
-            branches = branches.reshape(-1, d, d)
-            shape.append(fam.n_outcomes)
-    traces = np.trace(branches, axis1=1, axis2=2).real
-    fams = [scenario.slots[k].instrument for k in measured]
-    values = traces.reshape(shape if shape else (1,))
+            ops = slots[k].instrument.dense_ops()
+            # (branch, outcome) order: K_a rho_b K_a^dagger at index [b, a]
+            branches = ops @ branches[:, :, None] @ ops.conj().transpose(0, 2, 1)
+            branches = branches.reshape(n, -1, d, d)
+    traces = np.trace(branches, axis1=2, axis2=3).real
+    values = traces.reshape(n, *(shape or [1]))
     if fams:
         wgrid = np.ones(())
         for f in fams:
             wgrid = np.multiply.outer(wgrid, f.weights)
         values = values * wgrid
+    return values
+
+
+def batch_joint_distribution(batch: ScenarioBatch, measured=None) -> np.ndarray:
+    """Outcome tables of every scenario in the batch, measuring the listed slots.
+
+    Returns an (N, ...) array whose item i is joint_distribution(...).values
+    of scenario i.
+    """
+    measured = _measured_slots(batch.n_slots, measured)
+    return _tables(batch.initial, batch.evolutions, batch.slots, measured)
+
+
+def joint_distribution(scenario: Scenario, measured=None) -> ProbabilityTable:
+    """Run the scenario measuring only the listed slots (all slots by default).
+
+    This is the one-scenario batch of the kernel behind batch_joint_distribution.
+    """
+    measured = _measured_slots(scenario.n_slots, measured)
+    evolutions = [u[None] for u in scenario.evolutions]
+    values = _tables(scenario.initial.matrix[None], evolutions, scenario.slots, measured)[0]
+    fams = [scenario.slots[k].instrument for k in measured]
     return ProbabilityTable(
         slots=measured,
         outcomes=tuple(np.asarray(f.outcomes) for f in fams),

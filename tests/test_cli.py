@@ -153,17 +153,30 @@ def test_mz_scan_random_points_deterministic(tmp_path):
     assert len(a.read_text().splitlines()) == 1 + (1 + 5) * 7
 
 
-def test_overlap_quadrature_stdout_and_jobs(capsys):
+def test_overlap_quadrature_stdout(capsys):
     argv = ["overlap", "quadrature", "--case", "XX", "--t", "0:2:1"]
     assert main(argv) == 0
-    serial = capsys.readouterr().out
-    assert main(argv + ["--jobs", "2"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
-    header, *rows = serial.splitlines()
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    header, *rows = first.splitlines()
     assert header == "t,analytic,numeric,abs_diff"
     assert len(rows) == 3
     assert float(rows[0].split(",")[1]) == 1.0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_overlap_quadrature_grid_is_an_integer(capsys):
+    argv = ["overlap", "quadrature", "--case", "XX", "--t", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--grid", "2.5"])
+    assert exc.value.code == 2
+    # a 64-point grid is coarse enough to leave a visible discretization error
+    assert main(argv + ["--grid", "64"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert 1e-9 < float(row.split(",")[3]) < 1e-5
 
 
 def test_overlap_coherent_sharp_mode(capsys):

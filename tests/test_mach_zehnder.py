@@ -8,6 +8,7 @@ from macroreal.mach_zehnder import (
     CONVENTIONS,
     MZParams,
     analytic_residuals,
+    batch_numeric_residuals,
     beamsplitter,
     calibrate_convention,
     initial_state,
@@ -81,6 +82,41 @@ def test_closed_forms_match_pipeline_on_random_settings():
         for name in CONDITION_NAMES:
             worst = max(worst, abs(ana[name] - num[name]))
     assert worst < 1e-12
+
+
+def test_batched_residuals_equal_the_single_point_path():
+    rng = np.random.default_rng(41)
+    points = [random_params(rng) for _ in range(200)]
+    for conv in CONVENTIONS:
+        batched = batch_numeric_residuals(points, conv)
+        for i, p in enumerate(points):
+            single = numeric_residuals(p, conv)
+            for name in CONDITION_NAMES + ("_K",):
+                assert abs(batched[name][i] - single[name]) <= 1e-15, (conv, i, name)
+
+
+def test_verify_lattice_rows_keep_lattice_order():
+    rs = [0.2, 0.7]
+    r2s = [0.1, 0.5, 0.9]
+    phis = [0.0, 1.5]
+    states = [{"q": 0.5, "c": None}, {"q": 0.5, "c": 0.3j}]
+    extra = [MZParams(0.35, 0.45, 2.5, 0.4, 0.1 - 0.2j)]
+    report, rows = verify_lattice(
+        rs, phis, states, r2_values=r2s, extra_points=extra,
+        convention="crossed-p0", collect_rows=True,
+    )
+    points = [
+        MZParams(r1, r2, phi, st["q"], st["c"])
+        for r1 in rs
+        for r2 in r2s
+        for phi in phis
+        for st in states
+    ] + extra
+    assert report.n_points == len(points) == 2 * 3 * 2 * 2 + 1
+    assert [row["params"] for row in rows] == [p.describe() for p in points]
+    for row, p in zip(rows, points):
+        num = numeric_residuals(p)
+        assert all(row[name]["numeric"] == num[name] for name in CONDITION_NAMES)
 
 
 def test_lgi_value_at_special_points():

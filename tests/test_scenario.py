@@ -1,16 +1,26 @@
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import haar_unitary, random_density, random_full_projective_family
-from macroreal.hilbert import DensityState
-from macroreal.instruments import Grid1D, gaussian_x_family, projective_family
+from macroreal.hilbert import DensityState, coherent_state
+from macroreal.instruments import (
+    ComplexLattice,
+    Grid1D,
+    coherent_projector_family,
+    gaussian_x_family,
+    projective_family,
+)
 from macroreal.scenario import (
     ProbabilityTable,
     Scenario,
+    ScenarioBatch,
     Slot,
+    batch_joint_distribution,
     correlation,
     expectation,
     joint_distribution,
@@ -99,6 +109,72 @@ def test_joint_matches_brute_force_qutrit():
         slow = brute_force_joint(sc, measured)
         assert np.max(np.abs(fast.values - slow)) < 1e-13
         fast.validate()
+
+
+def test_batch_rows_are_the_single_scenario_tables():
+    rng = np.random.default_rng(12)
+    dim, n = 3, 6
+    slots = tuple(Slot(float(k), random_full_projective_family(rng, dim)) for k in range(3))
+    states = [random_density(rng, dim) for _ in range(n)]
+    evos = [(haar_unitary(rng, dim), haar_unitary(rng, dim)) for _ in range(n)]
+    batch = ScenarioBatch(
+        np.stack([st.matrix for st in states]),
+        slots,
+        tuple(np.stack([e[k] for e in evos]) for k in range(2)),
+    )
+    for measured in [(), (0,), (1, 2), (0, 2), (0, 1, 2)]:
+        stacked = batch_joint_distribution(batch, measured)
+        for i in range(n):
+            single = joint_distribution(Scenario(states[i], slots, evos[i]), measured)
+            assert stacked[i].shape == single.values.shape
+            assert np.max(np.abs(stacked[i] - single.values)) <= 1e-15
+
+
+def test_batch_validation_names_the_bad_item():
+    fam = sz_family()
+    slots = (Slot(0.0, fam), Slot(1.0, fam))
+    good = np.stack([np.eye(2) / 2] * 4).astype(complex)
+    eye = np.stack([np.eye(2)] * 4).astype(complex)
+    ScenarioBatch(good, slots, (eye,))
+    cases = []
+    bad = good.copy()
+    bad[2, 0, 1] = 0.1
+    cases.append(((bad, slots, (eye,)), "density matrix 2 is not Hermitian"))
+    bad = good.copy()
+    bad[1] = np.diag([1.5, -0.5])
+    cases.append(((bad, slots, (eye,)), "density matrix 1 has negative eigenvalue"))
+    bad = good.copy()
+    bad[3] = np.diag([0.5, 0.6])
+    cases.append(((bad, slots, (eye,)), "density matrix 3 trace"))
+    u = eye.copy()
+    u[2] = np.diag([1.0, 1.0 + 2e-10])
+    cases.append(((good, slots, (u,)), "evolution 0 (batch item 2) is not unitary"))
+    cases.append(((good, slots, (eye[:3],)), "evolution 0 stacks 3 matrices for 4 states"))
+    cases.append(((good, slots, ()), "need 1 evolutions"))
+    cases.append(((good, slots[::-1], (eye,)), "strictly increasing"))
+    for args, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioBatch(*args)
+
+
+def test_table_size_estimate_raises_before_allocating():
+    # three 625-outcome slots at dim 30: 625^3 branches of 30 x 30 matrices
+    fam = coherent_projector_family(ComplexLattice.square(3.0, 0.25), 30)
+    assert fam.n_outcomes == 625
+    sc = Scenario(
+        coherent_state(0.5, 30).density(),
+        tuple(Slot(float(k), fam) for k in range(3)),
+        (np.eye(30), np.eye(30)),
+    )
+    peak = 2 * 625**3 * 30**2 * 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{peak:,} bytes"):
+            joint_distribution(sc)
+        _, allocated = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert allocated < 10_000_000
 
 
 def test_marginalize_consistency():
