@@ -4,6 +4,9 @@ Statistical side: no-signaling-in-time (NSIT) residuals, arrow-of-time (AoT)
 residuals, the three-time Leggett-Garg inequality and the no-invasive
 correlation (NIC) condition, plus a bundle check that compares all seven
 experiments of a three-slot scenario against the marginals of the full joint.
+Each is written once, as a function of a table dict (Scenario.tables or
+ScenarioBatch.tables) that returns one value per scenario; the report
+functions read item 0 of a scenario's tables.
 
 Operator side: an instrument-level NSIT residual that bounds the statistical
 one uniformly over states, and commutator diagnostics that separate operator
@@ -18,16 +21,91 @@ import numpy as np
 
 from macroreal.hilbert import operator_norm, unitary_from_hamiltonian
 from macroreal.instruments import KrausFamily
-from macroreal.scenario import (
-    Scenario,
-    correlation,
-    joint_distribution,
-    marginalize,
-    table_distance_sup,
-    table_distance_tv,
-)
+from macroreal.scenario import Scenario
 
 DEFAULT_THRESHOLD = 1e-9
+
+PAIRS = ((0, 1), (0, 2), (1, 2))
+FULL = (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Conditions as functions of a table dict; each returns an (N,) array.
+
+
+def _marginal(tables, of: tuple, keep: tuple) -> np.ndarray:
+    """Marginal on the slots keep of the experiment that measures the slots of."""
+    return tables[of].sum(axis=tuple(1 + a for a, s in enumerate(of) if s not in keep))
+
+
+def _sup(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b).max(axis=tuple(range(1, a.ndim)))
+
+
+def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return 0.5 * np.abs(a - b).sum(axis=tuple(range(1, a.ndim)))
+
+
+def _signaling(tables, of: tuple, keep: tuple) -> np.ndarray:
+    """Largest shift of the keep-slot statistics when the slots of are measured too."""
+    return _sup(tables[keep], _marginal(tables, of, keep))
+
+
+def nsit_residual(tables, i: int, j: int) -> np.ndarray:
+    """NSIT_(i)j: measuring slot i must not shift the statistics at slot j."""
+    return _signaling(tables, (i, j), (j,))
+
+
+def aot_residual(tables, i: int, j: int) -> np.ndarray:
+    """AoT_i(j): measuring slot j must not rewrite the statistics at slot i."""
+    return _signaling(tables, (i, j), (i,))
+
+
+def sandwich_residual(tables) -> np.ndarray:
+    """NSIT_0(1)2: the middle slot must be ignorable."""
+    return _signaling(tables, FULL, (0, 2))
+
+
+def leading_residual(tables) -> np.ndarray:
+    """NSIT_(0)12: the first slot must be ignorable."""
+    return _signaling(tables, FULL, (1, 2))
+
+
+def correlator(tables, i: int, j: int, of: tuple | None = None) -> np.ndarray:
+    """<q_i q_j> for numeric outcome labels, in the experiment measuring the
+    slots of (by default just i and j)."""
+    values = tables[(i, j)] if of is None else _marginal(tables, of, (i, j))
+    oi, oj = (np.asarray(tables.slots[k].instrument.outcomes, dtype=float) for k in (i, j))
+    return (oi[:, None] * values * oj).sum(-1).sum(-1)
+
+
+def lgi_values(tables) -> dict:
+    """C01 + C12 - C02 <= 1: each correlator from its own two-slot experiment,
+    K the left side and residual the amount by which K exceeds 1."""
+    c01, c12, c02 = correlator(tables, 0, 1), correlator(tables, 1, 2), correlator(tables, 0, 2)
+    k = c01 + c12 - c02
+    return {"residual": np.maximum(k - 1.0, 0.0), "K": k, "C01": c01, "C12": c12, "C02": c02}
+
+
+def nic_values(tables) -> dict:
+    """NIC_0(1)2: C02 with and without the middle measurement, and their distance."""
+    bare = correlator(tables, 0, 2)
+    probed = correlator(tables, 0, 2, of=FULL)
+    return {"residual": np.abs(bare - probed), "C02": bare, "C02_with_middle": probed}
+
+
+def mr012_residuals(tables) -> dict:
+    """The bundle's named conditions; AoT is the worst AoT_i(j) over slot pairs."""
+    return {
+        "NSIT_(1)2": nsit_residual(tables, 1, 2),
+        "NSIT_0(1)2": sandwich_residual(tables),
+        "NSIT_(0)12": leading_residual(tables),
+        "AoT": np.maximum.reduce([aot_residual(tables, i, j) for i, j in PAIRS]),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Reports on one scenario
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,43 +145,37 @@ def _json_safe(obj):
     return obj
 
 
+def _report(name: str, values, threshold: float) -> ConditionReport:
+    """Report on item 0 of an (N,) residual array, or of a values dict with a residual."""
+    if not isinstance(values, dict):
+        return ConditionReport(name, float(values[0]), threshold)
+    context = {key: float(v[0]) for key, v in values.items() if key != "residual"}
+    return ConditionReport(name, float(values["residual"][0]), threshold, context)
+
+
+def _check_pair(scenario: Scenario, i: int, j: int) -> None:
+    if not 0 <= i < j < scenario.n_slots:
+        raise ValueError(f"need slot indices i < j, got ({i}, {j})")
+
+
 def nsit_two_time(
     scenario: Scenario, i: int, j: int, threshold: float = DEFAULT_THRESHOLD
 ) -> ConditionReport:
     """NSIT_(i)j: measuring slot i must not shift the statistics at slot j."""
-    if not 0 <= i < j < scenario.n_slots:
-        raise ValueError(f"need slot indices i < j, got ({i}, {j})")
-    alone = joint_distribution(scenario, (j,))
-    pair = marginalize(joint_distribution(scenario, (i, j)), (j,))
-    return ConditionReport(
-        name=f"NSIT_({i}){j}",
-        residual=table_distance_sup(alone, pair),
-        threshold=threshold,
-    )
+    _check_pair(scenario, i, j)
+    return _report(f"NSIT_({i}){j}", nsit_residual(scenario.tables, i, j), threshold)
 
 
 def nsit_sandwich(scenario: Scenario, threshold: float = DEFAULT_THRESHOLD) -> ConditionReport:
     """NSIT_0(1)2 on a three-slot scenario: the middle slot must be ignorable."""
     _require_three_slots(scenario)
-    pair = joint_distribution(scenario, (0, 2))
-    full = marginalize(joint_distribution(scenario, (0, 1, 2)), (0, 2))
-    return ConditionReport(
-        name="NSIT_0(1)2",
-        residual=table_distance_sup(pair, full),
-        threshold=threshold,
-    )
+    return _report("NSIT_0(1)2", sandwich_residual(scenario.tables), threshold)
 
 
 def nsit_leading(scenario: Scenario, threshold: float = DEFAULT_THRESHOLD) -> ConditionReport:
     """NSIT_(0)12 on a three-slot scenario: the first slot must be ignorable."""
     _require_three_slots(scenario)
-    pair = joint_distribution(scenario, (1, 2))
-    full = marginalize(joint_distribution(scenario, (0, 1, 2)), (1, 2))
-    return ConditionReport(
-        name="NSIT_(0)12",
-        residual=table_distance_sup(pair, full),
-        threshold=threshold,
-    )
+    return _report("NSIT_(0)12", leading_residual(scenario.tables), threshold)
 
 
 def aot_check(
@@ -114,15 +186,8 @@ def aot_check(
     Quantum instruments satisfy this identically (trace preservation), so the
     residual doubles as a sanity check on the numerics.
     """
-    if not 0 <= i < j < scenario.n_slots:
-        raise ValueError(f"need slot indices i < j, got ({i}, {j})")
-    alone = joint_distribution(scenario, (i,))
-    pair = marginalize(joint_distribution(scenario, (i, j)), (i,))
-    return ConditionReport(
-        name=f"AoT_{i}({j})",
-        residual=table_distance_sup(alone, pair),
-        threshold=threshold,
-    )
+    _check_pair(scenario, i, j)
+    return _report(f"AoT_{i}({j})", aot_residual(scenario.tables, i, j), threshold)
 
 
 def lgi_012(scenario: Scenario, threshold: float = DEFAULT_THRESHOLD) -> ConditionReport:
@@ -133,30 +198,14 @@ def lgi_012(scenario: Scenario, threshold: float = DEFAULT_THRESHOLD) -> Conditi
     """
     _require_three_slots(scenario)
     _require_dichotomic(scenario)
-    c01 = correlation(joint_distribution(scenario, (0, 1)), 0, 1)
-    c12 = correlation(joint_distribution(scenario, (1, 2)), 1, 2)
-    c02 = correlation(joint_distribution(scenario, (0, 2)), 0, 2)
-    k = c01 + c12 - c02
-    return ConditionReport(
-        name="LGI_012",
-        residual=max(0.0, k - 1.0),
-        threshold=threshold,
-        context={"K": k, "C01": c01, "C12": c12, "C02": c02},
-    )
+    return _report("LGI_012", lgi_values(scenario.tables), threshold)
 
 
 def nic_012(scenario: Scenario, threshold: float = DEFAULT_THRESHOLD) -> ConditionReport:
     """NIC_0(1)2: the outer correlator must not care about the middle slot."""
     _require_three_slots(scenario)
     _require_dichotomic(scenario, slots=(0, 2))
-    bare = correlation(joint_distribution(scenario, (0, 2)), 0, 2)
-    probed = correlation(joint_distribution(scenario, (0, 1, 2)), 0, 2)
-    return ConditionReport(
-        name="NIC_0(1)2",
-        residual=abs(bare - probed),
-        threshold=threshold,
-        context={"C02": bare, "C02_with_middle": probed},
-    )
+    return _report("NIC_0(1)2", nic_values(scenario.tables), threshold)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,7 +251,7 @@ def mr012_check(
 ) -> MR012Report:
     """Full three-slot macrorealism bundle.
 
-    Runs all seven experiments (each nonempty subset of the three slots) and
+    Reads all seven experiments (each nonempty subset of the three slots) and
     evaluates the named conditions NSIT_(1)2, NSIT_0(1)2, NSIT_(0)12 and AoT,
     plus the marginal mismatch of the six partial experiments against the
     full joint.
@@ -210,55 +259,23 @@ def mr012_check(
     _require_three_slots(scenario)
     if mismatch_threshold is None:
         mismatch_threshold = threshold
-    subsets = [
-        (0,),
-        (1,),
-        (2,),
-        (0, 1),
-        (0, 2),
-        (1, 2),
-        (0, 1, 2),
-    ]
-    tables = {s: joint_distribution(scenario, s) for s in subsets}
-    full = tables[(0, 1, 2)]
+    tables = scenario.tables
 
     detail = {}
     sup = 0.0
     tv = 0.0
-    for s in subsets[:-1]:
-        m = marginalize(full, s)
-        d_sup = table_distance_sup(tables[s], m)
-        d_tv = table_distance_tv(tables[s], m)
+    for s in [(0,), (1,), (2,), *PAIRS]:
+        m = _marginal(tables, FULL, s)
+        d_sup = float(_sup(tables[s], m)[0])
+        d_tv = float(_tv(tables[s], m)[0])
         detail["P" + "".join(map(str, s))] = {"sup": d_sup, "tv": d_tv}
         sup = max(sup, d_sup)
         tv = max(tv, d_tv)
 
-    members = {}
-    members["NSIT_(1)2"] = ConditionReport(
-        name="NSIT_(1)2",
-        residual=table_distance_sup(
-            tables[(2,)], marginalize(tables[(1, 2)], (2,))
-        ),
-        threshold=threshold,
-    )
-    members["NSIT_0(1)2"] = ConditionReport(
-        name="NSIT_0(1)2",
-        residual=table_distance_sup(tables[(0, 2)], marginalize(full, (0, 2))),
-        threshold=threshold,
-    )
-    members["NSIT_(0)12"] = ConditionReport(
-        name="NSIT_(0)12",
-        residual=table_distance_sup(tables[(1, 2)], marginalize(full, (1, 2))),
-        threshold=threshold,
-    )
-    aot = 0.0
-    for i, j in [(0, 1), (0, 2), (1, 2)]:
-        d = table_distance_sup(
-            tables[(i,)], marginalize(tables[(i, j)], (i,))
-        )
-        aot = max(aot, d)
-    members["AoT"] = ConditionReport(name="AoT", residual=aot, threshold=threshold)
-
+    members = {
+        name: _report(name, values, threshold)
+        for name, values in mr012_residuals(tables).items()
+    }
     return MR012Report(
         members=members,
         mismatch_tv=tv,
@@ -430,10 +447,6 @@ def classical_hamiltonian(
         u = unitary_from_hamiltonian(hamiltonian, float(t))
         worst = max(worst, classical_operator(candidate, references, between=u))
     return worst
-
-
-def reports_to_json(reports) -> list[dict]:
-    return [r.to_dict() for r in reports]
 
 
 def ranked_reports(reports) -> list[ConditionReport]:

@@ -20,10 +20,16 @@ import time as _time
 import numpy as np
 from scipy import optimize
 
-from macroreal.conditions import DEFAULT_THRESHOLD, nsit_two_time
+from macroreal.conditions import (
+    DEFAULT_THRESHOLD,
+    lgi_values,
+    mr012_residuals,
+    nsit_residual,
+    nsit_two_time,
+)
 from macroreal.hilbert import DensityState
 from macroreal.instruments import projective_family
-from macroreal.scenario import Scenario, ScenarioBatch, Slot, batch_joint_distribution
+from macroreal.scenario import Scenario, ScenarioBatch, Slot
 
 CONDITION_NAMES = (
     "NSIT_(0)1",
@@ -204,49 +210,25 @@ def analytic_residuals(params: MZParams) -> dict:
     return res
 
 
-SUBSETS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
-
-
-def _sup(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(a - b).max(axis=tuple(range(1, a.ndim)))
-
-
-def _correlation(values: np.ndarray) -> np.ndarray:
-    """<q_i q_j> of each (2, 2) table in the stack, outcomes +1 and -1."""
-    o = WHICH_PATH.outcomes.astype(float)
-    return (o[:, None] * values * o).sum(axis=-1).sum(axis=-1)
-
-
 def batch_numeric_residuals(points, convention: str = "crossed-p0") -> dict:
     """numeric_residuals of many settings at once: condition name -> (N,) array.
 
-    All seven conditions are marginal comparisons and correlators over the
-    seven experiments (one per nonempty slot subset), so those tables are
-    computed once for the whole batch and every residual is read off them.
-    Each pairwise table is its own experiment, not a marginal of the full joint.
+    All seven conditions are read off the batch's seven experiment tables (one
+    per nonempty slot subset) by the functions of conditions.py, so each table
+    is computed once for the whole batch. Each pairwise table is its own
+    experiment, not a marginal of the full joint.
     """
-    batch = mz_batch(points, convention)
-    t = {s: batch_joint_distribution(batch, s) for s in SUBSETS}
-    full = t[(0, 1, 2)]
-    res_01 = _sup(t[(1,)], t[(0, 1)].sum(axis=1))
-    res_12 = _sup(t[(2,)], t[(1, 2)].sum(axis=1))
-    res_sandwich = _sup(t[(0, 2)], full.sum(axis=2))
-    res_leading = _sup(t[(1, 2)], full.sum(axis=1))
-    aot = np.maximum.reduce(
-        [_sup(t[(i,)], t[(i, j)].sum(axis=2)) for i, j in ((0, 1), (0, 2), (1, 2))]
-    )
-    k = _correlation(t[(0, 1)]) + _correlation(t[(1, 2)]) - _correlation(t[(0, 2)])
+    t = mz_batch(points, convention).tables
+    members = mr012_residuals(t)
+    lgi = lgi_values(t)
     return {
-        "NSIT_(0)1": res_01,
-        "NSIT_(1)2": res_12,
-        "NSIT_0(1)2": res_sandwich,
-        "NSIT_(0)12": res_leading,
-        "LGI_012": np.maximum(k - 1.0, 0.0),
-        "AoT": aot,
+        "NSIT_(0)1": nsit_residual(t, 0, 1),
+        **members,
+        "LGI_012": lgi["residual"],
         # member max keeps the bundle verdict on the same sup-norm scale as
         # the closed forms; the TV mismatch stays inside mr012_check.
-        "MR_012": np.maximum.reduce([res_12, res_sandwich, res_leading, aot]),
-        "_K": k,
+        "MR_012": np.maximum.reduce(list(members.values())),
+        "_K": lgi["K"],
     }
 
 

@@ -141,9 +141,8 @@ def coherent_delta_overlap(
         fine = ComplexLattice.square(
             (lattice.re_hi - lattice.re_lo) / 2.0, lattice.step / 2.0
         )
-        rho_f = coherent_state(g, dim).density().matrix
         fam_f = coherent_projector_family(fine, dim)
-        v2, _ = _invaded_overlap(rho_f, fam_f, fine)
+        v2, _ = _invaded_overlap(rho, fam_f, fine)
         err = abs(v2 - value)
     return OverlapResult(value=value, meta=meta, error_estimate=err)
 
@@ -503,8 +502,3 @@ def quadrature_overlap_numeric(
             "analytic": quadrature_overlap_analytic(case, delta, kappa, sigma, t, mass),
         },
     )
-
-
-def delta_limit_curve(sides, gamma, **kwargs):
-    """Cell-partition overlaps for a shrinking sequence of cell sides."""
-    return [cell_overlap(s, gamma, **kwargs) for s in sides]

@@ -9,6 +9,7 @@ what the no-signaling-in-time conditions probe.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -57,6 +58,11 @@ class Scenario:
     def dim(self) -> int:
         return self.initial.dim
 
+    @functools.cached_property
+    def tables(self) -> Tables:
+        """Experiment tables as a one-scenario batch: tables[measured][0]."""
+        return Tables(self.initial.matrix[None], [u[None] for u in self.evolutions], self.slots)
+
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioBatch:
@@ -89,6 +95,35 @@ class ScenarioBatch:
     @property
     def n_slots(self) -> int:
         return len(self.slots)
+
+    @functools.cached_property
+    def tables(self) -> Tables:
+        return Tables(self.initial, self.evolutions, self.slots)
+
+
+class Tables(dict):
+    """The experiment tables of N scenarios with shared slots.
+
+    The key is the sorted tuple of measured slots, the value the read-only
+    (N, n_a, n_b, ...) array of their outcome tables. Each table is computed
+    on its first lookup and kept, so every condition read off one scenario
+    shares it.
+    """
+
+    def __init__(self, initial: np.ndarray, evolutions, slots: tuple):
+        super().__init__()
+        self.initial = initial
+        self.evolutions = evolutions
+        self.slots = slots
+
+    def __missing__(self, measured):
+        key = _measured_slots(len(self.slots), measured)
+        if key != measured:
+            raise KeyError(f"tables are keyed by the sorted tuple of measured slots, {key}")
+        values = _tables(self.initial, self.evolutions, self.slots, key)
+        values.flags.writeable = False
+        self[key] = values
+        return values
 
 
 def _check_layout(dim: int, slots: tuple, evolutions) -> None:
@@ -204,21 +239,19 @@ def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
 def batch_joint_distribution(batch: ScenarioBatch, measured=None) -> np.ndarray:
     """Outcome tables of every scenario in the batch, measuring the listed slots.
 
-    Returns an (N, ...) array whose item i is joint_distribution(...).values
-    of scenario i.
+    Returns the read-only (N, ...) array batch.tables[measured], whose item i
+    is joint_distribution(...).values of scenario i.
     """
-    measured = _measured_slots(batch.n_slots, measured)
-    return _tables(batch.initial, batch.evolutions, batch.slots, measured)
+    return batch.tables[_measured_slots(batch.n_slots, measured)]
 
 
 def joint_distribution(scenario: Scenario, measured=None) -> ProbabilityTable:
     """Run the scenario measuring only the listed slots (all slots by default).
 
-    This is the one-scenario batch of the kernel behind batch_joint_distribution.
+    The values are the read-only item 0 of scenario.tables[measured].
     """
     measured = _measured_slots(scenario.n_slots, measured)
-    evolutions = [u[None] for u in scenario.evolutions]
-    values = _tables(scenario.initial.matrix[None], evolutions, scenario.slots, measured)[0]
+    values = scenario.tables[measured][0]
     fams = [scenario.slots[k].instrument for k in measured]
     return ProbabilityTable(
         slots=measured,
@@ -243,39 +276,6 @@ def marginalize(table: ProbabilityTable, keep) -> ProbabilityTable:
         weights=tuple(table.weights[i] for i in sel),
         values=values,
     )
-
-
-def table_distance_sup(a: ProbabilityTable, b: ProbabilityTable) -> float:
-    """Largest absolute probability difference between two same-shaped tables."""
-    _check_compatible(a, b)
-    return float(np.max(np.abs(a.values - b.values)))
-
-
-def table_distance_tv(a: ProbabilityTable, b: ProbabilityTable) -> float:
-    """Total variation distance, half the summed absolute difference."""
-    _check_compatible(a, b)
-    return float(0.5 * np.sum(np.abs(a.values - b.values)))
-
-
-def _check_compatible(a: ProbabilityTable, b: ProbabilityTable) -> None:
-    if a.slots != b.slots or a.values.shape != b.values.shape:
-        raise ValueError(
-            f"tables are not comparable: slots {a.slots} vs {b.slots}, "
-            f"shapes {a.values.shape} vs {b.values.shape}"
-        )
-
-
-def correlation(table: ProbabilityTable, slot_i: int, slot_j: int) -> float:
-    """Two-time correlator <q_i q_j> for numeric outcome labels."""
-    t = marginalize(table, (slot_i, slot_j))
-    oi = np.asarray(t.outcomes[0], dtype=float)
-    oj = np.asarray(t.outcomes[1], dtype=float)
-    return float(np.einsum("i,ij,j->", oi, t.values, oj))
-
-
-def expectation(table: ProbabilityTable, slot: int) -> float:
-    t = marginalize(table, (slot,))
-    return float(np.dot(np.asarray(t.outcomes[0], dtype=float), t.values))
 
 
 def table_rows(table: ProbabilityTable):

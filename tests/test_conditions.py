@@ -1,24 +1,36 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from helpers import random_scenario
+from macroreal import scenario as scenario_module
+from macroreal.cli import main
 from macroreal.conditions import (
+    PAIRS,
     ConditionReport,
     aot_check,
+    aot_residual,
     classical_hamiltonian,
     classical_operator,
     commutator_tests,
+    correlator,
+    leading_residual,
     lgi_012,
+    lgi_values,
     mr012_check,
+    mr012_residuals,
     nic_012,
+    nic_values,
     nsit_leading,
     nsit_operator_residual,
+    nsit_residual,
     nsit_sandwich,
     nsit_two_time,
     projective_necessity_check,
     ranked_reports,
+    sandwich_residual,
 )
 from macroreal.hilbert import DensityState, number_operator
 from macroreal.instruments import (
@@ -29,7 +41,7 @@ from macroreal.instruments import (
     projective_family,
     single_kraus_family,
 )
-from macroreal.scenario import Scenario, Slot
+from macroreal.scenario import Scenario, ScenarioBatch, Slot, joint_distribution
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -243,3 +255,63 @@ def test_ranked_reports():
     ]
     ranked = ranked_reports(reports)
     assert [r.name for r in ranked] == ["b", "a", "c"]
+
+
+def test_each_experiment_table_is_computed_once(monkeypatch, capsys):
+    calls = []
+    kernel = scenario_module._tables
+
+    def counted(initial, evolutions, slots, measured):
+        calls.append(measured)
+        return kernel(initial, evolutions, slots, measured)
+
+    monkeypatch.setattr(scenario_module, "_tables", counted)
+    subsets = [(0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
+    assert main(["nsit-check", str(resources.files("macroreal") / "data" / "mz_phi0.json")]) == 1
+    capsys.readouterr()
+    assert sorted(calls) == subsets
+
+    calls.clear()
+    sc = random_scenario(np.random.default_rng(31))
+    bundle = mr012_check(sc).to_dict()
+    lgi_012(sc)
+    nic_012(sc)
+    assert sorted(calls) == subsets
+    with pytest.raises(ValueError):
+        sc.tables[(0,)][0, 0] = 0.5
+    with pytest.raises(ValueError):
+        joint_distribution(sc).values[0, 0, 0] = 0.5
+    assert mr012_check(sc).to_dict() == bundle
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dichotomic", [True, False])
+def test_table_functions_on_a_batch_equal_the_single_scenario_reports(dim, dichotomic):
+    rng = np.random.default_rng(40 + dim + 10 * dichotomic)
+    drawn = [random_scenario(rng, dim, dichotomic=dichotomic) for _ in range(50)]
+    slots = drawn[0].slots
+    scenarios = [Scenario(sc.initial, slots, sc.evolutions) for sc in drawn]
+    batch = ScenarioBatch(
+        np.stack([sc.initial.matrix for sc in scenarios]),
+        slots,
+        tuple(np.stack([sc.evolutions[k] for sc in scenarios]) for k in range(2)),
+    )
+    t = batch.tables
+    for n, sc in enumerate(scenarios):
+        for i, j in PAIRS:
+            assert nsit_residual(t, i, j)[n] == nsit_two_time(sc, i, j).residual
+            assert aot_residual(t, i, j)[n] == aot_check(sc, i, j).residual
+            assert correlator(t, i, j)[n] == correlator(sc.tables, i, j)[0]
+        assert sandwich_residual(t)[n] == nsit_sandwich(sc).residual
+        assert leading_residual(t)[n] == nsit_leading(sc).residual
+        members = mr012_check(sc).members
+        assert {k: v[n] for k, v in mr012_residuals(t).items()} == {
+            k: r.residual for k, r in members.items()
+        }
+        for values, report in ((lgi_values, lgi_012), (nic_values, nic_012)):
+            single = {k: v[0] for k, v in values(sc.tables).items()}
+            assert {k: v[n] for k, v in values(t).items()} == single
+            if dichotomic:
+                rep = report(sc)
+                assert single == {"residual": rep.residual, **rep.context}

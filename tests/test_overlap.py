@@ -11,7 +11,6 @@ from macroreal.overlap import (
     coherent_delta_overlap,
     coherent_x_exact,
     coherent_x_overlap,
-    delta_limit_curve,
     fock_overlap,
     husimi,
     quadrature_overlap_analytic,
@@ -169,7 +168,7 @@ def test_ring_overlap_small_width_regression():
 
 
 def test_cell_overlap_shrinks_to_delta_value():
-    values = [r.value for r in delta_limit_curve((1.0, 0.5, 0.25), 1.0)]
+    values = [cell_overlap(s, 1.0).value for s in (1.0, 0.5, 0.25)]
     assert values[0] > values[1] > values[2]
     assert abs(values[2] - IDEAL_DELTA) < 2e-3
     assert all(v > IDEAL_DELTA - 2e-3 for v in values)

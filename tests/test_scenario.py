@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import haar_unitary, random_density, random_full_projective_family
+from macroreal.conditions import correlator
 from macroreal.hilbert import DensityState, coherent_state
 from macroreal.instruments import (
     ComplexLattice,
@@ -21,15 +22,11 @@ from macroreal.scenario import (
     ScenarioBatch,
     Slot,
     batch_joint_distribution,
-    correlation,
-    expectation,
     joint_distribution,
     marginalize,
     scenario_from_hamiltonian,
     scenario_from_json,
     scenario_to_json,
-    table_distance_sup,
-    table_distance_tv,
     table_rows,
 )
 
@@ -75,8 +72,12 @@ def test_static_scenario_joint():
     assert t.values.shape == (2, 2, 2)
     assert abs(t.values[0, 0, 0] - 0.7) < 1e-14
     assert abs(t.values[1, 1, 1] - 0.3) < 1e-14
-    assert correlation(t, 0, 2) == pytest.approx(1.0)
-    assert expectation(t, 1) == pytest.approx(0.4)
+    assert correlator(sc.tables, 0, 2, of=(0, 1, 2))[0] == pytest.approx(1.0)
+    assert correlator(sc.tables, 0, 1)[0] == pytest.approx(1.0)
+    assert t.values.sum(axis=(0, 2)) @ [1.0, -1.0] == pytest.approx(0.4)
+    assert sc.tables[(0, 2)] is sc.tables[(0, 2)]
+    with pytest.raises(KeyError, match="sorted tuple"):
+        sc.tables[(2, 0)]
 
 
 def test_validation_errors():
@@ -193,18 +194,9 @@ def test_marginalize_consistency():
     # marginalizing the later slot away must reproduce the earlier pair run
     m01 = marginalize(full, (0, 1))
     direct01 = joint_distribution(sc, (0, 1))
-    assert table_distance_sup(m01, direct01) < 1e-13
+    assert np.max(np.abs(m01.values - direct01.values)) < 1e-13
     with pytest.raises(ValueError):
         marginalize(m02, (1,))
-
-
-def test_table_distance_requires_same_layout():
-    sc = trivial_scenario()
-    a = joint_distribution(sc, (0,))
-    b = joint_distribution(sc, (0, 1))
-    with pytest.raises(ValueError):
-        table_distance_sup(a, b)
-    assert table_distance_tv(a, a) == 0.0
 
 
 def test_continuous_slot_mass():
@@ -235,7 +227,7 @@ def test_scenario_from_hamiltonian_and_json_round_trip():
     clone = scenario_from_json(scenario_to_json(sc))
     t1 = joint_distribution(sc)
     t2 = joint_distribution(clone)
-    assert table_distance_sup(t1, t2) < 1e-14
+    assert np.max(np.abs(t1.values - t2.values)) < 1e-14
 
 
 def test_table_rows_deterministic():
