@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from macroreal.hilbert import operator_norm, unitary_from_hamiltonian
-from macroreal.instruments import KrausFamily
+from macroreal.instruments import KrausFamily, not_projectors
 from macroreal.scenario import Scenario
 
 DEFAULT_THRESHOLD = 1e-9
@@ -337,6 +337,7 @@ def nsit_operator_residual(
         v = first.basis
     else:
         a_ops = first.dense_ops()
+        wa_h = a_ops.conj().swapaxes(-1, -2) * w[:, None, None]
     worst = 0.0
     for b in range(second.n_outcomes):
         bb = second.op(b)
@@ -349,9 +350,7 @@ def nsit_operator_residual(
             else:
                 with_first = v @ ((v.conj().T @ e @ v) * kernel) @ v.conj().T
         else:
-            with_first = np.einsum(
-                "a,aji,jk,akl->il", w, a_ops.conj(), e, a_ops, optimize=True
-            )
+            with_first = (wa_h @ e @ a_ops).sum(axis=0)
         without = bb.conj().T @ s_first @ bb
         worst = max(worst, operator_norm(with_first - without))
     return worst
@@ -394,13 +393,9 @@ def projective_necessity_check(
     whether the two verdicts agree. Raises if either family is not projective.
     """
     for fam, role in ((first, "first"), (second, "second")):
-        ops = fam.dense_ops()
-        for i, p in enumerate(ops):
-            if (
-                operator_norm(p @ p - p) > 1e-10
-                or operator_norm(p - p.conj().T) > 1e-10
-            ):
-                raise ValueError(f"{role} family element {i} is not a projector")
+        bad = np.flatnonzero(not_projectors(fam.dense_ops(), 1e-10))
+        if bad.size:
+            raise ValueError(f"{role} family element {bad[0]} is not a projector")
     residual = nsit_operator_residual(first, second)
     comm = commutator_tests(first, second)
     non_invasive = residual < tol
@@ -447,8 +442,3 @@ def classical_hamiltonian(
         u = unitary_from_hamiltonian(hamiltonian, float(t))
         worst = max(worst, classical_operator(candidate, references, between=u))
     return worst
-
-
-def ranked_reports(reports) -> list[ConditionReport]:
-    """Reports sorted by residual, largest first (for violation-first output)."""
-    return sorted(reports, key=lambda r: (-r.residual, r.name))

@@ -229,5 +229,18 @@ def unitary_from_hamiltonian(h, t: float, *, atol: float = DEFAULT_ATOL) -> np.n
 
 def operator_norm(m) -> float:
     """Spectral norm (largest singular value)."""
-    a = np.asarray(m, dtype=complex)
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).max())
+
+
+def norm_exceeds(m, atol: float) -> np.ndarray:
+    """operator_norm(m) > atol for a matrix, or per matrix of a (..., d, d) stack.
+
+    The Frobenius norm bounds the spectral norm from above, so the SVD runs
+    only where it exceeds atol. The bound is taken 1e-12 relative below atol
+    so that rank-one ties, where the two norms agree, go to the SVD.
+    """
+    m = np.asarray(m, dtype=complex)
+    out = np.asarray(np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1))) > atol * (1.0 - 1e-12))
+    if out.any():
+        out[out] = np.linalg.svd(m[out], compute_uv=False).max(axis=-1) > atol
+    return out

@@ -24,6 +24,7 @@ import numpy as np
 from macroreal.hilbert import (
     as_operator,
     coherent_amplitudes,
+    norm_exceeds,
     operator_norm,
     quadrature_operators,
 )
@@ -183,9 +184,8 @@ class KrausFamily:
     def completeness_operator(self) -> np.ndarray:
         """S = sum_a w_a A_a' A_a, which should be the identity."""
         if self.kind == "dense":
-            return np.einsum(
-                "a,aji,ajk->ik", self.weights, self.ops.conj(), self.ops, optimize=True
-            )
+            b = (self.ops * np.sqrt(self.weights)[:, None, None]).reshape(-1, self.dim)
+            return b.conj().T @ b
         if self.kind == "diagonal":
             diag = self.weights @ self.envelopes**2
             if self.basis is None:
@@ -312,20 +312,26 @@ def identity_family(dim: int) -> KrausFamily:
     )
 
 
+def not_projectors(ops: np.ndarray, atol: float) -> np.ndarray:
+    """Mask of the (n, d, d) stack elements that are not orthogonal projectors."""
+    herm = ops - ops.conj().swapaxes(-1, -2)
+    return norm_exceeds(ops @ ops - ops, atol) | norm_exceeds(herm, atol)
+
+
 def projective_family(
     projectors, outcomes, label: str = "projective", *, atol: float = 1e-10
 ) -> KrausFamily:
     """Lueders instrument from a complete orthogonal projector list."""
     ops = np.stack([as_operator(p) for p in projectors])
-    dim = ops.shape[1]
-    for i, p in enumerate(ops):
-        if operator_norm(p @ p - p) > atol or operator_norm(p - p.conj().T) > atol:
-            raise ValueError(f"element {i} is not an orthogonal projector")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if operator_norm(ops[i] @ ops[j]) > atol:
-                raise ValueError(f"projectors {i} and {j} overlap")
-    if operator_norm(ops.sum(axis=0) - np.eye(dim)) > atol:
+    bad = np.flatnonzero(not_projectors(ops, atol))
+    if bad.size:
+        raise ValueError(f"element {bad[0]} is not an orthogonal projector")
+    k = np.arange(len(ops))
+    i, j = np.nonzero(k[:, None] < k)  # pairs i < j in row-major order
+    bad = np.flatnonzero(norm_exceeds(ops[i] @ ops[j], atol))
+    if bad.size:
+        raise ValueError(f"projectors {i[bad[0]]} and {j[bad[0]]} overlap")
+    if norm_exceeds(ops.sum(axis=0) - np.eye(ops.shape[1]), atol):
         raise ValueError("projectors do not sum to the identity")
     return KrausFamily(
         label=label,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -276,14 +275,6 @@ def marginalize(table: ProbabilityTable, keep) -> ProbabilityTable:
         weights=tuple(table.weights[i] for i in sel),
         values=values,
     )
-
-
-def table_rows(table: ProbabilityTable):
-    """Iterate (outcome tuple, probability) rows in deterministic axis order."""
-    idx_iter = itertools.product(*[range(len(o)) for o in table.outcomes])
-    for idx in idx_iter:
-        outs = tuple(table.outcomes[k][i] for k, i in enumerate(idx))
-        yield outs, float(table.values[idx])
 
 
 def scenario_to_json(scenario: Scenario) -> dict:

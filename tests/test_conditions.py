@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from helpers import random_scenario
+from helpers import haar_unitary, random_scenario
 from macroreal import scenario as scenario_module
 from macroreal.cli import main
 from macroreal.conditions import (
@@ -29,10 +29,9 @@ from macroreal.conditions import (
     nsit_sandwich,
     nsit_two_time,
     projective_necessity_check,
-    ranked_reports,
     sandwich_residual,
 )
-from macroreal.hilbert import DensityState, number_operator
+from macroreal.hilbert import DensityState, number_operator, operator_norm
 from macroreal.instruments import (
     KrausFamily,
     gaussian_p_family,
@@ -214,14 +213,40 @@ def test_unitary_kraus_commutator_triple():
     assert nsit_operator_residual(a, b) < 1e-14
 
 
+def test_nsit_operator_residual_matches_einsum_form():
+    def random_kraus(rng, dim, n):
+        # n blocks of an isometry, rescaled so that sum_a w_a A_a' A_a = I
+        w = rng.uniform(0.5, 2.0, n)
+        v = haar_unitary(rng, n * dim)[:, :dim].reshape(n, dim, dim)
+        return KrausFamily("kraus", np.arange(n), w, ops=v / np.sqrt(w)[:, None, None])
+
+    rng = np.random.default_rng(21)
+    for dim in range(2, 7):
+        first, second = random_kraus(rng, dim, 3), random_kraus(rng, dim, 2)
+        between = haar_unitary(rng, dim)
+        a, s_first = first.ops, first.completeness_operator()
+        want = 0.0
+        for b in second.ops:
+            bb = b @ between
+            e = bb.conj().T @ bb
+            with_first = np.einsum(
+                "a,aji,jk,akl->il", first.weights, a.conj(), e, a, optimize=True
+            )
+            want = max(want, operator_norm(with_first - bb.conj().T @ s_first @ bb))
+        assert want > 1e-3
+        assert abs(nsit_operator_residual(first, second, between) - want) < 1e-14
+
+
 def test_projective_necessity_both_ways():
     rep = projective_necessity_check(sz_projectors(), sz_projectors())
     assert rep["non_invasive"] and rep["commuting"] and rep["equivalent"]
     rep2 = projective_necessity_check(sz_projectors(), sx_projectors())
     assert not rep2["non_invasive"] and not rep2["commuting"]
     assert rep2["equivalent"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^first family element 0 is not a projector$"):
         projective_necessity_check(single_kraus_family(SX), sz_projectors())
+    with pytest.raises(ValueError, match="^second family element 0 is not a projector$"):
+        projective_necessity_check(sz_projectors(), single_kraus_family(SX))
 
 
 def test_classical_operator_coarse_quadratures_decrease():
@@ -245,16 +270,6 @@ def test_classical_hamiltonian_sees_rotation():
     rotated = classical_hamiltonian(fam, [fam], h, [0.0, math.pi / 2.0])
     assert quiet < 1e-10
     assert rotated > 10.0 * max(quiet, 1e-12)
-
-
-def test_ranked_reports():
-    reports = [
-        ConditionReport("a", 0.1, 1e-9),
-        ConditionReport("b", 0.5, 1e-9),
-        ConditionReport("c", 0.0, 1e-9),
-    ]
-    ranked = ranked_reports(reports)
-    assert [r.name for r in ranked] == ["b", "a", "c"]
 
 
 def test_each_experiment_table_is_computed_once(monkeypatch, capsys):

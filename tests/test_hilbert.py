@@ -16,6 +16,7 @@ from macroreal.hilbert import (
     is_hermitian,
     is_positive_semidefinite,
     is_unitary,
+    norm_exceeds,
     number_operator,
     operator_norm,
     quadrature_operators,
@@ -133,3 +134,29 @@ def test_basis_and_projector():
     assert np.allclose(p @ e2.amplitudes, e2.amplitudes)
     with pytest.raises(ValueError):
         fock_projector(4, 4)
+
+
+def test_operator_norm_matches_numpy_spectral_norm():
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 8, 30):
+        for _ in range(20):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            assert operator_norm(a) == np.linalg.norm(a, 2)
+
+
+def test_norm_exceeds_agrees_with_operator_norm():
+    rng = np.random.default_rng(12)
+    atol = 1e-10
+    for d in (2, 3, 4, 8):
+        m = rng.standard_normal((200, d, d)) + 1j * rng.standard_normal((200, d, d))
+        # spectral norms spread over [0.5, 2] atol, so both sides of atol occur
+        m *= (atol * rng.uniform(0.5, 2.0, 200) / [operator_norm(x) for x in m])[:, None, None]
+        want = np.array([operator_norm(x) > atol for x in m])
+        assert want.any() and not want.all()
+        # some pass only through the SVD: Frobenius norm above atol, spectral below
+        assert np.any(~want & (np.linalg.norm(m, axis=(1, 2)) > atol))
+        assert np.array_equal(norm_exceeds(m, atol), want)
+        assert [bool(norm_exceeds(x, atol)) for x in m] == want.tolist()
+    # Frobenius norm 1.2 atol fails the cheap bound, spectral norm 0.6 atol passes
+    assert not norm_exceeds(0.6 * atol * np.eye(4), atol)
+    assert norm_exceeds(1.2 * atol * np.eye(4), atol)

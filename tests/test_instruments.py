@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_scenario
 from macroreal.hilbert import coherent_state, operator_norm
 from macroreal.instruments import (
     ComplexLattice,
@@ -53,10 +54,40 @@ def test_projective_family_validation():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     fam = projective_family([p0, np.eye(2) - p0], [1, -1])
     assert fam.completeness_defect < 1e-14
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^projectors 0 and 1 overlap$"):
         projective_family([p0, p0], [1, -1])  # overlapping, wrong sum
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^projectors do not sum to the identity$"):
         projective_family([p0], [1])  # incomplete
+    with pytest.raises(ValueError, match="^element 1 is not an orthogonal projector$"):
+        projective_family([p0, 2 * (np.eye(2) - p0)], [1, -1])  # not idempotent
+    skew = np.array([[1.0, 1.0], [0.0, 0.0]])  # idempotent, not Hermitian
+    with pytest.raises(ValueError, match="^element 0 is not an orthogonal projector$"):
+        projective_family([skew, np.eye(2) - skew], [1, -1])
+    # (1 + eps) p0 misses idempotence by about eps against atol 1e-10
+    fam = projective_family([(1 + 1e-11) * p0, np.eye(2) - p0], [1, -1])
+    assert fam.completeness_defect < 1e-10
+    with pytest.raises(ValueError, match="^element 0 is not an orthogonal projector$"):
+        projective_family([(1 + 1e-9) * p0, np.eye(2) - p0], [1, -1])
+
+
+def test_dense_completeness_operator_matches_einsum_form():
+    def einsum_form(fam):
+        return np.einsum("a,aji,ajk->ik", fam.weights, fam.ops.conj(), fam.ops)
+
+    sweep = random_scenario(np.random.default_rng(8), dim=3).slots[0].instrument
+    smeared = gaussian_x_family(0.8, 8)
+    weighted = KrausFamily(
+        label="dense_copy",
+        outcomes=smeared.outcomes,
+        weights=smeared.weights,
+        kind="dense",
+        ops=smeared.dense_ops(),
+    )
+    lat = ComplexLattice.square(6.0, 0.25)
+    envs, outs = ring_envelopes(2.0, 6.0 * math.sqrt(2.0) + 1.0)
+    ring = coherent_coarse_family(envs, lat, 24, outcomes=outs)
+    for fam in (sweep, weighted, ring):
+        assert np.max(np.abs(fam.completeness_operator() - einsum_form(fam))) < 1e-14
 
 
 def test_identity_and_single_kraus():

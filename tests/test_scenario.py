@@ -27,7 +27,6 @@ from macroreal.scenario import (
     scenario_from_hamiltonian,
     scenario_from_json,
     scenario_to_json,
-    table_rows,
 )
 
 
@@ -228,15 +227,6 @@ def test_scenario_from_hamiltonian_and_json_round_trip():
     t1 = joint_distribution(sc)
     t2 = joint_distribution(clone)
     assert np.max(np.abs(t1.values - t2.values)) < 1e-14
-
-
-def test_table_rows_deterministic():
-    sc = trivial_scenario()
-    t = joint_distribution(sc, (0, 2))
-    rows = list(table_rows(t))
-    assert rows[0][0] == (1, 1)
-    assert rows[-1][0] == (-1, -1)
-    assert abs(sum(p for _, p in rows) - 1.0) < 1e-12
 
 
 def test_probability_table_validation():
