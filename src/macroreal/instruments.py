@@ -20,6 +20,7 @@ import math
 import re as _re
 
 import numpy as np
+from scipy.special import gammaincc, gammaln
 
 from macroreal.hilbert import (
     as_operator,
@@ -199,9 +200,7 @@ class KrausFamily:
     def probability_density(self, rho: np.ndarray) -> np.ndarray:
         """Outcome density p_a = w_a tr(A_a' A_a rho)."""
         if self.kind == "dense":
-            p = np.einsum(
-                "aji,ajk,ki->a", self.ops.conj(), self.ops, rho, optimize=True
-            ).real
+            p = (self.ops.conj() * (self.ops @ rho)).real.sum(axis=(1, 2))
         elif self.kind == "diagonal":
             if self.basis is None:
                 d = np.diag(rho).real
@@ -221,14 +220,8 @@ class KrausFamily:
     def channel(self, rho: np.ndarray) -> np.ndarray:
         """Non-selective update sum_a w_a A_a rho A_a'."""
         if self.kind == "dense":
-            return np.einsum(
-                "a,aij,jk,alk->il",
-                self.weights,
-                self.ops,
-                rho,
-                self.ops.conj(),
-                optimize=True,
-            )
+            branches = self.weights[:, None, None] * (self.ops @ rho)
+            return (branches @ self.ops.conj().swapaxes(1, 2)).sum(axis=0)
         if self.kind == "diagonal":
             kernel = np.einsum("a,ai,aj->ij", self.weights, self.envelopes, self.envelopes)
             if self.basis is None:
@@ -506,24 +499,24 @@ def coherent_projector_family(
 
 
 def coherent_columns(points: np.ndarray, dim: int) -> np.ndarray:
-    """Stack of raw truncated coherent amplitudes, one column per lattice point."""
-    pts = np.asarray(points, dtype=complex).ravel()
-    k = np.arange(dim)
-    from scipy.special import gammaln
+    """Stack of raw truncated coherent amplitudes, one column per lattice point.
 
+    Entry (k, a) is exp(logmod + i k theta_a) with logmod = -r_a^2 / 2 +
+    k log r_a - log(k!) / 2: the exponent is written into one complex array
+    and exponentiated in place, so no second stack of that size is made.
+    """
+    pts = np.asarray(points, dtype=complex).ravel()
+    k = np.arange(dim)[:, None]
     r = np.abs(pts)
-    logmod = np.full((dim, pts.size), -np.inf)
-    nz = r > 0
-    logmod[:, nz] = (
-        -0.5 * r[nz] ** 2
-        + k[:, None] * np.log(r[nz])
-        - 0.5 * gammaln(k + 1.0)[:, None]
-    )
-    logmod[0, ~nz] = -0.0
-    phase = np.ones_like(pts)
-    phase[nz] = pts[nz] / r[nz]
-    cols = np.exp(logmod) * phase[None, :] ** k[:, None]
-    cols[0, ~nz] = 1.0
+    origin = r == 0
+    cols = np.empty((dim, pts.size), dtype=complex)
+    logmod = cols.real
+    np.multiply(k, np.log(np.where(origin, 1.0, r)), out=logmod)
+    logmod -= 0.5 * r**2
+    logmod -= 0.5 * gammaln(k + 1.0)
+    np.multiply(k, np.angle(pts), out=cols.imag)
+    np.exp(cols, out=cols)
+    cols[1:, origin] = 0.0
     return cols
 
 
@@ -535,6 +528,7 @@ def coherent_coarse_family(
     outcomes=None,
     label: str = "coherent_coarse",
     partition_tol: float = 1e-9,
+    cols: np.ndarray | None = None,
 ) -> KrausFamily:
     """Coarse-grained phase-space readout from an envelope partition.
 
@@ -542,7 +536,8 @@ def coherent_coarse_family(
     on the lattice. The POVM element for outcome a is the moment operator
     pi^{-1} sum_j w_j f_a(alpha_j) |alpha_j><alpha_j|; the Kraus operator is
     its positive square root, and a final completeness correction
-    K -> K S^{-1/2} absorbs the lattice discretization error.
+    K -> K S^{-1/2} absorbs the lattice discretization error. Pass cols, the
+    coherent_columns(lattice.points, dim) stack, when the caller holds it.
     """
     pts = lattice.points
     w = lattice.weights
@@ -554,7 +549,8 @@ def coherent_coarse_family(
         raise ValueError(
             f"envelopes are not a partition of unity (max dev {np.max(np.abs(part - 1.0)):.3g})"
         )
-    cols = coherent_columns(pts, dim)
+    if cols is None:
+        cols = coherent_columns(pts, dim)
     ops = []
     for f in fvals:
         coef = w * f / math.pi
@@ -573,15 +569,41 @@ def coherent_coarse_family(
     return corrected
 
 
-def ring_envelopes(d: float, max_radius: float):
-    """Indicator envelopes for annuli [m d, (m+1) d) covering radius max_radius."""
+def _ring_count(d: float, max_radius: float) -> int:
     if d <= 0:
         raise ValueError("ring width must be positive")
-    count = int(math.ceil(max_radius / d)) + 1
+    return int(math.ceil(max_radius / d)) + 1
+
+
+def ring_envelopes(d: float, max_radius: float):
+    """Indicator envelopes for annuli [m d, (m+1) d) covering radius max_radius."""
+    count = _ring_count(d, max_radius)
     outs = []
     for m in range(count):
         outs.append(lambda a, m=m: ((np.abs(a) >= m * d) & (np.abs(a) < (m + 1) * d)).astype(float))
     return outs, np.arange(count)
+
+
+def ring_family(d: float, dim: int, max_radius: float) -> KrausFamily:
+    """Exact radial binning into the annuli of ring_envelopes(d, max_radius).
+
+    The annulus effect pi^{-1} int_{lo <= |a| < hi} |a><a| d^2a is diagonal in
+    the Fock basis, with weight Q(n+1, lo^2) - Q(n+1, hi^2) on level n, where
+    Q is the regularized upper incomplete gamma function (Kofler and Brukner,
+    PRL 99, 180403). The outer ring takes the remaining tail Q(n+1, lo^2), so
+    the effects sum to Q(n+1, 0) = 1 and no lattice or correction is needed.
+    """
+    count = _ring_count(d, max_radius)
+    tail = gammaincc(np.arange(dim) + 1.0, (d * np.arange(count)[:, None]) ** 2)
+    effects = np.concatenate([tail[:-1] - tail[1:], tail[-1:]])
+    return KrausFamily(
+        label=f"rings(d={d:g})",
+        outcomes=np.arange(count),
+        weights=np.ones(count),
+        kind="diagonal",
+        envelopes=np.sqrt(np.clip(effects, 0.0, None)),
+        meta={"d": float(d), "dim": dim},
+    )
 
 
 def cell_envelopes(side: float, extent: float):

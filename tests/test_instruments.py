@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_scenario
-from macroreal.hilbert import coherent_state, operator_norm
+from macroreal.hilbert import coherent_amplitudes, coherent_state, operator_norm
 from macroreal.instruments import (
     ComplexLattice,
     Grid1D,
@@ -20,6 +20,7 @@ from macroreal.instruments import (
     parse_bin_border,
     projective_family,
     ring_envelopes,
+    ring_family,
     single_kraus_family,
     symmetrize_completeness,
 )
@@ -88,6 +89,32 @@ def test_dense_completeness_operator_matches_einsum_form():
     ring = coherent_coarse_family(envs, lat, 24, outcomes=outs)
     for fam in (sweep, weighted, ring):
         assert np.max(np.abs(fam.completeness_operator() - einsum_form(fam))) < 1e-14
+
+
+def test_dense_channel_and_density_match_einsum_form():
+    def channel_form(fam, rho):
+        return np.einsum("a,aij,jk,alk->il", fam.weights, fam.ops, rho, fam.ops.conj())
+
+    def density_form(fam, rho):
+        return fam.weights * np.einsum("aji,ajk,ki->a", fam.ops.conj(), fam.ops, rho).real
+
+    rng = np.random.default_rng(12)
+    sweep = random_scenario(rng, dim=3).slots[0].instrument
+    smeared = gaussian_x_family(0.8, 8)
+    weighted = KrausFamily(
+        label="dense_copy",
+        outcomes=smeared.outcomes,
+        weights=smeared.weights,
+        kind="dense",
+        ops=smeared.dense_ops(),
+    )
+    lat = ComplexLattice.square(4.0, 0.25)
+    envs, outs = cell_envelopes(2.0, 4.5)
+    cells = coherent_coarse_family(envs, lat, 12, outcomes=outs)
+    for fam in (sweep, weighted, cells):
+        rho = random_rho(rng, fam.dim)
+        assert np.max(np.abs(fam.channel(rho) - channel_form(fam, rho))) < 1e-14
+        assert np.max(np.abs(fam.probability_density(rho) - density_form(fam, rho))) < 1e-14
 
 
 def test_identity_and_single_kraus():
@@ -188,6 +215,30 @@ def test_coherent_columns_match_overlap():
     for i in range(3):
         for j in range(3):
             assert abs(gram[i, j] - coherent_overlap(pts[i], pts[j])) < 1e-12
+
+
+def test_coherent_columns_equal_coherent_amplitudes():
+    # the origin, a point on the negative real axis (theta = pi), and points
+    # out to radius 16, where level 259 carries most of the weight
+    pts = np.array([0.0, -1.7, -16.0 + 0.0j, 0.3 + 0.4j, -2.5j, 11.0 - 11.0j, 16.0j])
+    dim = 260
+    cols = coherent_columns(pts, dim)
+    assert cols.shape == (dim, pts.size)
+    for a, point in enumerate(pts):
+        assert np.max(np.abs(cols[:, a] - coherent_amplitudes(point, dim))) < 1e-12
+
+
+def test_ring_family_is_an_exact_diagonal_partition():
+    for d, dim, max_radius in ((0.5, 29, 9.0), (2.0, 53, 12.0), (8.0, 260, 25.0)):
+        fam = ring_family(d, dim, max_radius)
+        assert fam.kind == "diagonal" and fam.basis is None
+        assert fam.n_outcomes == len(ring_envelopes(d, max_radius)[0])
+        assert fam.completeness_defect <= 1e-14
+    # vacuum: pi^-1 int_{|a| < d} e^{-|a|^2} d^2a = 1 - e^{-d^2} in the first ring
+    fam = ring_family(1.5, 10, 6.0)
+    assert abs(fam.envelopes[0, 0] ** 2 - (1.0 - math.exp(-2.25))) < 1e-15
+    with pytest.raises(ValueError, match="ring width must be positive"):
+        ring_family(0.0, 10, 6.0)
 
 
 def test_parse_bin_border():

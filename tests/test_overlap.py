@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from macroreal.instruments import ComplexLattice, Grid1D
+from macroreal.hilbert import coherent_state, default_fock_dim
+from macroreal.instruments import (
+    ComplexLattice,
+    Grid1D,
+    coherent_coarse_family,
+    coherent_columns,
+    fock_bin_family,
+    ring_envelopes,
+    ring_family,
+)
 from macroreal.overlap import (
+    HUSIMI_BLOCK,
     OutcomeDistribution,
     bhattacharyya,
     cell_overlap,
@@ -67,6 +77,19 @@ def test_husimi_vacuum_closed_form():
     expected = np.exp(-np.abs(lattice.points) ** 2) / math.pi
     assert np.max(np.abs(dist.values - expected)) < 1e-8
     assert abs(dist.mass - 1.0) < 1e-4
+
+
+def test_husimi_blocks_and_pure_state_match_einsum_form():
+    lattice = ComplexLattice.square(6.0, 0.25)
+    assert lattice.points.size > HUSIMI_BLOCK
+    dim = 30
+    cols = coherent_columns(lattice.points, dim)
+    psi = coherent_state(1.0 + 0.5j, dim).amplitudes
+    dephased = fock_bin_family("2m", dim).channel(np.outer(psi, psi.conj()))
+    for state, rho in ((psi, np.outer(psi, psi.conj())), (dephased, dephased)):
+        einsum_form = np.einsum("im,ij,jm->m", cols.conj(), rho, cols, optimize=True).real / math.pi
+        assert np.max(np.abs(husimi(state, lattice, cols).values - einsum_form)) < 1e-15
+        assert np.max(np.abs(husimi(state, lattice).values - einsum_form)) < 1e-15
 
 
 def test_coherent_delta_overlap_near_ideal():
@@ -164,7 +187,31 @@ def test_fock_overlap_full_number_readout_regression():
 def test_ring_overlap_small_width_regression():
     res = ring_overlap(0.5, 1.0)
     assert abs(res.value - 0.996658) < 1e-3
-    assert res.meta["raw_defect"] is not None
+    assert res.meta["raw_defect"] <= 1e-14
+
+
+@pytest.mark.parametrize("d,gamma", [(0.5, 1.0), (2.0, 2.0), (2.0, 3.0)])
+def test_exact_rings_agree_with_the_lattice_ring_route(d, gamma):
+    # ring_overlap's lattice and ring count, read out with the exact annuli
+    # and with the lattice moment route they replace
+    dim = default_fock_dim(gamma)
+    radius = gamma + 5.0
+    lattice = ComplexLattice.square(radius, 0.25)
+    max_radius = math.hypot(radius, radius) + 0.5
+    cols = coherent_columns(lattice.points, dim)
+    psi = coherent_state(gamma, dim).amplitudes
+    reference = husimi(psi, lattice, cols)
+    envs, outcomes = ring_envelopes(d, max_radius)
+    values = []
+    for fam in (
+        ring_family(d, dim, max_radius),
+        coherent_coarse_family(envs, lattice, dim, outcomes=outcomes, cols=cols),
+    ):
+        invaded = husimi(fam.channel(np.outer(psi, psi.conj())), lattice, cols)
+        values.append(bhattacharyya(reference, invaded))
+    exact, lattice_route = values
+    assert exact == ring_overlap(d, gamma).value
+    assert abs(exact - lattice_route) < 1e-4
 
 
 def test_cell_overlap_shrinks_to_delta_value():
