@@ -82,7 +82,7 @@ def bhattacharyya(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     return float(np.dot(p.weights, np.sqrt(pv * qv)))
 
 
-HUSIMI_BLOCK = 2048  # lattice columns per block of the mixed-state readout
+HUSIMI_BLOCK = 2048  # columns per block of the mixed-state readout; bounds the rho @ cols temporary
 
 
 def husimi(state: np.ndarray, lattice: ComplexLattice, cols: np.ndarray | None = None) -> OutcomeDistribution:
