@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -54,18 +53,6 @@ DEFAULT_TOL_ENV = "MACROREAL_DEFAULT_TOL"
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: subcommand, options and output contract."""
-
-    command: str
-    options: dict
-    tol: float
-    out: str | None
-    fmt: str
-    seed: int | None
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +123,14 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def write_rows(rows: list[dict], fieldnames: list[str], config: RunConfig) -> None:
-    if config.fmt == "csv":
+def write_rows(rows: list[dict], fieldnames: list[str], args: argparse.Namespace) -> None:
+    if args.format == "csv":
         text = _rows_to_csv(rows, fieldnames)
     else:
         body = [{name: row.get(name) for name in fieldnames} for row in rows]
         text = json.dumps(body, indent=2, sort_keys=True, default=_json_default) + "\n"
-    if config.out:
-        with open(config.out, "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -173,50 +160,20 @@ MZ_FIELDS = [
 ]
 
 
-def _state_list(options: dict) -> list[dict]:
-    qs = options.get("q") or [0.0, 0.3, 0.5]
-    cs = options.get("c") or [0.45, 0.3j, 0.2 + 0.35j]
+def _state_list(args: argparse.Namespace) -> list[dict]:
+    qs = args.q or [0.0, 0.3, 0.5]
+    cs = args.c or [0.45, 0.3j, 0.2 + 0.35j]
     states = []
-    if options["state"] in ("mix", "both"):
+    if args.state in ("mix", "both"):
         states.extend({"q": float(q), "c": None} for q in qs)
-    if options["state"] in ("sup", "both"):
+    if args.state in ("sup", "both"):
         for c in cs:
             for q in qs:
                 if abs(c) ** 2 <= q * (1.0 - q) + 1e-12:
                     states.append({"q": float(q), "c": complex(c)})
     if not states:
-        _note("mz-scan: no admissible state; every |c|^2 exceeds q(1-q)")
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError("no admissible state; every |c|^2 exceeds q(1-q)")
     return states
-
-
-def _flatten_rows(raw_rows: list[dict], threshold: float, guard: float) -> list[dict]:
-    flat = []
-    for raw in raw_rows:
-        params = raw["params"]
-        c = params["c"]
-        for name in CONDITION_NAMES:
-            a = raw[name]["analytic"]
-            n = raw[name]["numeric"]
-            skipped = threshold < a < guard
-            flat.append(
-                {
-                    "r1": params["r1"],
-                    "r2": params["r2"],
-                    "phi": params["phi"],
-                    "q": params["q"],
-                    "c_re": None if c is None else c[0],
-                    "c_im": None if c is None else c[1],
-                    "condition": name,
-                    "analytic_residual": a,
-                    "numeric_residual": n,
-                    "analytic_holds": a <= threshold,
-                    "numeric_holds": n <= threshold,
-                    "compared": not skipped,
-                    "agree": None if skipped else (a <= threshold) == (n <= threshold),
-                }
-            )
-    return flat
 
 
 def _random_params(rng: np.random.Generator) -> MZParams:
@@ -231,34 +188,52 @@ def _random_params(rng: np.random.Generator) -> MZParams:
     return MZParams(float(r1), float(r2), float(phi), float(q), c)
 
 
-def cmd_mz_scan(config: RunConfig) -> int:
-    opts = config.options
-    guard = opts["guard"]
-    states = _state_list(opts)
-    r1s = opts.get("r1") or [float(v) for v in np.linspace(0.0, 1.0, 11)]
-    r2s = opts.get("r2") or r1s
-    phis = opts.get("phi") or [
-        float(v) for v in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
-    ]
+def _mz_rows(report) -> list[dict]:
+    """One MZ_FIELDS row per (point, condition), point-major, read off the report's arrays."""
+    arrays = (
+        report.analytic,
+        report.numeric,
+        report.analytic_holds,
+        report.numeric_holds,
+        report.compared,
+        report.agree,
+    )
+    rows = []
+    # tolist() gives Python floats and bools, which _format_cell writes as the CSV contract asks
+    for params, *cells in zip(report.points, *(a.tolist() for a in arrays)):
+        d = params.describe()
+        c = d["c"] or (None, None)
+        head = (d["r1"], d["r2"], d["phi"], d["q"], c[0], c[1])
+        for name, a, n, a_holds, n_holds, compared, agree in zip(CONDITION_NAMES, *cells):
+            row = head + (name, a, n, a_holds, n_holds, compared, agree if compared else None)
+            rows.append(dict(zip(MZ_FIELDS, row)))
+    return rows
 
-    rng = np.random.default_rng(config.seed)
-    extra = [_random_params(rng) for _ in range(opts.get("random_points") or 0)]
-    report, raw_rows = verify_lattice(
+
+def cmd_mz_scan(args: argparse.Namespace) -> int:
+    if args.random_points < 0:
+        raise ValueError(f"--random-points must be non-negative, got {args.random_points}")
+    states = _state_list(args)
+    r1s = args.r1 or [float(v) for v in np.linspace(0.0, 1.0, 11)]
+    r2s = args.r2 or r1s
+    phis = args.phi or [float(v) for v in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)]
+
+    rng = np.random.default_rng(args.seed)
+    extra = [_random_params(rng) for _ in range(args.random_points)]
+    report = verify_lattice(
         r1s,
         phis,
         states,
         r2_values=r2s,
         extra_points=extra,
-        threshold=config.tol,
-        guard=guard,
-        convention=None if opts["convention"] == "auto" else opts["convention"],
-        collect_rows=True,
+        threshold=args.tol,
+        guard=args.guard,
+        convention=None if args.convention == "auto" else args.convention,
     )
-    flat = _flatten_rows(raw_rows, config.tol, guard)
-    write_rows(flat, MZ_FIELDS, config)
+    write_rows(_mz_rows(report), MZ_FIELDS, args)
     summary = report.to_dict()
-    if config.out:
-        with open(config.out + ".summary.json", "w") as fh:
+    if args.out:
+        with open(args.out + ".summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
             fh.write("\n")
         print(
@@ -279,8 +254,8 @@ def cmd_mz_scan(config: RunConfig) -> int:
 REPORT_FIELDS = ["name", "residual", "threshold", "holds"]
 
 
-def cmd_nsit_check(config: RunConfig) -> int:
-    path = config.options["scenario"]
+def cmd_nsit_check(args: argparse.Namespace) -> int:
+    path = args.scenario
     try:
         scenario = load_scenario(path)
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -290,19 +265,19 @@ def cmd_nsit_check(config: RunConfig) -> int:
     reports = []
     for i in range(scenario.n_slots):
         for j in range(i + 1, scenario.n_slots):
-            reports.append(nsit_two_time(scenario, i, j, threshold=config.tol))
-            reports.append(aot_check(scenario, i, j, threshold=config.tol))
+            reports.append(nsit_two_time(scenario, i, j, threshold=args.tol))
+            reports.append(aot_check(scenario, i, j, threshold=args.tol))
 
     bundle = None
     if scenario.n_slots == 3:
-        reports.append(nsit_sandwich(scenario, threshold=config.tol))
-        reports.append(nsit_leading(scenario, threshold=config.tol))
+        reports.append(nsit_sandwich(scenario, threshold=args.tol))
+        reports.append(nsit_leading(scenario, threshold=args.tol))
         try:
-            reports.append(lgi_012(scenario, threshold=config.tol))
-            reports.append(nic_012(scenario, threshold=config.tol))
+            reports.append(lgi_012(scenario, threshold=args.tol))
+            reports.append(nic_012(scenario, threshold=args.tol))
         except ValueError:
             _note("nsit-check: outcomes are not +-1, inequality checks skipped")
-        bundle = mr012_check(scenario, threshold=config.tol)
+        bundle = mr012_check(scenario, threshold=args.tol)
     else:
         _note(
             f"nsit-check: scenario has {scenario.n_slots} slots, "
@@ -324,15 +299,15 @@ def cmd_nsit_check(config: RunConfig) -> int:
         )
         violated = violated or not bundle.holds
 
-    if config.out:
+    if args.out:
         rows = [rep.to_dict() for rep in reports]
-        if config.fmt == "csv":
-            write_rows(rows, REPORT_FIELDS, config)
+        if args.format == "csv":
+            write_rows(rows, REPORT_FIELDS, args)
         else:
             body = {"reports": rows}
             if bundle is not None:
                 body["mr012"] = bundle.to_dict()
-            with open(config.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 json.dump(body, fh, indent=2, sort_keys=True, default=_json_default)
                 fh.write("\n")
     return EXIT_VIOLATION if violated else EXIT_OK
@@ -342,30 +317,12 @@ def cmd_nsit_check(config: RunConfig) -> int:
 # overlap sweeps
 
 
-def cmd_overlap(config: RunConfig) -> int:
-    family = config.options["family"]
-    handler = {
-        "quadrature": _overlap_quadrature,
-        "coherent": _overlap_coherent,
-        "ring": _overlap_ring,
-        "fock": _overlap_fock,
-    }[family]
-    return handler(config)
-
-
-def _overlap_quadrature(config: RunConfig) -> int:
-    opts = config.options
-    kwargs = {
-        "delta": opts["delta"],
-        "kappa": opts["kappa"],
-        "sigma": opts["sigma"],
-        "mass": opts["mass"],
-    }
-    n = opts.get("grid") or 4096
+def _overlap_quadrature(args: argparse.Namespace) -> int:
+    kwargs = {"delta": args.delta, "kappa": args.kappa, "sigma": args.sigma, "mass": args.mass}
 
     def point(t):
-        analytic = quadrature_overlap_analytic(opts["case"], t=t, **kwargs)
-        numeric = quadrature_overlap_numeric(opts["case"], t=t, n=n, **kwargs).value
+        analytic = quadrature_overlap_analytic(args.case, t=t, **kwargs)
+        numeric = quadrature_overlap_numeric(args.case, t=t, n=args.grid, **kwargs).value
         return {
             "t": t,
             "analytic": analytic,
@@ -373,22 +330,19 @@ def _overlap_quadrature(config: RunConfig) -> int:
             "abs_diff": abs(analytic - numeric),
         }
 
-    rows = [point(t) for t in opts["t"]]
-    write_rows(rows, ["t", "analytic", "numeric", "abs_diff"], config)
+    rows = [point(t) for t in args.t]
+    write_rows(rows, ["t", "analytic", "numeric", "abs_diff"], args)
     worst = max(row["abs_diff"] for row in rows)
-    _note(f"overlap quadrature {opts['case']}: max |analytic - numeric| = {worst:.3e}")
+    _note(f"overlap quadrature {args.case}: max |analytic - numeric| = {worst:.3e}")
     return EXIT_OK
 
 
-def _overlap_coherent(config: RunConfig) -> int:
-    opts = config.options
-    dim = opts.get("dim")
-    step = opts.get("grid") or 0.25
-    if opts.get("delta_sq"):
-        gamma = complex(opts["gamma"][0]) if opts.get("gamma") else 0.0
+def _overlap_coherent(args: argparse.Namespace) -> int:
+    if args.delta_sq:
+        gamma = complex(args.gamma[0]) if args.gamma else 0.0
 
         def point(delta_sq):
-            res = coherent_x_overlap(delta_sq, gamma, step=step)
+            res = coherent_x_overlap(delta_sq, gamma, step=args.grid)
             return {
                 "delta_sq": delta_sq,
                 "value": res.value,
@@ -396,15 +350,15 @@ def _overlap_coherent(config: RunConfig) -> int:
                 "abs_diff": abs(res.value - res.meta["exact"]),
             }
 
-        rows = [point(delta_sq) for delta_sq in opts["delta_sq"]]
-        write_rows(rows, ["delta_sq", "value", "exact", "abs_diff"], config)
+        rows = [point(delta_sq) for delta_sq in args.delta_sq]
+        write_rows(rows, ["delta_sq", "value", "exact", "abs_diff"], args)
         return EXIT_OK
 
-    gammas = opts.get("gamma") or [float(v) for v in np.arange(0.0, 2.01, 0.5)]
+    gammas = args.gamma or [float(v) for v in np.arange(0.0, 2.01, 0.5)]
     ideal = 2.0 * math.sqrt(2.0) / 3.0
 
     def point(gamma):
-        res = coherent_delta_overlap(gamma, dim=dim, step=step)
+        res = coherent_delta_overlap(gamma, dim=args.dim, step=args.grid)
         return {
             "gamma": gamma,
             "value": res.value,
@@ -413,16 +367,15 @@ def _overlap_coherent(config: RunConfig) -> int:
         }
 
     rows = [point(gamma) for gamma in gammas]
-    write_rows(rows, ["gamma", "value", "ideal", "abs_diff"], config)
+    write_rows(rows, ["gamma", "value", "ideal", "abs_diff"], args)
     return EXIT_OK
 
 
-def _overlap_ring(config: RunConfig) -> int:
-    opts = config.options
-    dim = opts.get("dim")
-    step = opts.get("grid") or 0.25
-    mode = opts["gamma_mode"]
-    fixed = opts.get("gamma")
+def _overlap_ring(args: argparse.Namespace) -> int:
+    mode = args.gamma_mode
+    fixed = args.gamma
+    if mode == "fixed" and not fixed:
+        raise ValueError("--gamma-mode fixed needs --gamma")
 
     def point(d):
         if mode == "border":
@@ -431,7 +384,7 @@ def _overlap_ring(config: RunConfig) -> int:
             gamma = 1.5 * d
         else:
             gamma = float(fixed[0])
-        res = ring_overlap(d, gamma, dim=dim, step=step)
+        res = ring_overlap(d, gamma, dim=args.dim, step=args.grid)
         return {
             "d": d,
             "gamma": gamma,
@@ -439,28 +392,22 @@ def _overlap_ring(config: RunConfig) -> int:
             "raw_defect": res.meta["raw_defect"],
         }
 
-    if mode == "fixed" and not fixed:
-        _note("overlap ring: --gamma-mode fixed needs --gamma")
-        return EXIT_USAGE
-    rows = [point(d) for d in opts["d"]]
-    write_rows(rows, ["d", "gamma", "value", "raw_defect"], config)
+    rows = [point(d) for d in args.d]
+    write_rows(rows, ["d", "gamma", "value", "raw_defect"], args)
     return EXIT_OK
 
 
-def _overlap_fock(config: RunConfig) -> int:
-    opts = config.options
-    dim = opts.get("dim")
-    step = opts.get("grid") or 0.25
-    gammas = opts.get("gamma")
+def _overlap_fock(args: argparse.Namespace) -> int:
+    gammas = args.gamma
     if gammas is None:
         gammas = [float(v) for v in np.arange(0.5, 6.01, 0.25)]
 
     def point(gamma):
-        res = fock_overlap(opts["g"], gamma, dim=dim, step=step)
+        res = fock_overlap(args.g, gamma, dim=args.dim, step=args.grid)
         return {"gamma": gamma, "value": res.value, "n_bins": res.meta["n_bins"]}
 
     rows = [point(gamma) for gamma in gammas]
-    write_rows(rows, ["gamma", "value", "n_bins"], config)
+    write_rows(rows, ["gamma", "value", "n_bins"], args)
     return EXIT_OK
 
 
@@ -499,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="sweep the interferometer lattice, closed forms vs numerics",
     )
+    mz.set_defaults(run=cmd_mz_scan)
     mz.add_argument("--r1", type=parse_range, help="first reflectivity sweep")
     mz.add_argument("--r2", type=parse_range, help="second reflectivity sweep")
     mz.add_argument("--phi", type=parse_range, help="phase sweep (radians)")
@@ -522,6 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         "nsit-check", parents=[common], help="evaluate all conditions on a scenario file"
     )
     ns.add_argument("scenario", help="path to a scenario JSON descriptor")
+    ns.set_defaults(run=cmd_nsit_check)
 
     ov = sub.add_parser("overlap", help="invasiveness overlap sweeps")
     ovsub = ov.add_subparsers(dest="family", required=True)
@@ -529,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     quad = ovsub.add_parser(
         "quadrature", parents=[common], help="smeared quadrature pair, analytic vs grid"
     )
+    quad.set_defaults(run=_overlap_quadrature)
     quad.add_argument("--case", choices=QUADRATURE_CASES, required=True)
     quad.add_argument("--delta", type=float, default=1.0, help="position smearing width")
     quad.add_argument("--kappa", type=float, default=1.0, help="momentum smearing width")
@@ -536,23 +486,25 @@ def build_parser() -> argparse.ArgumentParser:
     quad.add_argument("--mass", type=float, default=1.0)
     quad.add_argument("--t", type=parse_range, default=[0.0], help="evolution times")
     quad.add_argument(
-        "--grid", type=int, default=None, help="position grid points (default 4096)"
+        "--grid", type=int, default=4096, help="position grid points (default 4096)"
     )
 
     coh = ovsub.add_parser(
         "coherent", parents=[common], help="phase-space point readout invasiveness"
     )
+    coh.set_defaults(run=_overlap_coherent)
     coh.add_argument("--gamma", type=parse_range, help="coherent amplitudes")
     coh.add_argument(
         "--delta-sq", type=parse_range, dest="delta_sq",
         help="sharp position readout variances (switches mode)",
     )
     coh.add_argument("--dim", type=int, default=None, help="Fock cutoff override")
-    coh.add_argument("--grid", type=float, default=None, help="lattice step")
+    coh.add_argument("--grid", type=float, default=0.25, help="lattice step (default 0.25)")
 
     ring = ovsub.add_parser(
         "ring", parents=[common], help="radial ring binning invasiveness"
     )
+    ring.set_defaults(run=_overlap_ring)
     ring.add_argument("--d", type=parse_range, required=True, help="ring widths")
     ring.add_argument(
         "--gamma-mode", choices=("border", "center", "fixed"), default="border",
@@ -560,41 +512,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ring.add_argument("--gamma", type=parse_range, help="fixed probe amplitude")
     ring.add_argument("--dim", type=int, default=None, help="Fock cutoff override")
-    ring.add_argument("--grid", type=float, default=None, help="lattice step")
+    ring.add_argument("--grid", type=float, default=0.25, help="lattice step (default 0.25)")
 
     fock = ovsub.add_parser(
         "fock", parents=[common], help="Fock bin coarse-graining invasiveness"
     )
+    fock.set_defaults(run=_overlap_fock)
     fock.add_argument("--g", required=True, help="bin border rule, e.g. 2m^2")
     fock.add_argument(
         "--gamma", type=parse_range, default=None, help="coherent amplitude sweep"
     )
     fock.add_argument("--dim", type=int, default=None, help="Fock cutoff override")
-    fock.add_argument("--grid", type=float, default=None, help="lattice step")
+    fock.add_argument("--grid", type=float, default=0.25, help="lattice step (default 0.25)")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    options = vars(args)
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get(DEFAULT_TOL_ENV, "1e-9"))
-    config = RunConfig(
-        command=args.command,
-        options=options,
-        tol=tol,
-        out=args.out,
-        fmt=args.format,
-        seed=args.seed,
-    )
-    if args.command == "mz-scan":
-        return cmd_mz_scan(config)
-    if args.command == "nsit-check":
-        return cmd_nsit_check(config)
-    return cmd_overlap(config)
+    args = build_parser().parse_args(argv)
+    if args.tol is None:
+        args.tol = float(os.environ.get(DEFAULT_TOL_ENV, "1e-9"))
+    try:
+        return args.run(args)
+    except ValueError as exc:
+        _note(f"{args.command} {getattr(args, 'family', '')}".rstrip() + f": {exc}")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -69,6 +69,10 @@ class ComplexLattice:
     im_hi: float
     step: float
 
+    def __post_init__(self):
+        if not self.step > 0:
+            raise ValueError(f"lattice step must be positive, got {self.step}")
+
     @classmethod
     def square(cls, radius: float, step: float, center: complex = 0j) -> "ComplexLattice":
         c = complex(center)

@@ -242,20 +242,62 @@ def numeric_residuals(params: MZParams, convention: str = "crossed-p0") -> dict:
     }
 
 
+def _residual_arrays(points, convention: str):
+    """Closed-form and pipeline residuals of every setting, as two (N, 7) arrays.
+
+    Column k holds condition CONDITION_NAMES[k]. The closed forms stay per
+    point in math, the pipeline side runs as one batch.
+    """
+    analytic = np.array(
+        [[res[name] for name in CONDITION_NAMES] for res in map(analytic_residuals, points)]
+    ).reshape(-1, len(CONDITION_NAMES))
+    if not points:
+        return analytic, analytic.copy()
+    numeric = batch_numeric_residuals(points, convention)
+    return analytic, np.stack([numeric[name] for name in CONDITION_NAMES], axis=1)
+
+
 @dataclasses.dataclass
 class LatticeReport:
-    """Result of sweeping the closed forms against the numeric pipeline."""
+    """Result of sweeping the closed forms against the numeric pipeline.
+
+    analytic and numeric are (n_points, 7) residual arrays, one row per entry
+    of points and one column per CONDITION_NAMES entry. A condition holds at
+    residual <= threshold; a verdict is compared unless the closed-form
+    residual sits inside the guard band threshold < a < guard.
+    """
 
     convention: str
     calibration: dict
-    n_points: int
-    n_comparisons: int
-    n_skipped_guard: int
-    mismatches: list
-    max_formula_error: float
+    points: list
+    analytic: np.ndarray
+    numeric: np.ndarray
     threshold: float
     guard: float
     elapsed_s: float
+
+    def __post_init__(self):
+        a, n, t = self.analytic, self.numeric, self.threshold
+        self.analytic_holds = a <= t
+        self.numeric_holds = n <= t
+        self.compared = ~((t < a) & (a < self.guard))
+        self.agree = self.analytic_holds == self.numeric_holds
+        self.n_comparisons = int(self.compared.sum())
+        self.n_skipped_guard = self.compared.size - self.n_comparisons
+        self.max_formula_error = float(np.abs(a - n).max(initial=0.0))
+        self.mismatches = [
+            {
+                "params": self.points[i].describe(),
+                "condition": CONDITION_NAMES[k],
+                "analytic": float(a[i, k]),
+                "numeric": float(n[i, k]),
+            }
+            for i, k in zip(*np.nonzero(self.compared & ~self.agree))
+        ]
+
+    @property
+    def n_points(self) -> int:
+        return len(self.points)
 
     @property
     def ok(self) -> bool:
@@ -303,18 +345,13 @@ def verify_lattice(
     threshold: float = DEFAULT_THRESHOLD,
     guard: float = 1e-6,
     convention: str | None = None,
-    collect_rows: bool = False,
-):
+) -> LatticeReport:
     """Check closed-form verdicts against the numeric pipeline on a lattice.
 
     Every (r1, r2, phi, state) combination, followed by the MZParams in
     extra_points, is evaluated both ways, the numeric side as one batch;
-    verdicts are compared wherever the closed-form residual sits clear of the
-    verdict boundary by at least the guard band. r2_values defaults to
-    r_values. With convention=None the layout is calibrated first on a few
-    probe points.
-
-    Returns a LatticeReport, plus the per-point row dicts when collect_rows.
+    LatticeReport compares the verdicts. r2_values defaults to r_values. With
+    convention=None the layout is calibrated first on a few probe points.
     """
     t0 = _time.perf_counter()
     if r_values is None:
@@ -338,54 +375,17 @@ def verify_lattice(
         for st in states
     ]
     points.extend(extra_points)
-    numeric = {}
-    if points:
-        numeric = {
-            name: v.tolist() for name, v in batch_numeric_residuals(points, convention).items()
-        }
-
-    mismatches = []
-    rows = []
-    n_comp = 0
-    n_skip = 0
-    max_err = 0.0
-    for i, params in enumerate(points):
-        ana = analytic_residuals(params)
-        row = {"params": params.describe()}
-        for name in CONDITION_NAMES:
-            a, n = ana[name], numeric[name][i]
-            max_err = max(max_err, abs(a - n))
-            verdict_a = a <= threshold
-            verdict_n = n <= threshold
-            row[name] = {"analytic": a, "numeric": n}
-            if threshold < a < guard:
-                n_skip += 1
-                continue
-            n_comp += 1
-            if verdict_a != verdict_n:
-                mismatches.append(
-                    {
-                        "params": params.describe(),
-                        "condition": name,
-                        "analytic": a,
-                        "numeric": n,
-                    }
-                )
-        if collect_rows:
-            rows.append(row)
-    report = LatticeReport(
+    analytic, numeric = _residual_arrays(points, convention)
+    return LatticeReport(
         convention=convention,
         calibration=calibration,
-        n_points=len(points),
-        n_comparisons=n_comp,
-        n_skipped_guard=n_skip,
-        mismatches=mismatches,
-        max_formula_error=max_err,
+        points=points,
+        analytic=analytic,
+        numeric=numeric,
         threshold=threshold,
         guard=guard,
         elapsed_s=_time.perf_counter() - t0,
     )
-    return (report, rows) if collect_rows else report
 
 
 def calibrate_convention(probe_points=None):
@@ -402,18 +402,10 @@ def calibrate_convention(probe_points=None):
             MZParams(0.5, 0.5, 1.1, 0.5, 0.45),
             MZParams(0.7, 0.2, 2.0, 0.2, 0.1 - 0.3j),
         ]
-    analytic = [analytic_residuals(p) for p in probe_points]
     errors = {}
     for conv in CONVENTIONS:
-        numeric = batch_numeric_residuals(probe_points, conv)
-        errors[conv] = max(
-            (
-                abs(ana[name] - float(numeric[name][i]))
-                for i, ana in enumerate(analytic)
-                for name in CONDITION_NAMES
-            ),
-            default=0.0,
-        )
+        analytic, numeric = _residual_arrays(probe_points, conv)
+        errors[conv] = float(np.abs(analytic - numeric).max(initial=0.0))
     best = min(errors, key=errors.get)
     return best, {"errors": errors, "chosen": best}
 

@@ -423,6 +423,8 @@ def quadrature_overlap_numeric(
     case = case.upper()
     if case not in QUADRATURE_CASES:
         raise ValueError(f"case must be one of {QUADRATURE_CASES}")
+    if n < 2:
+        raise ValueError(f"position grid needs at least 2 points, got {n}")
     if halfspan is None:
         drift = abs(t / mass) * 3.0 * (1.0 / sigma + (1.0 / delta if case[0] == "X" else kappa))
         halfspan = 8.0 * max(sigma, 1.0) + drift + 6.0 * max(delta, kappa)

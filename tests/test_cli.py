@@ -1,3 +1,4 @@
+import csv
 import json
 from importlib import resources
 
@@ -151,6 +152,103 @@ def test_mz_scan_random_points_deterministic(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_text().splitlines()) == 1 + (1 + 5) * 7
+
+
+def run_scan(tmp_path, argv):
+    out = tmp_path / "scan.csv"
+    code = main(argv + ["--out", str(out)])
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    summary = json.loads((tmp_path / "scan.csv.summary.json").read_text())
+    return code, rows, summary
+
+
+def test_mz_scan_guard_band_rows_are_not_compared(tmp_path):
+    code, rows, summary = run_scan(
+        tmp_path,
+        [
+            "mz-scan",
+            "--r1", "0:1:0.25",
+            "--phi", "0:6.2832:0.7854",
+            "--guard", "0.05",
+            "--tol", "1e-3",
+        ],
+    )
+    assert code == 0
+    in_band = [row for row in rows if 1e-3 < float(row["analytic_residual"]) < 0.05]
+    assert len(in_band) == 42
+    assert all(row["compared"] == "false" and row["agree"] == "" for row in in_band)
+    assert sum(row["compared"] == "true" for row in rows) == len(rows) - 42
+    assert summary["n_skipped_guard"] == 42
+    assert summary["n_comparisons"] == len(rows) - 42
+
+
+# At --tol 0.2 --guard 0.3 four disagreeing rows sit inside the guard band
+# (NSIT_(1)2 and MR_012 at r1 = 0.3, analytic 0.261 and 0.279, numeric 0.170
+# and 0.182) and must not count as mismatches.
+@pytest.mark.parametrize(
+    "band, n_mismatches, n_skipped_disagreeing",
+    [([], 1, 0), (["--tol", "0.2", "--guard", "0.3"], 2, 4)],
+)
+def test_mz_scan_mismatches_are_the_disagreeing_compared_rows(
+    tmp_path, band, n_mismatches, n_skipped_disagreeing
+):
+    code, rows, summary = run_scan(
+        tmp_path,
+        [
+            "mz-scan",
+            "--convention", "straight-p1",
+            "--r1", "0.3,0.6",
+            "--phi", "0.9",
+            "--state", "sup",
+            "--q", "0.5",
+            "--c", "0.3+0.2i",
+        ]
+        + band,
+    )
+    assert code == 1
+    differ = [row for row in rows if row["analytic_holds"] != row["numeric_holds"]]
+    disagree = [row for row in differ if row["compared"] == "true"]
+    assert len(disagree) == summary["n_mismatches"] == n_mismatches
+    assert len(differ) - len(disagree) == n_skipped_disagreeing
+    assert all(row["agree"] == "false" for row in disagree)
+
+    def cells(m):
+        p = m["params"]
+        values = [p["r1"], p["r2"], p["phi"], p["q"], *p["c"]]
+        values += [m["analytic"], m["numeric"]]
+        return [format(v, ".12g") for v in values] + [m["condition"]]
+
+    fields = ["r1", "r2", "phi", "q", "c_re", "c_im"]
+    fields += ["analytic_residual", "numeric_residual", "condition"]
+    assert [cells(m) for m in summary["mismatches"]] == [
+        [row[name] for name in fields] for row in disagree
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mz-scan", "--r1", "1.5"],
+        ["mz-scan", "--q", "2"],
+        ["mz-scan", "--random-points", "-5"],
+        ["overlap", "ring", "--d", "0"],
+        ["overlap", "fock", "--g", "xyz"],
+        ["overlap", "coherent", "--delta-sq", "0"],
+        ["overlap", "fock", "--g", "m", "--gamma", "1", "--dim", "2"],
+        ["overlap", "quadrature", "--case", "XX", "--grid", "1"],
+        ["overlap", "coherent", "--gamma", "1", "--grid", "0"],
+        ["overlap", "fock", "--g", "m", "--gamma", "0.5", "--grid", "-0.5"],
+    ],
+)
+def test_bad_option_values_exit_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    command = " ".join(argv[:2]) if argv[0] == "overlap" else argv[0]
+    message = captured.err.splitlines()
+    assert len(message) == 1 and message[0].startswith(f"{command}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_overlap_quadrature_stdout(capsys):

@@ -101,9 +101,8 @@ def test_verify_lattice_rows_keep_lattice_order():
     phis = [0.0, 1.5]
     states = [{"q": 0.5, "c": None}, {"q": 0.5, "c": 0.3j}]
     extra = [MZParams(0.35, 0.45, 2.5, 0.4, 0.1 - 0.2j)]
-    report, rows = verify_lattice(
-        rs, phis, states, r2_values=r2s, extra_points=extra,
-        convention="crossed-p0", collect_rows=True,
+    report = verify_lattice(
+        rs, phis, states, r2_values=r2s, extra_points=extra, convention="crossed-p0"
     )
     points = [
         MZParams(r1, r2, phi, st["q"], st["c"])
@@ -113,10 +112,13 @@ def test_verify_lattice_rows_keep_lattice_order():
         for st in states
     ] + extra
     assert report.n_points == len(points) == 2 * 3 * 2 * 2 + 1
-    assert [row["params"] for row in rows] == [p.describe() for p in points]
-    for row, p in zip(rows, points):
+    assert report.points == points
+    assert report.numeric.shape == report.analytic.shape == (len(points), len(CONDITION_NAMES))
+    for num_row, ana_row, p in zip(report.numeric, report.analytic, points):
         num = numeric_residuals(p)
-        assert all(row[name]["numeric"] == num[name] for name in CONDITION_NAMES)
+        ana = analytic_residuals(p)
+        assert num_row.tolist() == [num[name] for name in CONDITION_NAMES]
+        assert ana_row.tolist() == [ana[name] for name in CONDITION_NAMES]
 
 
 def test_lgi_value_at_special_points():
