@@ -68,9 +68,10 @@ def parse_range(spec: str) -> list[float]:
             if step <= 0.0 or hi < lo:
                 raise ValueError
             return [float(v) for v in np.arange(lo, hi + step / 2.0, step)]
-        if "," in spec:
-            return [float(v) for v in spec.split(",") if v.strip()]
-        return [float(spec)]
+        values = [float(v) for v in spec.split(",") if v.strip()]
+        if not values:
+            raise ValueError
+        return values
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"cannot parse range {spec!r}; expected start:stop:step, a comma list or a number"

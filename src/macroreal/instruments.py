@@ -429,8 +429,9 @@ def parse_bin_border(spec: str):
 def fock_bin_family(border, dim: int, label: str | None = None) -> KrausFamily:
     """Projective binning of Fock levels with bin m covering [g(m), g(m+1)).
 
-    border may be a callable g(m) or a string such as '2m^2'. g must be
-    nondecreasing with g(0) <= 0 < g(1) so every level lands in a bin.
+    border may be a callable g(m) or a string such as '2m^2'. Bin 0 starts at
+    0; g(1), g(2), ... must increase strictly and pass dim within 1000 (dim + 1)
+    steps. Bins holding no level are dropped.
     """
     if isinstance(border, str):
         g = parse_bin_border(border)
@@ -440,7 +441,6 @@ def fock_bin_family(border, dim: int, label: str | None = None) -> KrausFamily:
         g = border
         if label is None:
             label = "fock_bins"
-    levels = np.arange(dim)
     edges = [0.0]
     m = 1
     while edges[-1] < dim:
@@ -449,21 +449,17 @@ def fock_bin_family(border, dim: int, label: str | None = None) -> KrausFamily:
             raise ValueError("bin borders must be strictly increasing")
         edges.append(e)
         m += 1
-        if m > dim + 2:
-            break
-    n_bins = len(edges) - 1
-    envs = np.zeros((n_bins, dim))
-    for b in range(n_bins):
-        envs[b] = (levels >= edges[b]) & (levels < edges[b + 1])
-    keep = envs.any(axis=1)
-    envs = envs[keep]
+        if m > 1000 * (dim + 1):
+            raise ValueError(f"bin borders do not pass dim {dim} within {m - 1} steps")
+    bins = np.searchsorted(edges, np.arange(dim), side="right") - 1
+    outcomes = np.unique(bins)
     return KrausFamily(
         label=label,
-        outcomes=np.flatnonzero(keep),
-        weights=np.ones(int(keep.sum())),
+        outcomes=outcomes,
+        weights=np.ones(outcomes.size),
         kind="diagonal",
         basis=None,
-        envelopes=envs,
+        envelopes=(bins == outcomes[:, None]).astype(float),
         meta={"dim": dim, "edges": [float(e) for e in edges]},
     )
 
@@ -525,47 +521,47 @@ def coherent_columns(points: np.ndarray, dim: int) -> np.ndarray:
 
 
 def coherent_coarse_family(
-    envelopes,
+    labels,
+    n_outcomes: int,
     lattice: ComplexLattice,
     dim: int,
     *,
-    outcomes=None,
     label: str = "coherent_coarse",
-    partition_tol: float = 1e-9,
     cols: np.ndarray | None = None,
 ) -> KrausFamily:
-    """Coarse-grained phase-space readout from an envelope partition.
+    """Coarse-grained phase-space readout from one outcome label per lattice point.
 
-    Each envelope f_a maps lattice points to [0, 1] and the set must sum to 1
-    on the lattice. The POVM element for outcome a is the moment operator
-    pi^{-1} sum_j w_j f_a(alpha_j) |alpha_j><alpha_j|; the Kraus operator is
-    its positive square root, and a final completeness correction
-    K -> K S^{-1/2} absorbs the lattice discretization error. Pass cols, the
-    coherent_columns(lattice.points, dim) stack, when the caller holds it.
+    The POVM element for outcome a is the moment operator
+    pi^{-1} sum_{j: labels_j = a} w_j |alpha_j><alpha_j|, so each point enters
+    one moment; the Kraus operator is its positive square root, and a final
+    completeness correction K -> K S^{-1/2} absorbs the lattice discretization
+    error. Pass cols, the coherent_columns(lattice.points, dim) stack, when
+    the caller holds it.
     """
     pts = lattice.points
-    w = lattice.weights
-    fvals = np.stack([np.asarray(f(pts), dtype=float) for f in envelopes])
-    if np.any(fvals < -1e-12) or np.any(fvals > 1 + 1e-12):
-        raise ValueError("envelope values must lie in [0, 1]")
-    part = fvals.sum(axis=0)
-    if np.max(np.abs(part - 1.0)) > partition_tol:
-        raise ValueError(
-            f"envelopes are not a partition of unity (max dev {np.max(np.abs(part - 1.0)):.3g})"
-        )
+    labels = np.asarray(labels)
+    if labels.shape != pts.shape or np.any((labels < 0) | (labels >= n_outcomes)):
+        raise ValueError(f"every lattice point needs a label in range({n_outcomes})")
     if cols is None:
         cols = coherent_columns(pts, dim)
-    ops = []
-    for f in fvals:
-        coef = w * f / math.pi
-        moment = (cols * coef) @ cols.conj().T
-        ops.append(_psd_sqrt(moment))
+    # the root of the moment B_a B_a', one column sqrt(w_j / pi) |alpha_j> of B_a
+    # per point, is U s U' from the SVD B_a = U s V': exact to roundoff, where
+    # eigh of B_a B_a' leaves ~sqrt(eps) in the null space of a small cell
+    counts = np.bincount(labels, minlength=n_outcomes)
+    starts = np.cumsum(counts) - counts
+    cols = (cols * np.sqrt(lattice.weights / math.pi))[:, np.argsort(labels, kind="stable")]
+    ops = np.zeros((n_outcomes, dim, dim), dtype=complex)
+    for c in np.unique(counts[counts > 0]):  # one batched SVD per point count
+        group = np.flatnonzero(counts == c)
+        block = cols[:, starts[group, None] + np.arange(c)].swapaxes(0, 1)
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        ops[group] = (u * s[:, None, :]) @ u.conj().swapaxes(1, 2)
     fam = KrausFamily(
         label=label,
-        outcomes=np.arange(len(envelopes)) if outcomes is None else np.asarray(outcomes),
-        weights=np.ones(len(envelopes)),
+        outcomes=np.arange(n_outcomes),
+        weights=np.ones(n_outcomes),
         kind="dense",
-        ops=np.stack(ops),
+        ops=ops,
         meta={"lattice": lattice.describe(), "dim": dim},
     )
     corrected = symmetrize_completeness(fam)
@@ -579,17 +575,14 @@ def _ring_count(d: float, max_radius: float) -> int:
     return int(math.ceil(max_radius / d)) + 1
 
 
-def ring_envelopes(d: float, max_radius: float):
-    """Indicator envelopes for annuli [m d, (m+1) d) covering radius max_radius."""
+def ring_labels(points, d: float, max_radius: float) -> tuple[np.ndarray, int]:
+    """(labels, count): ring m of each point, m d <= |a| < (m + 1) d, or -1 past max_radius's rings."""
     count = _ring_count(d, max_radius)
-    outs = []
-    for m in range(count):
-        outs.append(lambda a, m=m: ((np.abs(a) >= m * d) & (np.abs(a) < (m + 1) * d)).astype(float))
-    return outs, np.arange(count)
+    return _interval_labels(np.abs(points), d * np.arange(count + 1)), count
 
 
 def ring_family(d: float, dim: int, max_radius: float) -> KrausFamily:
-    """Exact radial binning into the annuli of ring_envelopes(d, max_radius).
+    """Exact radial binning into the annuli of ring_labels(points, d, max_radius).
 
     The annulus effect pi^{-1} int_{lo <= |a| < hi} |a><a| d^2a is diagonal in
     the Fock basis, with weight Q(n+1, lo^2) - Q(n+1, hi^2) on level n, where
@@ -610,25 +603,26 @@ def ring_family(d: float, dim: int, max_radius: float) -> KrausFamily:
     )
 
 
-def cell_envelopes(side: float, extent: float):
-    """Indicator envelopes for square cells of the given side covering [-extent, extent]^2."""
+def cell_labels(points, side: float, extent: float) -> tuple[np.ndarray, int]:
+    """Square-cell label of each point, for cells of the given side covering [-extent, extent]^2.
+
+    Cell i n + j holds lo + i side <= Re a < lo + (i + 1) side, the same in Im a
+    with j, for n cells per axis from lo = -n side / 2. Returns (labels, n^2),
+    with -1 for a point outside every cell.
+    """
     if side <= 0:
         raise ValueError("cell side must be positive")
     n = int(math.ceil(2 * extent / side))
-    lo = -0.5 * n * side
-    outs = []
-    ids = []
-    for i in range(n):
-        for j in range(n):
-            x0, x1 = lo + i * side, lo + (i + 1) * side
-            y0, y1 = lo + j * side, lo + (j + 1) * side
-            outs.append(
-                lambda a, x0=x0, x1=x1, y0=y0, y1=y1: (
-                    (a.real >= x0) & (a.real < x1) & (a.imag >= y0) & (a.imag < y1)
-                ).astype(float)
-            )
-            ids.append(i * n + j)
-    return outs, np.asarray(ids)
+    edges = -0.5 * n * side + side * np.arange(n + 1)
+    i = _interval_labels(points.real, edges)
+    j = _interval_labels(points.imag, edges)
+    return np.where((i >= 0) & (j >= 0), i * n + j, -1), n * n
+
+
+def _interval_labels(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Index k with edges[k] <= x < edges[k + 1] for each value, -1 outside."""
+    k = np.searchsorted(edges, x, side="right") - 1
+    return np.where(k < edges.size - 1, k, -1)
 
 
 def symmetrize_completeness(family: KrausFamily, *, rcond: float = 1e-12) -> KrausFamily:
@@ -681,9 +675,3 @@ def symmetrize_completeness(family: KrausFamily, *, rcond: float = 1e-12) -> Kra
         ops=ops,
         meta=meta,
     )
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T

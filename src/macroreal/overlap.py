@@ -24,7 +24,7 @@ from macroreal.hilbert import StateVector, coherent_state, default_fock_dim
 from macroreal.instruments import (
     ComplexLattice,
     KrausFamily,
-    cell_envelopes,
+    cell_labels,
     coherent_coarse_family,
     coherent_columns,
     coherent_projector_family,
@@ -216,10 +216,10 @@ def cell_overlap(
     extent = max(
         abs(lattice.re_lo), abs(lattice.re_hi), abs(lattice.im_lo), abs(lattice.im_hi)
     )
-    envs, outcomes = cell_envelopes(side, extent + 2.0 * lattice.step)
+    labels, n_cells = cell_labels(lattice.points, side, extent + 2.0 * lattice.step)
     cols = coherent_columns(lattice.points, dim)
     fam = coherent_coarse_family(
-        envs, lattice, dim, outcomes=outcomes, label=f"cells(side={side:g})", cols=cols
+        labels, n_cells, lattice, dim, label=f"cells(side={side:g})", cols=cols
     )
     value, meta = _invaded_overlap(coherent_state(g, dim), fam, lattice, cols)
     meta.update({"gamma": [g.real, g.imag], "dim": dim, "side": float(side)})

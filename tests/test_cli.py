@@ -19,12 +19,15 @@ def test_parse_range_forms():
     assert parse_range("0:1:0.5") == [0.0, 0.5, 1.0]
     assert parse_range("1,2,3") == [1.0, 2.0, 3.0]
     assert parse_range("2.5") == [2.5]
+    assert parse_range("1,,2,") == [1.0, 2.0]
     import argparse
 
     with pytest.raises(argparse.ArgumentTypeError):
         parse_range("0:bad")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_range("1:0:0.5")
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_range(",")
 
 
 def test_parse_complex_list():
@@ -34,6 +37,24 @@ def test_parse_complex_list():
 
     with pytest.raises(argparse.ArgumentTypeError):
         parse_complex_list("xyz")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mz-scan", "--r1", ",", "--r2", "0.5", "--phi", "0", "--state", "mix", "--q", "0.5"],
+        ["overlap", "fock", "--g", "m", "--gamma", ","],
+        ["overlap", "ring", "--d", ","],
+        ["overlap", "quadrature", "--case", "XX", "--t", ","],
+    ],
+)
+def test_empty_list_value_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot parse range ','" in captured.err
 
 
 def test_usage_error_exits_two():

@@ -9,7 +9,7 @@ from macroreal.instruments import (
     ComplexLattice,
     Grid1D,
     KrausFamily,
-    cell_envelopes,
+    cell_labels,
     coherent_coarse_family,
     coherent_columns,
     coherent_projector_family,
@@ -19,7 +19,7 @@ from macroreal.instruments import (
     identity_family,
     parse_bin_border,
     projective_family,
-    ring_envelopes,
+    ring_labels,
     ring_family,
     single_kraus_family,
     symmetrize_completeness,
@@ -85,8 +85,8 @@ def test_dense_completeness_operator_matches_einsum_form():
         ops=smeared.dense_ops(),
     )
     lat = ComplexLattice.square(6.0, 0.25)
-    envs, outs = ring_envelopes(2.0, 6.0 * math.sqrt(2.0) + 1.0)
-    ring = coherent_coarse_family(envs, lat, 24, outcomes=outs)
+    labels, n_rings = ring_labels(lat.points, 2.0, 6.0 * math.sqrt(2.0) + 1.0)
+    ring = coherent_coarse_family(labels, n_rings, lat, 24)
     for fam in (sweep, weighted, ring):
         assert np.max(np.abs(fam.completeness_operator() - einsum_form(fam))) < 1e-14
 
@@ -109,8 +109,8 @@ def test_dense_channel_and_density_match_einsum_form():
         ops=smeared.dense_ops(),
     )
     lat = ComplexLattice.square(4.0, 0.25)
-    envs, outs = cell_envelopes(2.0, 4.5)
-    cells = coherent_coarse_family(envs, lat, 12, outcomes=outs)
+    labels, n_cells = cell_labels(lat.points, 2.0, 4.5)
+    cells = coherent_coarse_family(labels, n_cells, lat, 12)
     for fam in (sweep, weighted, cells):
         rho = random_rho(rng, fam.dim)
         assert np.max(np.abs(fam.channel(rho) - channel_form(fam, rho))) < 1e-14
@@ -232,7 +232,7 @@ def test_ring_family_is_an_exact_diagonal_partition():
     for d, dim, max_radius in ((0.5, 29, 9.0), (2.0, 53, 12.0), (8.0, 260, 25.0)):
         fam = ring_family(d, dim, max_radius)
         assert fam.kind == "diagonal" and fam.basis is None
-        assert fam.n_outcomes == len(ring_envelopes(d, max_radius)[0])
+        assert fam.n_outcomes == ring_labels(np.zeros(1), d, max_radius)[1]
         assert fam.completeness_defect <= 1e-14
     # vacuum: pi^-1 int_{|a| < d} e^{-|a|^2} d^2a = 1 - e^{-d^2} in the first ring
     fam = ring_family(1.5, 10, 6.0)
@@ -269,6 +269,19 @@ def test_fock_bin_family_unit_bins():
     rho = np.full((6, 6), 1.0 / 6.0, dtype=complex)
     out = fam.channel(rho)
     assert np.allclose(out, np.diag(np.full(6, 1.0 / 6.0)))
+
+
+def test_fock_bin_family_borders_finer_than_levels():
+    # borders 0, 0.5, 1, ... put one level in every other bin; the empty bins
+    # are dropped and no level is lost
+    fam = fock_bin_family("0.5m", 20)
+    assert fam.n_outcomes == 20
+    assert fam.outcomes.tolist() == list(range(0, 40, 2))
+    assert fam.completeness_defect < 1e-14
+    assert np.array_equal(fam.envelopes, fock_bin_family("m", 20).envelopes)
+    # bounded borders never pass the top level
+    with pytest.raises(ValueError, match="bin borders do not pass dim 10"):
+        fock_bin_family(lambda m: 5 - 1 / m, 10)
 
 
 def test_symmetrize_dense_and_kind_preservation():
@@ -320,23 +333,34 @@ def test_symmetrize_rejects_singular():
         symmetrize_completeness(fam)
 
 
-def test_ring_and_cell_envelopes_partition():
+def test_ring_and_cell_labels_partition():
     lat = ComplexLattice.square(4.0, 0.5)
     pts = lat.points
-    envs, outs = ring_envelopes(1.5, 4.0 * math.sqrt(2.0) + 1.0)
-    total = sum(f(pts) for f in envs)
-    assert np.allclose(total, 1.0)
-    assert outs.size == len(envs)
-    cenvs, couts = cell_envelopes(0.5, 4.2)
-    ctotal = sum(f(pts) for f in cenvs)
-    assert np.allclose(ctotal, 1.0)
+    labels, n_rings = ring_labels(pts, 1.5, 4.0 * math.sqrt(2.0) + 1.0)
+    assert np.all((labels >= 0) & (labels < n_rings))
+    assert np.all(labels == np.floor(np.abs(pts) / 1.5))
+    clabels, n_cells = cell_labels(pts, 0.5, 4.2)
+    assert np.all((clabels >= 0) & (clabels < n_cells))
+    # cells 0.5 wide from -4.25 (n = 17 per axis) hold one lattice point each
+    assert n_cells == 17 * 17 and np.unique(clabels).size == pts.size
+    assert np.all(clabels == 17 * np.floor((pts.real + 4.25) / 0.5) + np.floor((pts.imag + 4.25) / 0.5))
+
+
+def test_cell_labels_use_half_open_cells():
+    pts = np.array([-1.0, -0.5 + 0.25j, 0.999 - 1j, 1.0, 1j, -1.0001])
+    labels, n_cells = cell_labels(pts, 1.0, 1.0)
+    # edges -1, 0, 1: the lower edge belongs to its cell, the upper one not
+    assert n_cells == 4
+    assert labels.tolist() == [1, 1, 2, -1, -1, -1]
+    with pytest.raises(ValueError, match="cell side must be positive"):
+        cell_labels(pts, 0.0, 1.0)
 
 
 def test_coherent_coarse_family_is_complete_after_correction():
     lat = ComplexLattice.square(6.0, 0.25)
     dim = 24
-    envs, outs = ring_envelopes(2.0, 6.0 * math.sqrt(2.0) + 1.0)
-    fam = coherent_coarse_family(envs, lat, dim, outcomes=outs)
+    labels, n_rings = ring_labels(lat.points, 2.0, 6.0 * math.sqrt(2.0) + 1.0)
+    fam = coherent_coarse_family(labels, n_rings, lat, dim)
     assert fam.completeness_defect < 1e-10
     assert fam.meta["raw_defect"] < 0.05
     rho = coherent_state(1.0, dim).density().matrix
@@ -347,11 +371,45 @@ def test_coherent_coarse_family_is_complete_after_correction():
     assert p[0] > 0.8
 
 
+def test_coherent_coarse_family_matches_full_lattice_moments():
+    # brute force: each cell's moment pi^-1 sum_j w_j f(a_j) |a_j><a_j| over
+    # the whole lattice with the indicator f of the cell, written B B' with
+    # B = cols sqrt(w f / pi); its PSD root is U s U' from the SVD B = U s V',
+    # which keeps roundoff at eps (eigh of B B' leaves ~sqrt(eps) in the
+    # null space of a cell holding fewer points than dim)
+    lat = ComplexLattice.square(3.0, 0.5)
+    dim = 8
+    cols = coherent_columns(lat.points, dim)
+    for side in (1.0, 0.75):
+        labels, n_cells = cell_labels(lat.points, side, 4.0)
+        roots = []
+        for cell in range(n_cells):
+            indicator = (labels == cell).astype(float)
+            u, s, _ = np.linalg.svd(cols * np.sqrt(lat.weights * indicator / math.pi))
+            roots.append((u[:, : s.size] * s) @ u[:, : s.size].conj().T)
+        reference = symmetrize_completeness(
+            KrausFamily(
+                label="brute_force",
+                outcomes=np.arange(n_cells),
+                weights=np.ones(n_cells),
+                kind="dense",
+                ops=np.stack(roots),
+            )
+        )
+        fam = coherent_coarse_family(labels, n_cells, lat, dim)
+        assert np.array_equal(fam.outcomes, np.arange(n_cells))
+        assert np.max(np.abs(fam.ops - reference.ops)) < 1e-12
+
+
 def test_coarse_family_rejects_non_partition():
     lat = ComplexLattice.square(3.0, 0.5)
-    envs = [lambda a: np.full(a.shape, 0.6), lambda a: np.full(a.shape, 0.6)]
-    with pytest.raises(ValueError):
-        coherent_coarse_family(envs, lat, 6)
+    # rings of width 1 up to radius 2 leave the lattice corners unlabelled
+    labels, n_rings = ring_labels(lat.points, 1.0, 2.0)
+    assert np.any(labels == -1)
+    with pytest.raises(ValueError, match=r"needs a label in range\(3\)"):
+        coherent_coarse_family(labels, n_rings, lat, 6)
+    with pytest.raises(ValueError, match="needs a label"):
+        coherent_coarse_family(np.full(lat.points.size, 3), n_rings, lat, 6)
 
 
 def test_describe_is_json_safe():

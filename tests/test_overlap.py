@@ -10,7 +10,7 @@ from macroreal.instruments import (
     coherent_coarse_family,
     coherent_columns,
     fock_bin_family,
-    ring_envelopes,
+    ring_labels,
     ring_family,
 )
 from macroreal.overlap import (
@@ -184,6 +184,11 @@ def test_fock_overlap_full_number_readout_regression():
     assert abs(res.value - 0.551524) < 5e-4
 
 
+def test_fock_overlap_borders_finer_than_levels():
+    # on integer levels "0.1m" bins exactly like "m"; no level is truncated
+    assert fock_overlap("0.1m", 2.0).value == fock_overlap("m", 2.0).value
+
+
 def test_ring_overlap_small_width_regression():
     res = ring_overlap(0.5, 1.0)
     assert abs(res.value - 0.996658) < 1e-3
@@ -201,11 +206,11 @@ def test_exact_rings_agree_with_the_lattice_ring_route(d, gamma):
     cols = coherent_columns(lattice.points, dim)
     psi = coherent_state(gamma, dim).amplitudes
     reference = husimi(psi, lattice, cols)
-    envs, outcomes = ring_envelopes(d, max_radius)
+    labels, n_rings = ring_labels(lattice.points, d, max_radius)
     values = []
     for fam in (
         ring_family(d, dim, max_radius),
-        coherent_coarse_family(envs, lattice, dim, outcomes=outcomes, cols=cols),
+        coherent_coarse_family(labels, n_rings, lattice, dim, cols=cols),
     ):
         invaded = husimi(fam.channel(np.outer(psi, psi.conj())), lattice, cols)
         values.append(bhattacharyya(reference, invaded))
