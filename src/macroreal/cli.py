@@ -273,11 +273,12 @@ def cmd_nsit_check(args: argparse.Namespace) -> int:
     if scenario.n_slots == 3:
         reports.append(nsit_sandwich(scenario, threshold=args.tol))
         reports.append(nsit_leading(scenario, threshold=args.tol))
-        try:
-            reports.append(lgi_012(scenario, threshold=args.tol))
-            reports.append(nic_012(scenario, threshold=args.tol))
-        except ValueError:
-            _note("nsit-check: outcomes are not +-1, inequality checks skipped")
+        # LGI_012 needs +-1 outcomes at all three slots, NIC_0(1)2 only at 0 and 2
+        for name, check in (("LGI_012", lgi_012), ("NIC_0(1)2", nic_012)):
+            try:
+                reports.append(check(scenario, threshold=args.tol))
+            except ValueError as exc:
+                _note(f"nsit-check: {name} skipped: {exc}")
         bundle = mr012_check(scenario, threshold=args.tol)
     else:
         _note(
@@ -422,16 +423,16 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="row output format"
     )
-    common.add_argument(
+    return common
+
+
+def _add_tol(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--tol",
         type=float,
         default=None,
         help=f"condition threshold (default: ${DEFAULT_TOL_ENV} or 1e-9)",
     )
-    common.add_argument(
-        "--seed", type=int, default=None, help="seed for randomized sweep points"
-    )
-    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,6 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep the interferometer lattice, closed forms vs numerics",
     )
     mz.set_defaults(run=cmd_mz_scan)
+    _add_tol(mz)
+    mz.add_argument("--seed", type=int, default=None, help="seed for --random-points")
     mz.add_argument("--r1", type=parse_range, help="first reflectivity sweep")
     mz.add_argument("--r2", type=parse_range, help="second reflectivity sweep")
     mz.add_argument("--phi", type=parse_range, help="phase sweep (radians)")
@@ -472,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ns.add_argument("scenario", help="path to a scenario JSON descriptor")
     ns.set_defaults(run=cmd_nsit_check)
+    _add_tol(ns)
 
     ov = sub.add_parser("overlap", help="invasiveness overlap sweeps")
     ovsub = ov.add_subparsers(dest="family", required=True)
@@ -531,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol is None:
+    if "tol" in args and args.tol is None:
         args.tol = float(os.environ.get(DEFAULT_TOL_ENV, "1e-9"))
     try:
         return args.run(args)

@@ -302,11 +302,7 @@ def _require_dichotomic(scenario: Scenario, slots=None) -> None:
 
 
 def nsit_operator_residual(
-    first: KrausFamily,
-    second: KrausFamily,
-    between: np.ndarray | None = None,
-    *,
-    completeness_tol: float = 1e-6,
+    first: KrausFamily, second: KrausFamily, between: np.ndarray | None = None
 ) -> float:
     """State-independent NSIT residual of `first` acting before `second`.
 
@@ -317,15 +313,15 @@ def nsit_operator_residual(
 
     with E_b = B_b' B_b conjugated through the interslot unitary when given.
     Returns the largest spectral norm over b; it upper-bounds the statistical
-    NSIT residual for every input state.
+    NSIT residual for every input state. Both families must be complete
+    within 1e-6.
     """
     if first.dim != second.dim:
         raise ValueError("instrument dimensions differ")
     for fam, role in ((first, "first"), (second, "second")):
-        if fam.completeness_defect > completeness_tol:
+        if fam.completeness_defect > 1e-6:
             raise ValueError(
-                f"{role} family completeness defect {fam.completeness_defect:.3g} "
-                f"exceeds {completeness_tol:.3g}"
+                f"{role} family completeness defect {fam.completeness_defect:.3g} exceeds 1e-06"
             )
     w = first.weights
     s_first = first.completeness_operator()
@@ -381,19 +377,16 @@ def commutator_tests(first: KrausFamily, second: KrausFamily) -> dict:
     return {"pairwise": pairwise, "sandwich": sandwich}
 
 
-def projective_necessity_check(
-    first: KrausFamily,
-    second: KrausFamily,
-    *,
-    tol: float = 1e-10,
-) -> dict:
+def projective_necessity_check(first: KrausFamily, second: KrausFamily) -> dict:
     """For projective pairs, non-invasiveness should mean exact commutation.
 
-    Checks residual < tol against pairwise commutation < 100 tol and reports
-    whether the two verdicts agree. Raises if either family is not projective.
+    Checks residual < tol = 1e-10 against pairwise commutation < 100 tol and
+    reports whether the two verdicts agree. Raises if either family is not
+    projective.
     """
+    tol = 1e-10
     for fam, role in ((first, "first"), (second, "second")):
-        bad = np.flatnonzero(not_projectors(fam.dense_ops(), 1e-10))
+        bad = np.flatnonzero(not_projectors(fam.dense_ops()))
         if bad.size:
             raise ValueError(f"{role} family element {bad[0]} is not a projector")
     residual = nsit_operator_residual(first, second)

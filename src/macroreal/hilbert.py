@@ -26,9 +26,9 @@ def as_operator(m) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, atol: float = DEFAULT_ATOL) -> bool:
+def is_hermitian(m) -> bool:
     a = as_operator(m)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    return bool(np.max(np.abs(a - a.conj().T)) <= DEFAULT_ATOL)
 
 
 def as_operator_stack(m) -> np.ndarray:
@@ -47,40 +47,40 @@ def unitary_error(m) -> np.ndarray:
     return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(d)).max(axis=(-2, -1))
 
 
-def is_unitary(m, atol: float = DEFAULT_ATOL) -> bool:
-    return bool(unitary_error(as_operator(m)) <= atol)
+def is_unitary(m) -> bool:
+    return bool(unitary_error(as_operator(m)) <= DEFAULT_ATOL)
 
 
-def check_density_stack(m: np.ndarray, atol: float = DEFAULT_ATOL) -> None:
+def check_density_stack(m: np.ndarray) -> None:
     """Raise unless every matrix of an (N, d, d) stack is a density matrix.
 
-    Hermitian within atol, no eigenvalue below -atol and trace within
-    max(atol, 1e-9) of 1. For N > 1 the message names the first bad index.
+    Hermitian within DEFAULT_ATOL, no eigenvalue below -DEFAULT_ATOL and trace
+    within 1e-9 of 1. For N > 1 the message names the first bad index.
     """
 
     def where(bad):
         return "" if m.shape[0] == 1 else f" {int(bad[0])}"
 
     mh = m.conj().swapaxes(-1, -2)
-    bad = np.flatnonzero(np.abs(m - mh).max(axis=(1, 2)) > atol)
+    bad = np.flatnonzero(np.abs(m - mh).max(axis=(1, 2)) > DEFAULT_ATOL)
     if bad.size:
         raise ValueError(f"density matrix{where(bad)} is not Hermitian within tolerance")
     w = np.linalg.eigvalsh((m + mh) / 2)[:, 0]
-    bad = np.flatnonzero(w < -atol)
+    bad = np.flatnonzero(w < -DEFAULT_ATOL)
     if bad.size:
         raise ValueError(f"density matrix{where(bad)} has negative eigenvalue {w[bad[0]]:g}")
     tr = np.trace(m, axis1=1, axis2=2).real
-    bad = np.flatnonzero(np.abs(tr - 1.0) > max(atol, 1e-9))
+    bad = np.flatnonzero(np.abs(tr - 1.0) > 1e-9)
     if bad.size:
         raise ValueError(f"density matrix{where(bad)} trace {tr[bad[0]]!r} is not 1")
 
 
-def is_positive_semidefinite(m, atol: float = DEFAULT_ATOL) -> bool:
+def is_positive_semidefinite(m) -> bool:
     a = as_operator(m)
-    if not is_hermitian(a, atol):
+    if not is_hermitian(a):
         return False
     w = np.linalg.eigvalsh(a)
-    return bool(w.min() >= -atol)
+    return bool(w.min() >= -DEFAULT_ATOL)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,7 +88,6 @@ class StateVector:
     """Normalized pure state. Amplitudes are validated, not renormalized."""
 
     amplitudes: np.ndarray
-    atol: float = 1e-8
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex)
@@ -97,8 +96,8 @@ class StateVector:
         if not np.all(np.isfinite(a.view(float))):
             raise ValueError("amplitudes contain non-finite entries")
         n = np.linalg.norm(a)
-        if abs(n - 1.0) > self.atol:
-            raise ValueError(f"state norm {n!r} is not 1 within {self.atol}")
+        if abs(n - 1.0) > 1e-8:
+            raise ValueError(f"state norm {n!r} is not 1 within 1e-08")
         object.__setattr__(self, "amplitudes", a)
 
     @property
@@ -114,11 +113,10 @@ class DensityState:
     """Density matrix with Hermiticity, positivity and unit-trace checks."""
 
     matrix: np.ndarray
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         m = as_operator(self.matrix)
-        check_density_stack(m[None], self.atol)
+        check_density_stack(m[None])
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -153,9 +151,11 @@ def default_fock_dim(gamma) -> int:
 
 
 def coherent_truncation_loss(gamma, dim: int) -> float:
-    """Weight of |gamma> beyond Fock level dim-1 (upper regularized gamma)."""
+    """Weight of |gamma> beyond Fock level dim-1, the Poisson tail P(N >= dim).
+
+    That tail is the lower regularized incomplete gamma P(dim, |gamma|^2).
+    """
     g2 = abs(complex(gamma)) ** 2
-    # 1 - CDF of Poisson(g2) at dim-1, evaluated stably.
     return float(special.gammainc(dim, g2))
 
 
@@ -218,10 +218,10 @@ def number_operator(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim).astype(complex))
 
 
-def unitary_from_hamiltonian(h, t: float, *, atol: float = DEFAULT_ATOL) -> np.ndarray:
+def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     """exp(-i H t) through an eigendecomposition of the (validated) Hermitian H."""
     hm = as_operator(h)
-    if not is_hermitian(hm, atol):
+    if not is_hermitian(hm):
         raise ValueError("Hamiltonian is not Hermitian within tolerance")
     w, v = np.linalg.eigh(hm)
     return (v * np.exp(-1j * w * t)) @ v.conj().T

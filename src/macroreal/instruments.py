@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from macroreal.hilbert import (
+    DEFAULT_ATOL,
     as_operator,
     coherent_amplitudes,
     norm_exceeds,
@@ -309,26 +310,24 @@ def identity_family(dim: int) -> KrausFamily:
     )
 
 
-def not_projectors(ops: np.ndarray, atol: float) -> np.ndarray:
+def not_projectors(ops: np.ndarray) -> np.ndarray:
     """Mask of the (n, d, d) stack elements that are not orthogonal projectors."""
     herm = ops - ops.conj().swapaxes(-1, -2)
-    return norm_exceeds(ops @ ops - ops, atol) | norm_exceeds(herm, atol)
+    return norm_exceeds(ops @ ops - ops, DEFAULT_ATOL) | norm_exceeds(herm, DEFAULT_ATOL)
 
 
-def projective_family(
-    projectors, outcomes, label: str = "projective", *, atol: float = 1e-10
-) -> KrausFamily:
+def projective_family(projectors, outcomes, label: str = "projective") -> KrausFamily:
     """Lueders instrument from a complete orthogonal projector list."""
     ops = np.stack([as_operator(p) for p in projectors])
-    bad = np.flatnonzero(not_projectors(ops, atol))
+    bad = np.flatnonzero(not_projectors(ops))
     if bad.size:
         raise ValueError(f"element {bad[0]} is not an orthogonal projector")
     k = np.arange(len(ops))
     i, j = np.nonzero(k[:, None] < k)  # pairs i < j in row-major order
-    bad = np.flatnonzero(norm_exceeds(ops[i] @ ops[j], atol))
+    bad = np.flatnonzero(norm_exceeds(ops[i] @ ops[j], DEFAULT_ATOL))
     if bad.size:
         raise ValueError(f"projectors {i[bad[0]]} and {j[bad[0]]} overlap")
-    if norm_exceeds(ops.sum(axis=0) - np.eye(ops.shape[1]), atol):
+    if norm_exceeds(ops.sum(axis=0) - np.eye(ops.shape[1]), DEFAULT_ATOL):
         raise ValueError("projectors do not sum to the identity")
     return KrausFamily(
         label=label,
@@ -350,40 +349,25 @@ def single_kraus_family(op, label: str = "single") -> KrausFamily:
     )
 
 
-def gaussian_x_family(
-    delta: float,
-    dim: int,
-    grid: Grid1D | None = None,
-    *,
-    defect_ceiling: float = 1e-3,
-) -> KrausFamily:
+def gaussian_x_family(delta: float, dim: int, grid: Grid1D | None = None) -> KrausFamily:
     """Gaussian-smeared position readout of width delta on the Fock cutoff.
 
     Kraus operators are (pi delta^2)^{-1/4} exp(-(X - a)^2 / (2 delta^2)),
     diagonal in the truncated position eigenbasis; outcome weights are the
     grid step so that completeness is a Riemann sum of the Gaussian integral.
+    A completeness defect above 1e-3 raises.
     """
     x, _ = quadrature_operators(dim)
-    return _smeared_quadrature_family(
-        x, delta, dim, grid, label=f"gaussian_x(delta={delta:g})", ceiling=defect_ceiling
-    )
+    return _smeared_quadrature_family(x, delta, dim, grid, f"gaussian_x(delta={delta:g})")
 
 
-def gaussian_p_family(
-    kappa: float,
-    dim: int,
-    grid: Grid1D | None = None,
-    *,
-    defect_ceiling: float = 1e-3,
-) -> KrausFamily:
+def gaussian_p_family(kappa: float, dim: int, grid: Grid1D | None = None) -> KrausFamily:
     """Gaussian-smeared momentum readout, the momentum twin of gaussian_x_family."""
     _, p = quadrature_operators(dim)
-    return _smeared_quadrature_family(
-        p, kappa, dim, grid, label=f"gaussian_p(kappa={kappa:g})", ceiling=defect_ceiling
-    )
+    return _smeared_quadrature_family(p, kappa, dim, grid, f"gaussian_p(kappa={kappa:g})")
 
 
-def _smeared_quadrature_family(obs, width, dim, grid, *, label, ceiling):
+def _smeared_quadrature_family(obs, width, dim, grid, label):
     if width <= 0:
         raise ValueError("smearing width must be positive")
     w, v = np.linalg.eigh(obs)
@@ -405,10 +389,10 @@ def _smeared_quadrature_family(obs, width, dim, grid, *, label, ceiling):
         envelopes=envs,
         meta={"width": float(width), "grid": grid.describe(), "dim": dim},
     )
-    if fam.completeness_defect > ceiling:
+    if fam.completeness_defect > 1e-3:
         raise ValueError(
             f"{label}: completeness defect {fam.completeness_defect:.3g} exceeds "
-            f"{ceiling:.3g}; widen the outcome grid"
+            "0.001; widen the outcome grid"
         )
     return fam
 
@@ -426,7 +410,7 @@ def parse_bin_border(spec: str):
     return lambda k: coef * k**power
 
 
-def fock_bin_family(border, dim: int, label: str | None = None) -> KrausFamily:
+def fock_bin_family(border, dim: int) -> KrausFamily:
     """Projective binning of Fock levels with bin m covering [g(m), g(m+1)).
 
     border may be a callable g(m) or a string such as '2m^2'. Bin 0 starts at
@@ -434,13 +418,9 @@ def fock_bin_family(border, dim: int, label: str | None = None) -> KrausFamily:
     steps. Bins holding no level are dropped.
     """
     if isinstance(border, str):
-        g = parse_bin_border(border)
-        if label is None:
-            label = f"fock_bins({border})"
+        g, label = parse_bin_border(border), f"fock_bins({border})"
     else:
-        g = border
-        if label is None:
-            label = "fock_bins"
+        g, label = border, "fock_bins"
     edges = [0.0]
     m = 1
     while edges[-1] < dim:
@@ -625,11 +605,14 @@ def _interval_labels(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.where(k < edges.size - 1, k, -1)
 
 
-def symmetrize_completeness(family: KrausFamily, *, rcond: float = 1e-12) -> KrausFamily:
-    """Restore exact completeness by the polar correction K -> K S^{-1/2}."""
+def symmetrize_completeness(family: KrausFamily) -> KrausFamily:
+    """Restore exact completeness by the polar correction K -> K S^{-1/2}.
+
+    Raises when the smallest eigenvalue of S is at most 1e-12 of the largest.
+    """
     s = family.completeness_operator()
     w, v = np.linalg.eigh(s)
-    if w.min() <= rcond * w.max():
+    if w.min() <= 1e-12 * w.max():
         raise ValueError(
             "completeness operator is numerically singular; the family cannot "
             "be symmetrized"

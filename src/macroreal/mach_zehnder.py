@@ -155,8 +155,9 @@ WHICH_PATH = which_path_family()
 MZ_SLOTS = tuple(Slot(float(k), WHICH_PATH) for k in range(3))
 
 
-def mz_scenario(params: MZParams, convention: str = "crossed-p0") -> Scenario:
-    return Scenario(initial_state(params), MZ_SLOTS, mz_unitaries(params, convention))
+def mz_scenario(params: MZParams) -> Scenario:
+    """The three-slot scenario of one setting in the 'crossed-p0' convention."""
+    return Scenario(initial_state(params), MZ_SLOTS, mz_unitaries(params))
 
 
 def mz_batch(points, convention: str = "crossed-p0") -> ScenarioBatch:
@@ -388,20 +389,19 @@ def verify_lattice(
     )
 
 
-def calibrate_convention(probe_points=None):
+def calibrate_convention():
     """Pick the layout convention whose closed forms match numerically.
 
     Evaluates a handful of probe settings under every convention and returns
     the one with the smallest worst-case formula error, with the error table
     for the report.
     """
-    if probe_points is None:
-        probe_points = [
-            MZParams(0.3, 0.6, 0.7, 0.4, 0.2 + 0.3j),
-            MZParams(0.25, 0.75, math.pi, 0.5, None),
-            MZParams(0.5, 0.5, 1.1, 0.5, 0.45),
-            MZParams(0.7, 0.2, 2.0, 0.2, 0.1 - 0.3j),
-        ]
+    probe_points = [
+        MZParams(0.3, 0.6, 0.7, 0.4, 0.2 + 0.3j),
+        MZParams(0.25, 0.75, math.pi, 0.5, None),
+        MZParams(0.5, 0.5, 1.1, 0.5, 0.45),
+        MZParams(0.7, 0.2, 2.0, 0.2, 0.1 - 0.3j),
+    ]
     errors = {}
     for conv in CONVENTIONS:
         analytic, numeric = _residual_arrays(probe_points, conv)
@@ -410,14 +410,12 @@ def calibrate_convention(probe_points=None):
     return best, {"errors": errors, "chosen": best}
 
 
-def lgi_max_search(
-    n_grid: int = 41, *, refine: bool = True, convention: str = "crossed-p0"
-) -> dict:
+def lgi_max_search(n_grid: int = 41) -> dict:
     """Locate the largest three-time Leggett-Garg value over all settings.
 
-    Coarse grid over (r1, r2, phi) on the closed form, optional Nelder-Mead
-    refinement, and a numeric cross-check of the winner through the scenario
-    pipeline. The state does not enter: the correlators are state independent.
+    Coarse grid over (r1, r2, phi) on the closed form, Nelder-Mead refinement,
+    and a numeric cross-check of the winner through the scenario pipeline.
+    The state does not enter: the correlators are state independent.
     """
     rs = np.linspace(0.0, 1.0, n_grid)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * n_grid, endpoint=False)
@@ -431,41 +429,39 @@ def lgi_max_search(
                 if k > best[0]:
                     best = (k, (float(r1), float(r2), float(phi)))
     k_grid, (r1, r2, phi) = best
-    result = {"grid_K": k_grid, "grid_params": {"r1": r1, "r2": r2, "phi": phi}}
-    if refine:
+    grid_params = {"r1": r1, "r2": r2, "phi": phi}
 
-        def neg_k(v):
-            r1c = min(max(v[0], 0.0), 1.0)
-            r2c = min(max(v[1], 0.0), 1.0)
-            return -lgi_k_value(MZParams(r1c, r2c, v[2]))
+    def neg_k(v):
+        r1c = min(max(v[0], 0.0), 1.0)
+        r2c = min(max(v[1], 0.0), 1.0)
+        return -lgi_k_value(MZParams(r1c, r2c, v[2]))
 
-        opt = optimize.minimize(
-            neg_k, [r1, r2, phi], method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12}
-        )
-        r1, r2, phi = float(min(max(opt.x[0], 0.0), 1.0)), float(
-            min(max(opt.x[1], 0.0), 1.0)
-        ), float(opt.x[2])
+    opt = optimize.minimize(
+        neg_k, [r1, r2, phi], method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12}
+    )
+    r1, r2, phi = float(min(max(opt.x[0], 0.0), 1.0)), float(
+        min(max(opt.x[1], 0.0), 1.0)
+    ), float(opt.x[2])
     params = MZParams(r1, r2, phi)
-    k_analytic = lgi_k_value(params)
-    k_numeric = numeric_residuals(params, convention)["_K"]
     return {
-        **result,
-        "K": k_analytic,
-        "K_numeric": k_numeric,
+        "grid_K": k_grid,
+        "grid_params": grid_params,
+        "K": lgi_k_value(params),
+        "K_numeric": numeric_residuals(params)["_K"],
         "params": {"r1": r1, "r2": r2, "phi": phi},
-        "refined": bool(refine),
     }
 
 
-def two_time_counterexample_search(step: float = 0.05) -> dict:
+def two_time_counterexample_search() -> dict:
     """Find settings where all two-time NSIT conditions hold but the bundle fails.
 
     Scans balanced-reflectivity superposition states: the two-time residuals
     vanish when c is real and phi = 0, while the sandwich condition keeps a
-    finite residual proportional to the interference visibility.
+    finite residual proportional to the interference visibility. Real
+    coherences run from 0.05 below 0.5 in steps of 0.05.
     """
     best = None
-    for cre in np.arange(0.05, 0.5, step):
+    for cre in np.arange(0.05, 0.5, 0.05):
         params = MZParams(0.5, 0.5, 0.0, 0.5, float(cre))
         ana = analytic_residuals(params)
         two_time = max(ana["NSIT_(0)1"], ana["NSIT_(1)2"], _nsit02_residual(params))

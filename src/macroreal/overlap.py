@@ -55,10 +55,11 @@ class OutcomeDistribution:
     def mass(self) -> float:
         return float(np.dot(self.weights, self.values))
 
-    def validate(self, mass_tol: float = 1e-6) -> None:
+    def validate(self) -> None:
+        """Raise on a value below -1e-12 or a mass more than 1e-6 from 1."""
         if np.any(self.values < -1e-12):
             raise ValueError("negative density value")
-        if abs(self.mass - 1.0) > mass_tol:
+        if abs(self.mass - 1.0) > 1e-6:
             raise ValueError(f"distribution mass {self.mass!r} differs from 1")
 
 
@@ -105,8 +106,9 @@ def husimi(state: np.ndarray, lattice: ComplexLattice, cols: np.ndarray | None =
     return OutcomeDistribution(pts, lattice.weights, vals / math.pi)
 
 
-def _default_lattice(gamma: complex, step: float = 0.25) -> ComplexLattice:
-    return ComplexLattice.square(abs(complex(gamma)) + 5.0, step)
+def _lattice_radius(gamma: complex) -> float:
+    """Half-side R of the Fock engine's readout lattice, the square [-R, R]^2."""
+    return abs(gamma) + 5.0
 
 
 def _invaded_overlap(
@@ -125,24 +127,20 @@ def _invaded_overlap(
 
 
 def coherent_delta_overlap(
-    gamma,
-    *,
-    dim: int | None = None,
-    lattice: ComplexLattice | None = None,
-    step: float = 0.25,
-    refine: bool = False,
+    gamma, *, dim: int | None = None, step: float = 0.25, refine: bool = False
 ) -> OverlapResult:
     """Invasiveness of the discretized coherent-projector readout on |gamma>.
 
     For an ideal delta-like phase-space readout the overlap is 2 sqrt(2) / 3
     independent of gamma; the discretization reproduces that value as the
-    lattice resolves the state.
+    lattice resolves the state. refine repeats the run at half the step and
+    reports the difference as error_estimate.
     """
     g = complex(gamma)
     if dim is None:
         dim = default_fock_dim(g)
-    if lattice is None:
-        lattice = _default_lattice(g, step)
+    radius = _lattice_radius(g)
+    lattice = ComplexLattice.square(radius, step)
     state = coherent_state(g, dim)
     # the family's bra side, right, is the raw coherent_columns stack of the lattice
     fam = coherent_projector_family(lattice, dim)
@@ -150,23 +148,14 @@ def coherent_delta_overlap(
     meta.update({"gamma": [g.real, g.imag], "dim": dim, "ideal": 2.0 * math.sqrt(2.0) / 3.0})
     err = None
     if refine:
-        fine = ComplexLattice.square(
-            (lattice.re_hi - lattice.re_lo) / 2.0, lattice.step / 2.0
-        )
+        fine = ComplexLattice.square(radius, step / 2.0)
         fam_f = coherent_projector_family(fine, dim)
         v2, _ = _invaded_overlap(state, fam_f, fine, fam_f.right)
         err = abs(v2 - value)
     return OverlapResult(value=value, meta=meta, error_estimate=err)
 
 
-def ring_overlap(
-    d: float,
-    gamma,
-    *,
-    dim: int | None = None,
-    lattice: ComplexLattice | None = None,
-    step: float = 0.25,
-) -> OverlapResult:
+def ring_overlap(d: float, gamma, *, dim: int | None = None, step: float = 0.25) -> OverlapResult:
     """Invasiveness of radial binning with annuli of width d on |gamma>.
 
     The readout stays nearly non-invasive when the state sits well inside one
@@ -175,13 +164,9 @@ def ring_overlap(
     g = complex(gamma)
     if dim is None:
         dim = default_fock_dim(g)
-    if lattice is None:
-        lattice = _default_lattice(g, step)
-    corner = math.hypot(
-        max(abs(lattice.re_lo), abs(lattice.re_hi)),
-        max(abs(lattice.im_lo), abs(lattice.im_hi)),
-    )
-    fam = ring_family(d, dim, corner + 2.0 * lattice.step)
+    radius = _lattice_radius(g)
+    lattice = ComplexLattice.square(radius, step)
+    fam = ring_family(d, dim, math.hypot(radius, radius) + 2.0 * step)
     cols = coherent_columns(lattice.points, dim)
     value, meta = _invaded_overlap(coherent_state(g, dim), fam, lattice, cols)
     meta.update(
@@ -195,14 +180,7 @@ def ring_overlap(
     return OverlapResult(value=value, meta=meta)
 
 
-def cell_overlap(
-    side: float,
-    gamma,
-    *,
-    dim: int | None = None,
-    lattice: ComplexLattice | None = None,
-    step: float = 0.25,
-) -> OverlapResult:
+def cell_overlap(side: float, gamma, *, dim: int | None = None, step: float = 0.25) -> OverlapResult:
     """Invasiveness of a square-cell phase-space partition of the given side.
 
     As the side shrinks the partition resolves points, and the overlap
@@ -211,12 +189,9 @@ def cell_overlap(
     g = complex(gamma)
     if dim is None:
         dim = default_fock_dim(g)
-    if lattice is None:
-        lattice = _default_lattice(g, step)
-    extent = max(
-        abs(lattice.re_lo), abs(lattice.re_hi), abs(lattice.im_lo), abs(lattice.im_hi)
-    )
-    labels, n_cells = cell_labels(lattice.points, side, extent + 2.0 * lattice.step)
+    radius = _lattice_radius(g)
+    lattice = ComplexLattice.square(radius, step)
+    labels, n_cells = cell_labels(lattice.points, side, radius + 2.0 * step)
     cols = coherent_columns(lattice.points, dim)
     fam = coherent_coarse_family(
         labels, n_cells, lattice, dim, label=f"cells(side={side:g})", cols=cols
@@ -226,14 +201,7 @@ def cell_overlap(
     return OverlapResult(value=value, meta=meta)
 
 
-def fock_overlap(
-    border,
-    gamma,
-    *,
-    dim: int | None = None,
-    lattice: ComplexLattice | None = None,
-    step: float = 0.25,
-) -> OverlapResult:
+def fock_overlap(border, gamma, *, dim: int | None = None, step: float = 0.25) -> OverlapResult:
     """Invasiveness of Fock-level binning with borders g(m) on |gamma>.
 
     border is a callable or a rule string such as '2m^2'. The nonselective
@@ -243,8 +211,7 @@ def fock_overlap(
     g = complex(gamma)
     if dim is None:
         dim = default_fock_dim(g)
-    if lattice is None:
-        lattice = _default_lattice(g, step)
+    lattice = ComplexLattice.square(_lattice_radius(g), step)
     fam = fock_bin_family(border, dim)
     cols = coherent_columns(lattice.points, dim)
     value, meta = _invaded_overlap(coherent_state(g, dim), fam, lattice, cols)
@@ -268,29 +235,22 @@ def coherent_x_exact(delta_sq: float) -> float:
     return (s / (s + 1.0)) ** 0.25 * math.sqrt(2.0 * (s + 1.0) / (2.0 * s + 1.0))
 
 
-def coherent_x_overlap(
-    delta_sq: float,
-    gamma=0.0,
-    *,
-    lattice: ComplexLattice | None = None,
-    step: float = 0.25,
-    x_halfspan: float | None = None,
-) -> OverlapResult:
+def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> OverlapResult:
     """Numerical Husimi-route overlap for a sharp position readout.
 
     Implements the instrument as a literal outcome sum of Gaussian Kraus
     envelopes on a position grid, computes the invaded Husimi distribution
     through a Toeplitz dephasing kernel and compares with the untouched one.
-    The closed form is attached in the metadata for cross-checking.
+    The readout lattice is the square of half-side 6 around gamma, the
+    position grid spans |x| <= sqrt(2) |gamma| + 9. The closed form is
+    attached in the metadata for cross-checking.
     """
     if delta_sq <= 0:
         raise ValueError("delta_sq must be positive")
     delta = math.sqrt(delta_sq)
     g = complex(gamma)
-    if lattice is None:
-        lattice = ComplexLattice.square(6.0, step, center=g)
-    if x_halfspan is None:
-        x_halfspan = abs(g) * math.sqrt(2.0) + 9.0
+    lattice = ComplexLattice.square(6.0, step, center=g)
+    x_halfspan = abs(g) * math.sqrt(2.0) + 9.0
     dx = min(delta / 2.0, 0.05)
     n = int(math.ceil(2.0 * x_halfspan / dx)) + 1
     xs = np.linspace(-x_halfspan, x_halfspan, n)
@@ -411,7 +371,6 @@ def quadrature_overlap_numeric(
     mass: float = 1.0,
     *,
     n: int = 4096,
-    halfspan: float | None = None,
 ) -> OverlapResult:
     """Grid-engine overlap for smeared quadrature pairs.
 
@@ -425,9 +384,8 @@ def quadrature_overlap_numeric(
         raise ValueError(f"case must be one of {QUADRATURE_CASES}")
     if n < 2:
         raise ValueError(f"position grid needs at least 2 points, got {n}")
-    if halfspan is None:
-        drift = abs(t / mass) * 3.0 * (1.0 / sigma + (1.0 / delta if case[0] == "X" else kappa))
-        halfspan = 8.0 * max(sigma, 1.0) + drift + 6.0 * max(delta, kappa)
+    drift = abs(t / mass) * 3.0 * (1.0 / sigma + (1.0 / delta if case[0] == "X" else kappa))
+    halfspan = 8.0 * max(sigma, 1.0) + drift + 6.0 * max(delta, kappa)
     xs = np.linspace(-halfspan, halfspan, n, endpoint=False)
     dx = xs[1] - xs[0]
     ps = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)

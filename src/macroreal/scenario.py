@@ -176,14 +176,12 @@ class ProbabilityTable:
     def mass(self) -> float:
         return float(self.values.sum())
 
-    def validate(self, mass_tol: float = 1e-9) -> None:
+    def validate(self) -> None:
+        """Raise on a value below -1e-12 or a mass more than 1e-9 from 1."""
         if np.any(self.values < -1e-12):
             raise ValueError("negative probability in table")
-        if abs(self.mass - 1.0) > mass_tol:
+        if abs(self.mass - 1.0) > 1e-9:
             raise ValueError(f"table mass {self.mass!r} differs from 1")
-
-    def axis_of(self, slot: int) -> int:
-        return self.slots.index(slot)
 
 
 def _measured_slots(n_slots: int, measured) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from macroreal.cli import main, parse_complex_list, parse_range
+from macroreal.conditions import nic_012
 from macroreal.hilbert import DensityState
 from macroreal.instruments import projective_family
 from macroreal.scenario import Scenario, Slot, save_scenario
@@ -57,9 +58,21 @@ def test_empty_list_value_exits_two(argv, capsys):
     assert "cannot parse range ','" in captured.err
 
 
-def test_usage_error_exits_two():
+# --tol belongs to mz-scan and nsit-check, --seed to mz-scan alone
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mz-scan", "--r1", "0:bad"],
+        ["overlap", "ring", "--d", "6", "--tol", "1e-3"],
+        ["overlap", "quadrature", "--case", "XX", "--tol", "1e-3"],
+        ["overlap", "fock", "--g", "m", "--seed", "1"],
+        ["overlap", "coherent", "--seed", "1"],
+        ["nsit-check", data_file("mz_phi0.json"), "--seed", "1"],
+    ],
+)
+def test_usage_error_exits_two(argv):
     with pytest.raises(SystemExit) as exc:
-        main(["mz-scan", "--r1", "0:bad"])
+        main(argv)
     assert exc.value.code == 2
 
 
@@ -95,6 +108,29 @@ def test_nsit_check_two_slot_notice(tmp_path, capsys):
     assert code == 0
     assert "bundle skipped" in captured.err
     assert "NSIT_(0)1" in captured.out
+
+
+def test_nsit_check_runs_nic_without_a_dichotomic_middle_slot(tmp_path, capsys):
+    # qutrit: +-1 readouts at slots 0 and 2, a three-outcome readout at slot 1
+    plus = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    outer = projective_family([plus, np.eye(3) - plus], [1, -1])
+    middle = projective_family([np.diag(np.eye(3)[k]).astype(complex) for k in range(3)], [-1, 0, 1])
+    dft = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    sc = Scenario(
+        DensityState(np.eye(3, dtype=complex) / 3.0),
+        (Slot(0.0, outer), Slot(1.0, middle), Slot(2.0, outer)),
+        (dft, dft),
+    )
+    path = tmp_path / "qutrit.json"
+    save_scenario(sc, path)
+    code = main(["nsit-check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    nic = [line for line in captured.out.splitlines() if line.startswith("NIC_0(1)2")]
+    assert len(nic) == 1
+    assert f"residual={nic_012(sc).residual:.6e}" in nic[0] and "VIOLATED" in nic[0]
+    assert "LGI_012" not in captured.out
+    assert "LGI_012 skipped" in captured.err and "NIC_0(1)2 skipped" not in captured.err
 
 
 def test_nsit_check_rejects_bad_schema(tmp_path, capsys):
