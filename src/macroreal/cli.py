@@ -535,9 +535,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "tol" in args and args.tol is None:
-        args.tol = float(os.environ.get(DEFAULT_TOL_ENV, "1e-9"))
     try:
+        if "tol" in args and args.tol is None:
+            raw = os.environ.get(DEFAULT_TOL_ENV, "1e-9")
+            try:
+                args.tol = float(raw)
+            except ValueError:
+                raise ValueError(f"{DEFAULT_TOL_ENV}={raw!r} is not a number") from None
         return args.run(args)
     except ValueError as exc:
         _note(f"{args.command} {getattr(args, 'family', '')}".rstrip() + f": {exc}")

@@ -18,7 +18,7 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz
+import scipy.fft
 
 from macroreal.hilbert import StateVector, coherent_state, default_fock_dim
 from macroreal.instruments import (
@@ -83,7 +83,7 @@ def bhattacharyya(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     return float(np.dot(p.weights, np.sqrt(pv * qv)))
 
 
-HUSIMI_BLOCK = 2048  # columns per block of the mixed-state readout; bounds the rho @ cols temporary
+HUSIMI_BLOCK = 2048  # lattice columns per block of a readout; bounds the (rows x block) temporary
 
 
 def husimi(state: np.ndarray, lattice: ComplexLattice, cols: np.ndarray | None = None) -> OutcomeDistribution:
@@ -91,7 +91,8 @@ def husimi(state: np.ndarray, lattice: ComplexLattice, cols: np.ndarray | None =
 
     state is a density matrix rho, or a state vector psi for rho = |psi><psi|,
     which reads |<beta|psi>|^2 at O(d) per point instead of O(d^2). cols is
-    coherent_columns(lattice.points, d) when the caller holds it.
+    coherent_columns(lattice.points, d) when the caller holds it. The mixed
+    state is read in HUSIMI_BLOCK column blocks.
     """
     pts = lattice.points
     if cols is None:
@@ -106,6 +107,27 @@ def husimi(state: np.ndarray, lattice: ComplexLattice, cols: np.ndarray | None =
     return OutcomeDistribution(pts, lattice.weights, vals / math.pi)
 
 
+def branch_husimi(
+    psi: np.ndarray, family: KrausFamily, lattice: ComplexLattice, cols: np.ndarray
+) -> OutcomeDistribution:
+    """Husimi readout of the pure state psi after the nonselective family.
+
+    family is diagonal in the Fock basis, A_a = diag(e_a), so the invaded
+    readout is the branch sum pi^{-1} sum_a w_a |<beta| A_a psi>|^2, that is
+    sum_a w_a |(e_a * conj(psi)) C|^2 / pi for C = cols. That costs
+    O(n_a d) per point against O(d^2) for the density matrix
+    family.channel(|psi><psi|), which is never built.
+    """
+    if family.kind != "diagonal" or family.basis is not None:
+        raise ValueError("branch readout needs a family diagonal in the Fock basis")
+    branches = family.envelopes * psi.conj()
+    vals = np.empty(cols.shape[1])
+    for lo in range(0, cols.shape[1], HUSIMI_BLOCK):
+        amps = branches @ cols[:, lo : lo + HUSIMI_BLOCK]
+        vals[lo : lo + HUSIMI_BLOCK] = family.weights @ (amps.real**2 + amps.imag**2)
+    return OutcomeDistribution(lattice.points, lattice.weights, vals / math.pi)
+
+
 def _lattice_radius(gamma: complex) -> float:
     """Half-side R of the Fock engine's readout lattice, the square [-R, R]^2."""
     return abs(gamma) + 5.0
@@ -114,9 +136,17 @@ def _lattice_radius(gamma: complex) -> float:
 def _invaded_overlap(
     state: StateVector, family: KrausFamily, lattice: ComplexLattice, cols: np.ndarray
 ) -> tuple[float, dict]:
-    """Overlap of the Husimi readouts of a pure state before and after family."""
-    reference = husimi(state.amplitudes, lattice, cols)
-    invaded = husimi(family.channel(state.density().matrix), lattice, cols)
+    """Overlap of the Husimi readouts of a pure state before and after family.
+
+    A family diagonal in the Fock basis (Fock bins, rings) is read through its
+    branches; any other family through the density matrix of its channel.
+    """
+    psi = state.amplitudes
+    reference = husimi(psi, lattice, cols)
+    if family.kind == "diagonal" and family.basis is None:
+        invaded = branch_husimi(psi, family, lattice, cols)
+    else:
+        invaded = husimi(family.channel(state.density().matrix), lattice, cols)
     v = bhattacharyya(reference, invaded)
     meta = {
         "reference_mass": reference.mass,
@@ -270,6 +300,13 @@ def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> Ove
         gax = np.exp(-((xs[:, None] - chunk[None, :]) ** 2) / (2.0 * delta_sq))
         first += gax @ ga0
     first *= norm * da
+    # the symmetric Toeplitz kernel embedded in a circulant at a fast FFT length
+    # L >= 2n - 1, transformed once: kernel @ v is ifft(kernel_hat fft(v, L))[:n]
+    length = scipy.fft.next_fast_len(2 * n - 1)
+    embedded = np.zeros(length)
+    embedded[:n] = first
+    embedded[length - n + 1 :] = first[:0:-1]
+    kernel_hat = scipy.fft.fft(embedded)[:, None]
 
     psi = _coherent_wavefunction(xs, g)
     pts = lattice.points
@@ -282,7 +319,7 @@ def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> Ove
         conj_beta = _coherent_wavefunction_row(xs, br, im)
         w = conj_beta.conj() * psi[:, None] * dx
         q0[i] = np.abs(w.sum(axis=0)) ** 2 / math.pi
-        kw = matmul_toeplitz(first, w)
+        kw = scipy.fft.ifft(kernel_hat * scipy.fft.fft(w, length, axis=0), axis=0)[:n]
         q1[i] = np.einsum("xb,xb->b", w.conj(), kw).real / math.pi
     p_ref = OutcomeDistribution(pts, lattice.weights, q0.ravel())
     p_inv = OutcomeDistribution(pts, lattice.weights, np.clip(q1.ravel(), 0.0, None))

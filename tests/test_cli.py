@@ -149,6 +149,15 @@ def test_nsit_check_env_tolerance(monkeypatch, capsys):
     assert "threshold=1.5e+00" in out
 
 
+def test_non_numeric_env_tolerance_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("MACROREAL_DEFAULT_TOL", "abc")
+    code = main(["nsit-check", data_file("mz_phi0.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "nsit-check: MACROREAL_DEFAULT_TOL='abc' is not a number\n"
+
+
 def test_mz_scan_small_lattice(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code = main(

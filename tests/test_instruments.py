@@ -228,6 +228,18 @@ def test_coherent_columns_equal_coherent_amplitudes():
         assert np.max(np.abs(cols[:, a] - coherent_amplitudes(point, dim))) < 1e-12
 
 
+def test_coherent_columns_on_both_sides_of_the_underflow_radius():
+    # e^{-|b|^2/2} leaves the normal doubles near |b| = 37.4, where the
+    # recurrence hands over to the log-domain form: three points just inside
+    # that radius, three past |b| = 38
+    pts = np.array([37.0, 37.4j, -26.4 - 26.4j, 38.5, -40.0j, 30.0 + 30.0j])
+    dim = 2400  # holds the Poisson peak of |b|^2 = 1,800 with 14 widths to spare
+    cols = coherent_columns(pts, dim)
+    for a, point in enumerate(pts):
+        assert np.max(np.abs(cols[:, a] - coherent_amplitudes(point, dim))) < 1e-12
+        assert abs(np.linalg.norm(cols[:, a]) - 1.0) < 1e-12
+
+
 def test_ring_family_is_an_exact_diagonal_partition():
     for d, dim, max_radius in ((0.5, 29, 9.0), (2.0, 53, 12.0), (8.0, 260, 25.0)):
         fam = ring_family(d, dim, max_radius)

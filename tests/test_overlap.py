@@ -7,8 +7,10 @@ from macroreal.hilbert import coherent_state, default_fock_dim
 from macroreal.instruments import (
     ComplexLattice,
     Grid1D,
+    KrausFamily,
     coherent_coarse_family,
     coherent_columns,
+    coherent_projector_family,
     fock_bin_family,
     ring_labels,
     ring_family,
@@ -17,6 +19,7 @@ from macroreal.overlap import (
     HUSIMI_BLOCK,
     OutcomeDistribution,
     bhattacharyya,
+    branch_husimi,
     cell_overlap,
     coherent_delta_overlap,
     coherent_x_exact,
@@ -90,6 +93,50 @@ def test_husimi_blocks_and_pure_state_match_einsum_form():
         einsum_form = np.einsum("im,ij,jm->m", cols.conj(), rho, cols, optimize=True).real / math.pi
         assert np.max(np.abs(husimi(state, lattice, cols).values - einsum_form)) < 1e-15
         assert np.max(np.abs(husimi(state, lattice).values - einsum_form)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fock_bins(m)", "fock_bins(100m^2)", "rings(d=2)", "weighted"],
+)
+def test_branch_readout_equals_the_readout_of_the_channel(name):
+    gamma = 2.5 - 1.5j
+    dim = default_fock_dim(gamma)
+    lattice = ComplexLattice.square(abs(gamma) + 5.0, 0.25)
+    assert lattice.points.size > HUSIMI_BLOCK
+    if name == "fock_bins(m)":
+        fam = fock_bin_family("m", dim)
+    elif name == "fock_bins(100m^2)":
+        fam = fock_bin_family("100m^2", dim)
+    elif name == "rings(d=2)":
+        fam = ring_family(2.0, dim, 12.0)
+    else:
+        # three overlapping outcomes with weights 0.5, 2 and 1.25 whose
+        # effects sum to the identity
+        rng = np.random.default_rng(7)
+        weights = np.array([0.5, 2.0, 1.25])
+        share = rng.dirichlet(np.ones(3), size=dim).T
+        fam = KrausFamily(
+            label="weighted",
+            outcomes=np.arange(3),
+            weights=weights,
+            kind="diagonal",
+            envelopes=np.sqrt(share / weights[:, None]),
+        )
+        assert fam.completeness_defect < 1e-14
+    cols = coherent_columns(lattice.points, dim)
+    psi = coherent_state(gamma, dim).amplitudes
+    branches = branch_husimi(psi, fam, lattice, cols)
+    mixed = husimi(fam.channel(np.outer(psi, psi.conj())), lattice, cols)
+    assert np.max(np.abs(branches.values - mixed.values)) < 1e-14
+
+
+def test_branch_readout_refuses_families_off_the_fock_basis():
+    lattice = ComplexLattice.square(2.0, 0.5)
+    fam = coherent_projector_family(lattice, 10)
+    psi = coherent_state(0.5, 10).amplitudes
+    with pytest.raises(ValueError):
+        branch_husimi(psi, fam, lattice, coherent_columns(lattice.points, 10))
 
 
 def test_coherent_delta_overlap_near_ideal():
@@ -207,15 +254,16 @@ def test_exact_rings_agree_with_the_lattice_ring_route(d, gamma):
     psi = coherent_state(gamma, dim).amplitudes
     reference = husimi(psi, lattice, cols)
     labels, n_rings = ring_labels(lattice.points, d, max_radius)
-    values = []
-    for fam in (
-        ring_family(d, dim, max_radius),
-        coherent_coarse_family(labels, n_rings, lattice, dim, cols=cols),
-    ):
-        invaded = husimi(fam.channel(np.outer(psi, psi.conj())), lattice, cols)
-        values.append(bhattacharyya(reference, invaded))
-    exact, lattice_route = values
+    rho = np.outer(psi, psi.conj())
+    rings = ring_family(d, dim, max_radius)
+    # ring_overlap reads the exact annuli through their branches
+    exact = bhattacharyya(reference, branch_husimi(psi, rings, lattice, cols))
+    exact_mixed, lattice_route = (
+        bhattacharyya(reference, husimi(fam.channel(rho), lattice, cols))
+        for fam in (rings, coherent_coarse_family(labels, n_rings, lattice, dim, cols=cols))
+    )
     assert exact == ring_overlap(d, gamma).value
+    assert abs(exact - exact_mixed) <= 1e-14
     assert abs(exact - lattice_route) < 1e-4
 
 
