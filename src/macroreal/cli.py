@@ -60,21 +60,21 @@ EXIT_USAGE = 2
 
 
 def parse_range(spec: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive), 'a,b,c' or a single number."""
+    """Parse 'start:stop:step' (inclusive), 'a,b,c' or a single number; all finite."""
     try:
         if ":" in spec:
             lo_s, hi_s, step_s = spec.split(":")
             lo, hi, step = float(lo_s), float(hi_s), float(step_s)
-            if step <= 0.0 or hi < lo:
+            if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
                 raise ValueError
             return [float(v) for v in np.arange(lo, hi + step / 2.0, step)]
         values = [float(v) for v in spec.split(",") if v.strip()]
-        if not values:
+        if not values or not all(map(math.isfinite, values)):
             raise ValueError
         return values
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"cannot parse range {spec!r}; expected start:stop:step, a comma list or a number"
+            f"cannot parse range {spec!r}; expected finite start:stop:step, a comma list or a number"
         )
 
 

@@ -291,15 +291,12 @@ def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> Ove
     pad = 6.0 * delta
     agrid = np.arange(-x_halfspan - pad, x_halfspan + pad + da / 2.0, da)
 
-    # Dephasing kernel k(x - x') = sum_a w g_a(x) g_a(x') along the first row.
-    norm = (math.pi * delta_sq) ** -0.5
-    first = np.zeros(n)
-    for lo in range(0, agrid.size, 2048):
-        chunk = agrid[lo : lo + 2048]
-        ga0 = np.exp(-((xs[0] - chunk) ** 2) / (2.0 * delta_sq))
-        gax = np.exp(-((xs[:, None] - chunk[None, :]) ** 2) / (2.0 * delta_sq))
-        first += gax @ ga0
-    first *= norm * da
+    # Dephasing kernel k(x - x') = sum_a w g_a(x) g_a(x') along the first row;
+    # only outcomes whose envelope at xs[0] is nonzero in floating point add to it.
+    ga0 = np.exp(-((xs[0] - agrid) ** 2) / (2.0 * delta_sq))
+    near = ga0 > 0.0
+    gax = np.exp(-((xs[:, None] - agrid[near][None, :]) ** 2) / (2.0 * delta_sq))
+    first = (gax @ ga0[near]) * ((math.pi * delta_sq) ** -0.5 * da)
     # the symmetric Toeplitz kernel embedded in a circulant at a fast FFT length
     # L >= 2n - 1, transformed once: kernel @ v is ifft(kernel_hat fft(v, L))[:n]
     length = scipy.fft.next_fast_len(2 * n - 1)
@@ -310,8 +307,7 @@ def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> Ove
 
     psi = _coherent_wavefunction(xs, g)
     pts = lattice.points
-    re = np.unique(pts.real)
-    im = np.unique(pts.imag)
+    re, im = lattice.re_axis, lattice.im_axis
     q0 = np.zeros((re.size, im.size))
     q1 = np.zeros((re.size, im.size))
     for i, br in enumerate(re):
@@ -363,6 +359,19 @@ def _coherent_wavefunction_row(xs: np.ndarray, beta_re: float, beta_im: np.ndarr
 QUADRATURE_CASES = ("XX", "PX", "XP", "PP")
 
 
+def _quadrature_case(case: str, delta, kappa, sigma, t, mass) -> str:
+    """Upper-cased case; raises unless widths and mass are finite and positive and t finite."""
+    case = case.upper()
+    if case not in QUADRATURE_CASES:
+        raise ValueError(f"case must be one of {QUADRATURE_CASES}")
+    for name, value in (("delta", delta), ("kappa", kappa), ("sigma", sigma), ("mass", mass)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    return case
+
+
 def quadrature_overlap_analytic(
     case: str,
     delta: float = 1.0,
@@ -378,9 +387,7 @@ def quadrature_overlap_analytic(
     evolves freely for time t between the measurements. All distributions
     stay centered Gaussians, so the overlap depends only on the variances.
     """
-    case = case.upper()
-    if case not in QUADRATURE_CASES:
-        raise ValueError(f"case must be one of {QUADRATURE_CASES}")
+    case = _quadrature_case(case, delta, kappa, sigma, t, mass)
     var_x = sigma**2 / 2.0
     var_p = 1.0 / (2.0 * sigma**2)
     ratio = t / mass
@@ -411,20 +418,22 @@ def quadrature_overlap_numeric(
 ) -> OverlapResult:
     """Grid-engine overlap for smeared quadrature pairs.
 
-    The first instrument is applied branch by branch on its outcome grid, each
-    branch evolves freely via FFT, and the final smeared readout acts on the
-    summed intensity. No Gaussian shortcuts are taken, so this route checks
-    the moment propagation independently.
+    The first instrument is applied branch by branch on its outcome grid and
+    each branch evolves freely via FFT. The final smeared readout acts on the
+    summed intensity as one circular convolution with the sampled Gaussian
+    kernel on the engine's own periodic axis: the positions xs for an X
+    readout, the FFT momenta in fftfreq order for a P readout. The
+    convolution is summed directly, so every term is nonnegative and no FFT
+    roundoff reaches the square root of the Bhattacharyya sum. No Gaussian
+    shortcuts are taken, so this route checks the moment propagation
+    independently.
     """
-    case = case.upper()
-    if case not in QUADRATURE_CASES:
-        raise ValueError(f"case must be one of {QUADRATURE_CASES}")
+    case = _quadrature_case(case, delta, kappa, sigma, t, mass)
     if n < 2:
         raise ValueError(f"position grid needs at least 2 points, got {n}")
     drift = abs(t / mass) * 3.0 * (1.0 / sigma + (1.0 / delta if case[0] == "X" else kappa))
     halfspan = 8.0 * max(sigma, 1.0) + drift + 6.0 * max(delta, kappa)
-    xs = np.linspace(-halfspan, halfspan, n, endpoint=False)
-    dx = xs[1] - xs[0]
+    xs, dx = np.linspace(-halfspan, halfspan, n, endpoint=False, retstep=True)
     ps = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     psi0 = (math.pi * sigma**2) ** -0.25 * np.exp(-(xs**2) / (2.0 * sigma**2))
 
@@ -435,64 +444,42 @@ def quadrature_overlap_numeric(
     spread1 = 6.0 * (sigma if first == "X" else 1.0 / sigma) + 6.0 * width1
     a_step = width1 / 4.0
     agrid = np.arange(-spread1, spread1 + a_step / 2.0, a_step)
+    envelope = (math.pi * width1**2) ** -0.25 * np.exp(
+        -(((xs if first == "X" else ps)[None, :] - agrid[:, None]) ** 2) / (2.0 * width1**2)
+    )
 
+    # Branches and reference after the free flight, as FFT coefficients; a
+    # momentum filter commutes with the free-flight phase.
     phase = np.exp(-1j * ps**2 * t / (2.0 * mass))
-
-    def evolve(vec):
-        return np.fft.ifft(np.fft.fft(vec) * phase)
-
+    ref_k = np.fft.fft(psi0) * phase
     if first == "X":
-        branches = psi0[None, :] * np.exp(
-            -((xs[None, :] - agrid[:, None]) ** 2) / (2.0 * width1**2)
-        )
-        branches *= (math.pi * width1**2) ** -0.25
+        branches_k = np.fft.fft(psi0 * envelope, axis=1) * phase
     else:
-        psi0_p = np.fft.fft(psi0) * dx / math.sqrt(2.0 * math.pi)
-        filt = (math.pi * width1**2) ** -0.25 * np.exp(
-            -((ps[None, :] - agrid[:, None]) ** 2) / (2.0 * width1**2)
-        )
-        branches = np.fft.ifft(psi0_p[None, :] * filt) * (
-            math.sqrt(2.0 * math.pi) / dx
-        )
-    branches = np.fft.ifft(np.fft.fft(branches, axis=1) * phase[None, :], axis=1)
-    weights1 = np.full(agrid.size, a_step)
+        branches_k = ref_k * envelope
 
-    ref = evolve(psi0)
-
+    # Intensities as probabilities per axis sample; by Parseval a momentum
+    # sample carries |fft|^2 dx / n.
     if second == "X":
-        intensity = (np.abs(branches) ** 2 * weights1[:, None]).sum(axis=0) * dx
-        ref_intensity = np.abs(ref) ** 2 * dx
+        intensity = a_step * dx * (np.abs(np.fft.ifft(branches_k, axis=1)) ** 2).sum(axis=0)
+        ref_intensity = dx * np.abs(np.fft.ifft(ref_k)) ** 2
         axis, daxis = xs, dx
     else:
-        bp = np.fft.fft(branches, axis=1) * dx / math.sqrt(2.0 * math.pi)
-        intensity = (np.abs(bp) ** 2 * weights1[:, None]).sum(axis=0)
-        rp = np.fft.fft(ref) * dx / math.sqrt(2.0 * math.pi)
-        ref_intensity = np.abs(rp) ** 2
-        order = np.argsort(ps)
-        intensity = intensity[order]
-        ref_intensity = ref_intensity[order]
-        axis = ps[order]
-        daxis = axis[1] - axis[0]
-        intensity = intensity * daxis
-        ref_intensity = ref_intensity * daxis
+        intensity = a_step * dx / n * (np.abs(branches_k) ** 2).sum(axis=0)
+        ref_intensity = dx / n * np.abs(ref_k) ** 2
+        axis, daxis = ps, ps[1]
 
+    # Circular kernel indexed by the lag (j - i) mod n: lags 0, daxis, ...,
+    # then the negative ones, in fftfreq order. Convolving the wrapped copy
+    # v[1:], v with it in "valid" mode gives sum_i k[(j - i) mod n] v[i].
     width2 = delta if second == "X" else kappa
-    spread2 = float(np.abs(axis).max())
-    b_step = width2 / 4.0
-    bgrid = np.arange(-spread2, spread2 + b_step / 2.0, b_step)
-    norm2 = (math.pi * width2**2) ** -0.5
-    pb = np.zeros(bgrid.size)
-    pb_ref = np.zeros(bgrid.size)
-    for lo in range(0, bgrid.size, 512):
-        hi = min(lo + 512, bgrid.size)
-        win = norm2 * np.exp(
-            -((bgrid[lo:hi, None] - axis[None, :]) ** 2) / width2**2
+    lags = n * daxis * np.fft.fftfreq(n)
+    kernel = (math.pi * width2**2) ** -0.5 * np.exp(-(lags**2) / width2**2)
+    inv, refd = (
+        OutcomeDistribution(
+            axis, np.full(n, daxis), np.convolve(np.concatenate((v[1:], v)), kernel, "valid")
         )
-        pb[lo:hi] = win @ intensity
-        pb_ref[lo:hi] = win @ ref_intensity
-    wb = np.full(bgrid.size, b_step)
-    inv = OutcomeDistribution(bgrid, wb, pb)
-    refd = OutcomeDistribution(bgrid, wb, pb_ref)
+        for v in (intensity, ref_intensity)
+    )
     value = bhattacharyya(refd, inv)
     return OverlapResult(
         value=value,

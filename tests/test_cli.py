@@ -29,6 +29,9 @@ def test_parse_range_forms():
         parse_range("1:0:0.5")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_range(",")
+    for spec in ("nan", "1,inf", "0:inf:1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_range(spec)
 
 
 def test_parse_complex_list():
@@ -66,6 +69,7 @@ def test_empty_list_value_exits_two(argv, capsys):
         ["overlap", "ring", "--d", "6", "--tol", "1e-3"],
         ["overlap", "quadrature", "--case", "XX", "--tol", "1e-3"],
         ["overlap", "fock", "--g", "m", "--seed", "1"],
+        ["overlap", "fock", "--g", "m", "--gamma", "inf"],
         ["overlap", "coherent", "--seed", "1"],
         ["nsit-check", data_file("mz_phi0.json"), "--seed", "1"],
     ],
@@ -305,6 +309,13 @@ def test_mz_scan_mismatches_are_the_disagreeing_compared_rows(
         ["overlap", "quadrature", "--case", "XX", "--grid", "1"],
         ["overlap", "coherent", "--gamma", "1", "--grid", "0"],
         ["overlap", "fock", "--g", "m", "--gamma", "0.5", "--grid", "-0.5"],
+        ["overlap", "quadrature", "--case", "XX", "--t", "1", "--delta", "0"],
+        ["overlap", "quadrature", "--case", "XX", "--t", "1", "--delta", "-1"],
+        ["overlap", "quadrature", "--case", "XX", "--t", "1", "--sigma", "0"],
+        ["overlap", "quadrature", "--case", "XX", "--t", "1", "--mass", "0"],
+        ["overlap", "quadrature", "--case", "XX", "--t", "1", "--mass", "inf"],
+        ["overlap", "quadrature", "--case", "PP", "--t", "1", "--kappa", "0"],
+        ["overlap", "quadrature", "--case", "PP", "--delta", "0"],
     ],
 )
 def test_bad_option_values_exit_two(argv, capsys):

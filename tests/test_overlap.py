@@ -201,11 +201,33 @@ def test_quadrature_analytic_endpoints():
         ("PX", {"kappa": 2.0, "sigma": 1.0, "t": 0.0}),
         ("XP", {"delta": 2.0, "kappa": 1.0, "sigma": 1.0, "t": 5.0}),
         ("PP", {"kappa": 2.0, "sigma": 2.0, "t": 1.0}),
+        ("XX", {"delta": 1.0, "sigma": 2.0, "t": 1.0, "n": 4095}),
+        ("XP", {"sigma": 2.0, "t": 5.0}),
+        ("PP", {"kappa": 2.0, "sigma": 2.0, "t": 5.0}),
     ],
 )
 def test_quadrature_numeric_matches_analytic(case, kwargs):
     res = quadrature_overlap_numeric(case, **kwargs)
     assert abs(res.value - res.meta["analytic"]) < 1e-6
+    assert abs(res.meta["invaded_mass"] - 1.0) < 1e-12
+    assert abs(res.meta["reference_mass"] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"delta": 0.0},
+        {"delta": -1.0},
+        {"kappa": 0.0},
+        {"sigma": float("nan")},
+        {"mass": float("inf")},
+        {"t": float("inf")},
+    ],
+)
+def test_quadrature_rejects_bad_parameters(kwargs):
+    for route in (quadrature_overlap_analytic, quadrature_overlap_numeric):
+        with pytest.raises(ValueError):
+            route("XX", **kwargs)
 
 
 def test_quadrature_numeric_xp_time_independent():
