@@ -83,7 +83,7 @@ def bhattacharyya(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     return float(np.dot(p.weights, np.sqrt(pv * qv)))
 
 
-HUSIMI_BLOCK = 2048  # lattice columns per block of a readout; bounds the (rows x block) temporary
+HUSIMI_BLOCK = 2048  # columns per block of a readout; bounds the (rows x block) temporary
 
 
 def husimi(state: np.ndarray, lattice: ComplexLattice, cols: np.ndarray | None = None) -> OutcomeDistribution:
@@ -292,11 +292,16 @@ def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> Ove
     agrid = np.arange(-x_halfspan - pad, x_halfspan + pad + da / 2.0, da)
 
     # Dephasing kernel k(x - x') = sum_a w g_a(x) g_a(x') along the first row;
-    # only outcomes whose envelope at xs[0] is nonzero in floating point add to it.
+    # only outcomes whose envelope at xs[0] is nonzero in floating point add to
+    # it, read in HUSIMI_BLOCK blocks so the (n x block) temporary stays bounded.
     ga0 = np.exp(-((xs[0] - agrid) ** 2) / (2.0 * delta_sq))
-    near = ga0 > 0.0
-    gax = np.exp(-((xs[:, None] - agrid[near][None, :]) ** 2) / (2.0 * delta_sq))
-    first = (gax @ ga0[near]) * ((math.pi * delta_sq) ** -0.5 * da)
+    near = np.flatnonzero(ga0)
+    first = np.zeros(n)
+    for lo in range(0, near.size, HUSIMI_BLOCK):
+        block = near[lo : lo + HUSIMI_BLOCK]
+        gax = np.exp(-((xs[:, None] - agrid[block][None, :]) ** 2) / (2.0 * delta_sq))
+        first += gax @ ga0[block]
+    first *= (math.pi * delta_sq) ** -0.5 * da
     # the symmetric Toeplitz kernel embedded in a circulant at a fast FFT length
     # L >= 2n - 1, transformed once: kernel @ v is ifft(kernel_hat fft(v, L))[:n]
     length = scipy.fft.next_fast_len(2 * n - 1)
@@ -421,18 +426,22 @@ def quadrature_overlap_numeric(
     The first instrument is applied branch by branch on its outcome grid and
     each branch evolves freely via FFT. The final smeared readout acts on the
     summed intensity as one circular convolution with the sampled Gaussian
-    kernel on the engine's own periodic axis: the positions xs for an X
-    readout, the FFT momenta in fftfreq order for a P readout. The
-    convolution is summed directly, so every term is nonnegative and no FFT
-    roundoff reaches the square root of the Bhattacharyya sum. No Gaussian
-    shortcuts are taken, so this route checks the moment propagation
-    independently.
+    kernel, normalised to unit mass on the axis, on the engine's own periodic
+    axis: the positions xs for an X readout, the FFT momenta in fftfreq order
+    for a P readout. The convolution is summed directly, so every term is
+    nonnegative and no FFT roundoff reaches the square root of the
+    Bhattacharyya sum. The half-span grows as 1/kappa so the momentum step
+    resolves a narrow P readout; an X readout needs a position step
+    2 * halfspan / n finer than delta. No Gaussian shortcuts are taken, so
+    this route checks the moment propagation independently.
     """
     case = _quadrature_case(case, delta, kappa, sigma, t, mass)
     if n < 2:
         raise ValueError(f"position grid needs at least 2 points, got {n}")
     drift = abs(t / mass) * 3.0 * (1.0 / sigma + (1.0 / delta if case[0] == "X" else kappa))
-    halfspan = 8.0 * max(sigma, 1.0) + drift + 6.0 * max(delta, kappa)
+    # A P readout of width kappa leaves branches about 1/kappa wide in position,
+    # and its kernel needs a momentum step pi / halfspan finer than kappa.
+    halfspan = 8.0 * max(sigma, 1.0, 1.0 / kappa) + drift + 6.0 * max(delta, kappa)
     xs, dx = np.linspace(-halfspan, halfspan, n, endpoint=False, retstep=True)
     ps = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     psi0 = (math.pi * sigma**2) ** -0.25 * np.exp(-(xs**2) / (2.0 * sigma**2))
@@ -473,7 +482,8 @@ def quadrature_overlap_numeric(
     # v[1:], v with it in "valid" mode gives sum_i k[(j - i) mod n] v[i].
     width2 = delta if second == "X" else kappa
     lags = n * daxis * np.fft.fftfreq(n)
-    kernel = (math.pi * width2**2) ** -0.5 * np.exp(-(lags**2) / width2**2)
+    kernel = np.exp(-(lags**2) / width2**2)
+    kernel /= kernel.sum() * daxis
     inv, refd = (
         OutcomeDistribution(
             axis, np.full(n, daxis), np.convolve(np.concatenate((v[1:], v)), kernel, "valid")

@@ -173,6 +173,11 @@ def test_coherent_x_numeric_matches_exact():
         assert abs(res.value - res.meta["exact"]) < 1e-6
 
 
+def test_coherent_x_numeric_wide_readout_matches_exact():
+    res = coherent_x_overlap(1e4)
+    assert abs(res.value - res.meta["exact"]) < 1e-6
+
+
 def test_coherent_x_numeric_translation_covariant():
     res = coherent_x_overlap(0.25, gamma=1.5 + 0.5j)
     assert abs(res.value - coherent_x_exact(0.25)) < 1e-6
@@ -204,6 +209,10 @@ def test_quadrature_analytic_endpoints():
         ("XX", {"delta": 1.0, "sigma": 2.0, "t": 1.0, "n": 4095}),
         ("XP", {"sigma": 2.0, "t": 5.0}),
         ("PP", {"kappa": 2.0, "sigma": 2.0, "t": 5.0}),
+        ("PP", {"kappa": 0.1}),
+        ("XP", {"kappa": 0.1}),
+        ("PX", {"kappa": 0.1}),
+        ("XX", {"delta": 0.1, "n": 256}),
     ],
 )
 def test_quadrature_numeric_matches_analytic(case, kwargs):
