@@ -5,8 +5,9 @@ cross-checks closed forms against the numeric pipeline, `nsit-check` runs
 every condition on a scenario file, and `overlap` produces invasiveness
 sweep data for the quadrature, coherent, ring and Fock readout studies.
 
-Outputs are CSV (the plot-data contract: header row, '.' decimal, fixed
-%.12g floats) or JSON; identical invocations produce byte-identical bodies.
+Outputs are CSV (the plot-data contract: header row, '.' decimal, cells as
+_format_cell writes them) or JSON; identical invocations produce
+byte-identical bodies.
 Exit codes: 0 clean, 1 a checker found violations, 2 usage or input error.
 """
 
@@ -95,8 +96,9 @@ def parse_complex_list(spec: str) -> list[complex]:
 
 
 def _format_cell(value) -> str:
+    """The CSV cell contract: floats as %.12g, true/false, an empty cell for None."""
     # floats first: they fill most cells of every sweep
-    if isinstance(value, (float, np.floating)):
+    if type(value) is float or isinstance(value, np.floating):
         return format(float(value), ".12g")
     if value is None:
         return ""
@@ -107,13 +109,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _rows_to_csv(rows: list[dict], fieldnames: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_format_cell(row.get(name)) for name in fieldnames])
-    return buf.getvalue()
+def _json_cell(value):
+    return value
 
 
 def _json_default(obj):
@@ -124,11 +121,26 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def write_rows(rows: list[dict], fieldnames: list[str], args: argparse.Namespace) -> None:
+def _table(rows: list[tuple]):
+    """write_rows' rows(cell) over a list of tuples, every value passed through cell."""
+    return lambda cell: (tuple(map(cell, row)) for row in rows)
+
+
+def write_rows(rows, fieldnames: list[str], args: argparse.Namespace) -> None:
+    """Write a table to --out or stdout as CSV or JSON.
+
+    rows(cell) yields one tuple per row in fieldnames order, each value passed
+    through cell: _format_cell for CSV, _json_cell for JSON. A value shared by
+    several rows may go through cell once.
+    """
     if args.format == "csv":
-        text = _rows_to_csv(rows, fieldnames)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows(rows(_format_cell))
+        text = buf.getvalue()
     else:
-        body = [{name: row.get(name) for name in fieldnames} for row in rows]
+        body = [dict(zip(fieldnames, row)) for row in rows(_json_cell)]
         text = json.dumps(body, indent=2, sort_keys=True, default=_json_default) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -189,8 +201,12 @@ def _random_params(rng: np.random.Generator) -> MZParams:
     return MZParams(float(r1), float(r2), float(phi), float(q), c)
 
 
-def _mz_rows(report) -> list[dict]:
-    """One MZ_FIELDS row per (point, condition), point-major, read off the report's arrays."""
+def _mz_rows(report):
+    """write_rows' rows(cell): one MZ_FIELDS tuple per (point, condition), point-major.
+
+    A point's six parameter cells go through cell once and are shared by its
+    seven condition rows; verdicts go through a two-entry lookup.
+    """
     arrays = (
         report.analytic,
         report.numeric,
@@ -199,15 +215,27 @@ def _mz_rows(report) -> list[dict]:
         report.compared,
         report.agree,
     )
-    rows = []
-    # tolist() gives Python floats and bools, which _format_cell writes as the CSV contract asks
-    for params, *cells in zip(report.points, *(a.tolist() for a in arrays)):
-        d = params.describe()
-        c = d["c"] or (None, None)
-        head = (d["r1"], d["r2"], d["phi"], d["q"], c[0], c[1])
-        for name, a, n, a_holds, n_holds, compared, agree in zip(CONDITION_NAMES, *cells):
-            row = head + (name, a, n, a_holds, n_holds, compared, agree if compared else None)
-            rows.append(dict(zip(MZ_FIELDS, row)))
+
+    def rows(cell):
+        names = [cell(name) for name in CONDITION_NAMES]
+        verdict = (cell(False), cell(True))
+        empty = cell(None)
+        # tolist() gives Python floats and bools; a bool indexes verdict
+        for params, *cells in zip(report.points, *(a.tolist() for a in arrays)):
+            d = params.describe()
+            c = d["c"] or (None, None)
+            head = tuple(map(cell, (d["r1"], d["r2"], d["phi"], d["q"], c[0], c[1])))
+            for name, a, n, a_holds, n_holds, compared, agree in zip(names, *cells):
+                yield head + (
+                    name,
+                    cell(a),
+                    cell(n),
+                    verdict[a_holds],
+                    verdict[n_holds],
+                    verdict[compared],
+                    verdict[agree] if compared else empty,
+                )
+
     return rows
 
 
@@ -304,7 +332,8 @@ def cmd_nsit_check(args: argparse.Namespace) -> int:
     if args.out:
         rows = [rep.to_dict() for rep in reports]
         if args.format == "csv":
-            write_rows(rows, REPORT_FIELDS, args)
+            cells = [[row[name] for name in REPORT_FIELDS] for row in rows]
+            write_rows(_table(cells), REPORT_FIELDS, args)
         else:
             body = {"reports": rows}
             if bundle is not None:
@@ -325,16 +354,11 @@ def _overlap_quadrature(args: argparse.Namespace) -> int:
     def point(t):
         analytic = quadrature_overlap_analytic(args.case, t=t, **kwargs)
         numeric = quadrature_overlap_numeric(args.case, t=t, n=args.grid, **kwargs).value
-        return {
-            "t": t,
-            "analytic": analytic,
-            "numeric": numeric,
-            "abs_diff": abs(analytic - numeric),
-        }
+        return t, analytic, numeric, abs(analytic - numeric)
 
     rows = [point(t) for t in args.t]
-    write_rows(rows, ["t", "analytic", "numeric", "abs_diff"], args)
-    worst = max(row["abs_diff"] for row in rows)
+    write_rows(_table(rows), ["t", "analytic", "numeric", "abs_diff"], args)
+    worst = max(abs_diff for *_, abs_diff in rows)
     _note(f"overlap quadrature {args.case}: max |analytic - numeric| = {worst:.3e}")
     return EXIT_OK
 
@@ -345,15 +369,11 @@ def _overlap_coherent(args: argparse.Namespace) -> int:
 
         def point(delta_sq):
             res = coherent_x_overlap(delta_sq, gamma, step=args.grid)
-            return {
-                "delta_sq": delta_sq,
-                "value": res.value,
-                "exact": res.meta["exact"],
-                "abs_diff": abs(res.value - res.meta["exact"]),
-            }
+            exact = res.meta["exact"]
+            return delta_sq, res.value, exact, abs(res.value - exact)
 
         rows = [point(delta_sq) for delta_sq in args.delta_sq]
-        write_rows(rows, ["delta_sq", "value", "exact", "abs_diff"], args)
+        write_rows(_table(rows), ["delta_sq", "value", "exact", "abs_diff"], args)
         return EXIT_OK
 
     gammas = args.gamma or [float(v) for v in np.arange(0.0, 2.01, 0.5)]
@@ -361,15 +381,10 @@ def _overlap_coherent(args: argparse.Namespace) -> int:
 
     def point(gamma):
         res = coherent_delta_overlap(gamma, dim=args.dim, step=args.grid)
-        return {
-            "gamma": gamma,
-            "value": res.value,
-            "ideal": ideal,
-            "abs_diff": abs(res.value - ideal),
-        }
+        return gamma, res.value, ideal, abs(res.value - ideal)
 
     rows = [point(gamma) for gamma in gammas]
-    write_rows(rows, ["gamma", "value", "ideal", "abs_diff"], args)
+    write_rows(_table(rows), ["gamma", "value", "ideal", "abs_diff"], args)
     return EXIT_OK
 
 
@@ -387,15 +402,10 @@ def _overlap_ring(args: argparse.Namespace) -> int:
         else:
             gamma = float(fixed[0])
         res = ring_overlap(d, gamma, dim=args.dim, step=args.grid)
-        return {
-            "d": d,
-            "gamma": gamma,
-            "value": res.value,
-            "raw_defect": res.meta["raw_defect"],
-        }
+        return d, gamma, res.value, res.meta["raw_defect"]
 
     rows = [point(d) for d in args.d]
-    write_rows(rows, ["d", "gamma", "value", "raw_defect"], args)
+    write_rows(_table(rows), ["d", "gamma", "value", "raw_defect"], args)
     return EXIT_OK
 
 
@@ -406,10 +416,10 @@ def _overlap_fock(args: argparse.Namespace) -> int:
 
     def point(gamma):
         res = fock_overlap(args.g, gamma, dim=args.dim, step=args.grid)
-        return {"gamma": gamma, "value": res.value, "n_bins": res.meta["n_bins"]}
+        return gamma, res.value, res.meta["n_bins"]
 
     rows = [point(gamma) for gamma in gammas]
-    write_rows(rows, ["gamma", "value", "n_bins"], args)
+    write_rows(_table(rows), ["gamma", "value", "n_bins"], args)
     return EXIT_OK
 
 

@@ -18,7 +18,6 @@ import math
 import time as _time
 
 import numpy as np
-from scipy import optimize
 
 from macroreal.conditions import (
     DEFAULT_THRESHOLD,
@@ -417,6 +416,9 @@ def lgi_max_search(n_grid: int = 41) -> dict:
     and a numeric cross-check of the winner through the scenario pipeline.
     The state does not enter: the correlators are state independent.
     """
+    # imported here: every command loads this module, and only this search needs it
+    from scipy import optimize
+
     rs = np.linspace(0.0, 1.0, n_grid)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * n_grid, endpoint=False)
     best = (-np.inf, None)

@@ -1,14 +1,21 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from macroreal.cli import main, parse_complex_list, parse_range
+import macroreal
+from macroreal import cli
+from macroreal.cli import MZ_FIELDS, main, parse_complex_list, parse_range
 from macroreal.conditions import nic_012
 from macroreal.hilbert import DensityState
 from macroreal.instruments import projective_family
+from macroreal.mach_zehnder import CONDITION_NAMES
 from macroreal.scenario import Scenario, Slot, save_scenario
 
 
@@ -294,6 +301,73 @@ def test_mz_scan_mismatches_are_the_disagreeing_compared_rows(
     assert [cells(m) for m in summary["mismatches"]] == [
         [row[name] for name in fields] for row in disagree
     ]
+
+
+def test_mz_scan_cells_are_the_report_values(tmp_path, monkeypatch):
+    original, reports = cli.verify_lattice, []
+
+    def verify_lattice(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "verify_lattice", verify_lattice)
+    argv = [
+        "mz-scan",
+        "--r1", "0:1:0.5",
+        "--phi", "0:6.2832:1.5708",
+        "--q", "0.3,0.5",
+        "--c", "0.3i,0.2+0.35i",
+        "--guard", "0.05",
+        "--tol", "1e-3",
+        "--random-points", "4",
+        "--seed", "3",
+    ]
+    csv_path, json_path = tmp_path / "scan.csv", tmp_path / "scan.json"
+    assert main(argv + ["--out", str(csv_path)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
+    report = reports[0]
+    with open(csv_path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    records = json.loads(json_path.read_text())
+    assert header == MZ_FIELDS
+    assert len(rows) == len(records) == report.n_points * len(CONDITION_NAMES)
+    compared = report.compared.ravel()
+    assert compared.any() and not compared.all()
+    assert {p.c is None for p in report.points} == {True, False}
+
+    def expected(i, k):
+        p = report.points[i]
+        c = (None, None) if p.c is None else (p.c.real, p.c.imag)
+        row = [p.r1, p.r2, p.phi, p.q, *c, CONDITION_NAMES[k]]
+        row += [float(report.analytic[i, k]), float(report.numeric[i, k])]
+        row += [bool(report.analytic_holds[i, k]), bool(report.numeric_holds[i, k])]
+        row += [bool(report.compared[i, k])]
+        row += [bool(report.agree[i, k]) if report.compared[i, k] else None]
+        return row
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return v if isinstance(v, str) else format(v, ".12g")
+
+    for j, (row, record) in enumerate(zip(rows, records)):
+        i, k = divmod(j, len(CONDITION_NAMES))
+        want = expected(i, k)
+        assert row == [cell(v) for v in want]
+        assert [record[name] for name in MZ_FIELDS] == want
+        if report.points[i].c is None:
+            assert row[4] == row[5] == ""
+        assert all(row[m] in ("true", "false") for m in (9, 10, 11))
+        assert (row[12] == "") == (row[11] == "false")
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    src = str(Path(macroreal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import macroreal.cli, sys; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 @pytest.mark.parametrize(
