@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from macroreal.hilbert import operator_norm, unitary_from_hamiltonian
+from macroreal.hilbert import unitary_from_hamiltonian
 from macroreal.instruments import KrausFamily, not_projectors
 from macroreal.scenario import Scenario
 
@@ -301,6 +301,22 @@ def _require_dichotomic(scenario: Scenario, slots=None) -> None:
 # Operator-level criteria
 
 
+def _dual_map(family: KrausFamily, effects: np.ndarray) -> np.ndarray:
+    """Phi*(E) = sum_a w_a A_a' E A_a for every E of an (m, d, d) stack."""
+    if family.kind == "diagonal":
+        # real envelopes make every A_a Hermitian, so the dual map is the channel
+        return family.channel(effects)
+    out = np.zeros_like(effects)
+    for w, a in zip(family.weights, family.dense_ops()):
+        out += (w * a.conj().T) @ effects @ a
+    return out
+
+
+def _largest_norm(stack: np.ndarray) -> float:
+    """Largest spectral norm over an (m, d, d) stack."""
+    return float(np.linalg.svd(stack, compute_uv=False).max())
+
+
 def nsit_operator_residual(
     first: KrausFamily, second: KrausFamily, between: np.ndarray | None = None
 ) -> float:
@@ -323,33 +339,11 @@ def nsit_operator_residual(
             raise ValueError(
                 f"{role} family completeness defect {fam.completeness_defect:.3g} exceeds 1e-06"
             )
-    w = first.weights
-    s_first = first.completeness_operator()
-    diag_fast = first.kind == "diagonal"
-    if diag_fast:
-        # sum_a w_a A' E A reduces to a Hadamard product with the channel
-        # kernel in the family eigenbasis, avoiding the per-outcome sum.
-        kernel = np.einsum("a,ai,aj->ij", w, first.envelopes, first.envelopes)
-        v = first.basis
-    else:
-        a_ops = first.dense_ops()
-        wa_h = a_ops.conj().swapaxes(-1, -2) * w[:, None, None]
-    worst = 0.0
-    for b in range(second.n_outcomes):
-        bb = second.op(b)
-        if between is not None:
-            bb = bb @ between
-        e = bb.conj().T @ bb
-        if diag_fast:
-            if v is None:
-                with_first = e * kernel
-            else:
-                with_first = v @ ((v.conj().T @ e @ v) * kernel) @ v.conj().T
-        else:
-            with_first = (wa_h @ e @ a_ops).sum(axis=0)
-        without = bb.conj().T @ s_first @ bb
-        worst = max(worst, operator_norm(with_first - without))
-    return worst
+    bb = second.dense_ops()
+    if between is not None:
+        bb = bb @ between
+    bh = bb.conj().swapaxes(-1, -2)
+    return _largest_norm(_dual_map(first, bh @ bb) - bh @ first.completeness_operator() @ bb)
 
 
 def commutator_tests(first: KrausFamily, second: KrausFamily) -> dict:
@@ -357,23 +351,13 @@ def commutator_tests(first: KrausFamily, second: KrausFamily) -> dict:
 
     pairwise: largest spectral norm of [A_a, B_b] over all outcome pairs.
     sandwich: largest norm of sum_a w_a A_a' [E_b, A_a] with E_b = B_b' B_b,
-    the combination that actually enters the operator NSIT residual.
+    the combination that actually enters the operator NSIT residual; it is
+    read as Phi*(E_b) - S E_b with S = sum_a w_a A_a' A_a.
     """
-    pairwise = 0.0
-    for a in range(first.n_outcomes):
-        aa = first.op(a)
-        for b in range(second.n_outcomes):
-            bb = second.op(b)
-            pairwise = max(pairwise, operator_norm(aa @ bb - bb @ aa))
-    sandwich = 0.0
-    for b in range(second.n_outcomes):
-        bb = second.op(b)
-        e = bb.conj().T @ bb
-        acc = np.zeros((first.dim, first.dim), dtype=complex)
-        for a in range(first.n_outcomes):
-            aa = first.op(a)
-            acc += first.weights[a] * (aa.conj().T @ (e @ aa - aa @ e))
-        sandwich = max(sandwich, operator_norm(acc))
+    bb = second.dense_ops()
+    pairwise = max(_largest_norm(a @ bb - bb @ a) for a in first.dense_ops())
+    e = bb.conj().swapaxes(-1, -2) @ bb
+    sandwich = _largest_norm(_dual_map(first, e) - first.completeness_operator() @ e)
     return {"pairwise": pairwise, "sandwich": sandwich}
 
 
@@ -416,11 +400,11 @@ def classical_operator(
     refs = list(references)
     if not refs:
         raise ValueError("need at least one reference family")
-    worst = 0.0
-    for ref in refs:
-        worst = max(worst, nsit_operator_residual(candidate, ref, between))
-        worst = max(worst, nsit_operator_residual(ref, candidate, between))
-    return worst
+    return max(
+        nsit_operator_residual(x, y, between)
+        for ref in refs
+        for x, y in ((candidate, ref), (ref, candidate))
+    )
 
 
 def classical_hamiltonian(
@@ -430,8 +414,10 @@ def classical_hamiltonian(
     times,
 ) -> float:
     """classical_operator maximized over evolution intervals exp(-i H t)."""
-    worst = 0.0
-    for t in times:
-        u = unitary_from_hamiltonian(hamiltonian, float(t))
-        worst = max(worst, classical_operator(candidate, references, between=u))
-    return worst
+    times = list(times)
+    if not times:
+        raise ValueError("need at least one evolution time")
+    return max(
+        classical_operator(candidate, references, unitary_from_hamiltonian(hamiltonian, float(t)))
+        for t in times
+    )

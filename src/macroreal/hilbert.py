@@ -227,6 +227,15 @@ def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+def frame_diagonal(frame: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+    """Real diagonal of F' x F for a (d, n) frame F, or of F' F when x is None.
+
+    Entry a is <f_a| x |f_a> for the column f_a, so no (n, n) matrix is formed.
+    """
+    fx = frame if x is None else x @ frame
+    return np.einsum("ia,ia->a", frame.conj(), fx).real
+
+
 def operator_norm(m) -> float:
     """Spectral norm (largest singular value)."""
     return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).max())

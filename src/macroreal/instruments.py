@@ -25,7 +25,7 @@ from scipy.special import gammaincc, gammaln
 from macroreal.hilbert import (
     DEFAULT_ATOL,
     as_operator,
-    coherent_amplitudes,
+    frame_diagonal,
     norm_exceeds,
     operator_norm,
     quadrature_operators,
@@ -197,9 +197,7 @@ class KrausFamily:
             if self.basis is None:
                 return np.diag(diag).astype(complex)
             return (self.basis * diag) @ self.basis.conj().T
-        coef = self.weights * self.scale**2 * np.einsum(
-            "ia,ia->a", self.left.conj(), self.left
-        ).real
+        coef = self.weights * self.scale**2 * frame_diagonal(self.left)
         return (self.right * coef) @ self.right.conj().T
 
     def probability_density(self, rho: np.ndarray) -> np.ndarray:
@@ -210,16 +208,11 @@ class KrausFamily:
             if self.basis is None:
                 d = np.diag(rho).real
             else:
-                d = np.einsum(
-                    "ia,ij,ja->a", self.basis.conj(), rho, self.basis, optimize=True
-                ).real
+                d = frame_diagonal(self.basis, rho)
             p = self.envelopes**2 @ d
         else:
-            q = np.einsum(
-                "ia,ij,ja->a", self.right.conj(), rho, self.right, optimize=True
-            ).real
-            norms = np.einsum("ia,ia->a", self.left.conj(), self.left).real
-            p = self.scale**2 * norms * q
+            q = frame_diagonal(self.right, rho)
+            p = self.scale**2 * frame_diagonal(self.left) * q
         return self.weights * p
 
     def channel(self, rho: np.ndarray) -> np.ndarray:
@@ -233,10 +226,7 @@ class KrausFamily:
                 return rho * kernel
             v = self.basis
             return v @ ((v.conj().T @ rho @ v) * kernel) @ v.conj().T
-        q = np.einsum(
-            "ia,ij,ja->a", self.right.conj(), rho, self.right, optimize=True
-        ).real
-        coef = self.weights * self.scale**2 * q
+        coef = self.weights * self.scale**2 * frame_diagonal(self.right, rho)
         return (self.left * coef) @ self.left.conj().T
 
     def describe(self) -> dict:
@@ -458,7 +448,7 @@ def coherent_projector_family(
     """
     pts = lattice.points
     cols = coherent_columns(pts, dim)
-    norms = np.sqrt(np.einsum("ia,ia->a", cols.conj(), cols).real)
+    norms = np.sqrt(frame_diagonal(cols))
     kets = cols / np.where(norms > 0, norms, 1.0)
     fam = KrausFamily(
         label="coherent_projectors",
@@ -628,20 +618,16 @@ def symmetrize_completeness(family: KrausFamily) -> KrausFamily:
     meta["symmetrized"] = True
     if family.kind == "diagonal":
         if family.basis is None:
-            diag = (family.weights @ family.envelopes**2) ** -0.5
-            envs = family.envelopes * diag[None, :]
+            diag = family.weights @ family.envelopes**2
         else:
-            diag = np.einsum(
-                "ia,ij,ja->a", family.basis.conj(), s, family.basis, optimize=True
-            ).real ** -0.5
-            envs = family.envelopes * diag[None, :]
+            diag = frame_diagonal(family.basis, s)
         return KrausFamily(
             label=family.label,
             outcomes=family.outcomes,
             weights=family.weights,
             kind="diagonal",
             basis=family.basis,
-            envelopes=envs,
+            envelopes=family.envelopes * diag**-0.5,
             meta=meta,
         )
     if family.kind == "rank1":

@@ -20,7 +20,7 @@ import math
 import numpy as np
 import scipy.fft
 
-from macroreal.hilbert import StateVector, coherent_state, default_fock_dim
+from macroreal.hilbert import StateVector, coherent_state, default_fock_dim, frame_diagonal
 from macroreal.instruments import (
     ComplexLattice,
     KrausFamily,
@@ -67,7 +67,6 @@ class OutcomeDistribution:
 class OverlapResult:
     value: float
     meta: dict = dataclasses.field(default_factory=dict)
-    error_estimate: float | None = None
 
 
 def bhattacharyya(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
@@ -103,7 +102,7 @@ def husimi(state: np.ndarray, lattice: ComplexLattice, cols: np.ndarray | None =
         vals = np.empty(cols.shape[1])
         for lo in range(0, cols.shape[1], HUSIMI_BLOCK):
             block = cols[:, lo : lo + HUSIMI_BLOCK]
-            vals[lo : lo + HUSIMI_BLOCK] = np.einsum("im,im->m", block.conj(), state @ block).real
+            vals[lo : lo + HUSIMI_BLOCK] = frame_diagonal(block, state)
     return OutcomeDistribution(pts, lattice.weights, vals / math.pi)
 
 
@@ -156,33 +155,23 @@ def _invaded_overlap(
     return v, meta
 
 
-def coherent_delta_overlap(
-    gamma, *, dim: int | None = None, step: float = 0.25, refine: bool = False
-) -> OverlapResult:
+def coherent_delta_overlap(gamma, *, dim: int | None = None, step: float = 0.25) -> OverlapResult:
     """Invasiveness of the discretized coherent-projector readout on |gamma>.
 
     For an ideal delta-like phase-space readout the overlap is 2 sqrt(2) / 3
     independent of gamma; the discretization reproduces that value as the
-    lattice resolves the state. refine repeats the run at half the step and
-    reports the difference as error_estimate.
+    lattice resolves the state.
     """
     g = complex(gamma)
     if dim is None:
         dim = default_fock_dim(g)
     radius = _lattice_radius(g)
     lattice = ComplexLattice.square(radius, step)
-    state = coherent_state(g, dim)
     # the family's bra side, right, is the raw coherent_columns stack of the lattice
     fam = coherent_projector_family(lattice, dim)
-    value, meta = _invaded_overlap(state, fam, lattice, fam.right)
+    value, meta = _invaded_overlap(coherent_state(g, dim), fam, lattice, fam.right)
     meta.update({"gamma": [g.real, g.imag], "dim": dim, "ideal": 2.0 * math.sqrt(2.0) / 3.0})
-    err = None
-    if refine:
-        fine = ComplexLattice.square(radius, step / 2.0)
-        fam_f = coherent_projector_family(fine, dim)
-        v2, _ = _invaded_overlap(state, fam_f, fine, fam_f.right)
-        err = abs(v2 - value)
-    return OverlapResult(value=value, meta=meta, error_estimate=err)
+    return OverlapResult(value=value, meta=meta)
 
 
 def ring_overlap(d: float, gamma, *, dim: int | None = None, step: float = 0.25) -> OverlapResult:

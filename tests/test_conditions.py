@@ -33,12 +33,16 @@ from macroreal.conditions import (
 )
 from macroreal.hilbert import DensityState, number_operator, operator_norm
 from macroreal.instruments import (
+    ComplexLattice,
     KrausFamily,
+    coherent_projector_family,
+    fock_bin_family,
     gaussian_p_family,
     gaussian_x_family,
     identity_family,
     projective_family,
     single_kraus_family,
+    symmetrize_completeness,
 )
 from macroreal.scenario import Scenario, ScenarioBatch, Slot, joint_distribution
 
@@ -220,21 +224,40 @@ def test_nsit_operator_residual_matches_einsum_form():
         v = haar_unitary(rng, n * dim)[:, :dim].reshape(n, dim, dim)
         return KrausFamily("kraus", np.arange(n), w, ops=v / np.sqrt(w)[:, None, None])
 
-    rng = np.random.default_rng(21)
-    for dim in range(2, 7):
-        first, second = random_kraus(rng, dim, 3), random_kraus(rng, dim, 2)
-        between = haar_unitary(rng, dim)
-        a, s_first = first.ops, first.completeness_operator()
-        want = 0.0
-        for b in second.ops:
+    def einsum_forms(first, second, between):
+        """The residual and the sandwich norm summed over first's outcomes."""
+        w, a, s_first = first.weights, first.dense_ops(), first.completeness_operator()
+        residual = sandwich = 0.0
+        for b in second.dense_ops():
             bb = b @ between
             e = bb.conj().T @ bb
-            with_first = np.einsum(
-                "a,aji,jk,akl->il", first.weights, a.conj(), e, a, optimize=True
-            )
-            want = max(want, operator_norm(with_first - bb.conj().T @ s_first @ bb))
-        assert want > 1e-3
-        assert abs(nsit_operator_residual(first, second, between) - want) < 1e-14
+            with_first = np.einsum("a,aji,jk,akl->il", w, a.conj(), e, a, optimize=True)
+            residual = max(residual, operator_norm(with_first - bb.conj().T @ s_first @ bb))
+            e = b.conj().T @ b
+            acc = np.einsum("a,aji,ajk->ik", w, a.conj(), e @ a - a @ e, optimize=True)
+            sandwich = max(sandwich, operator_norm(acc))
+        return residual, sandwich
+
+    rng = np.random.default_rng(21)
+    cases = [
+        (random_kraus(rng, dim, 3), random_kraus(rng, dim, 2), haar_unitary(rng, dim))
+        for dim in range(2, 7)
+    ]
+    # a diagonal family with a basis, a Fock-diagonal one and a complete rank-one one
+    lattice = ComplexLattice.square(5.0, 0.5)
+    cases += [
+        (first, random_kraus(rng, 8, 2), haar_unitary(rng, 8))
+        for first in (
+            gaussian_x_family(0.8, 8),
+            fock_bin_family("2m", 8),
+            symmetrize_completeness(coherent_projector_family(lattice, 8)),
+        )
+    ]
+    for first, second, between in cases:
+        residual, sandwich = einsum_forms(first, second, between)
+        assert residual > 1e-3
+        assert abs(nsit_operator_residual(first, second, between) - residual) < 1e-14
+        assert abs(commutator_tests(first, second)["sandwich"] - sandwich) < 1e-14
 
 
 def test_projective_necessity_both_ways():
@@ -270,6 +293,8 @@ def test_classical_hamiltonian_sees_rotation():
     rotated = classical_hamiltonian(fam, [fam], h, [0.0, math.pi / 2.0])
     assert quiet < 1e-10
     assert rotated > 10.0 * max(quiet, 1e-12)
+    with pytest.raises(ValueError, match="^need at least one evolution time$"):
+        classical_hamiltonian(fam, [fam], h, [])
 
 
 def test_each_experiment_table_is_computed_once(monkeypatch, capsys):
