@@ -47,8 +47,12 @@ def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _signaling(tables, of: tuple, keep: tuple) -> np.ndarray:
-    """Largest shift of the keep-slot statistics when the slots of are measured too."""
-    return _sup(tables[keep], _marginal(tables, of, keep))
+    """Largest shift of the keep-slot statistics when the slots of are measured too.
+
+    The larger experiment is read first, so its kernel pass also fills keep.
+    """
+    marginal = _marginal(tables, of, keep)
+    return _sup(tables[keep], marginal)
 
 
 def nsit_residual(tables, i: int, j: int) -> np.ndarray:
@@ -95,10 +99,15 @@ def nic_values(tables) -> dict:
 
 
 def mr012_residuals(tables) -> dict:
-    """The bundle's named conditions; AoT is the worst AoT_i(j) over slot pairs."""
+    """The bundle's named conditions; AoT is the worst AoT_i(j) over slot pairs.
+
+    The sandwich reads the full joint first, whose kernel pass fills all seven
+    experiment tables.
+    """
+    sandwich = sandwich_residual(tables)
     return {
         "NSIT_(1)2": nsit_residual(tables, 1, 2),
-        "NSIT_0(1)2": sandwich_residual(tables),
+        "NSIT_0(1)2": sandwich,
         "NSIT_(0)12": leading_residual(tables),
         "AoT": np.maximum.reduce([aot_residual(tables, i, j) for i, j in PAIRS]),
     }
@@ -414,10 +423,10 @@ def classical_hamiltonian(
     times,
 ) -> float:
     """classical_operator maximized over evolution intervals exp(-i H t)."""
-    times = list(times)
+    refs, times = list(references), list(times)
     if not times:
         raise ValueError("need at least one evolution time")
     return max(
-        classical_operator(candidate, references, unitary_from_hamiltonian(hamiltonian, float(t)))
+        classical_operator(candidate, refs, unitary_from_hamiltonian(hamiltonian, float(t)))
         for t in times
     )

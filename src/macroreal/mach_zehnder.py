@@ -214,9 +214,10 @@ def batch_numeric_residuals(points, convention: str = "crossed-p0") -> dict:
     """numeric_residuals of many settings at once: condition name -> (N,) array.
 
     All seven conditions are read off the batch's seven experiment tables (one
-    per nonempty slot subset) by the functions of conditions.py, so each table
-    is computed once for the whole batch. Each pairwise table is its own
-    experiment, not a marginal of the full joint.
+    per nonempty slot subset) by the functions of conditions.py. The bundle
+    reads the full joint first, so one kernel pass computes every table for
+    the whole batch. Each pairwise table is its own experiment, not a
+    marginal of the full joint.
     """
     t = mz_batch(points, convention).tables
     members = mr012_residuals(t)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -104,9 +105,11 @@ class Tables(dict):
     """The experiment tables of N scenarios with shared slots.
 
     The key is the sorted tuple of measured slots, the value the read-only
-    (N, n_a, n_b, ...) array of their outcome tables. Each table is computed
-    on its first lookup and kept, so every condition read off one scenario
-    shares it.
+    (N, n_a, n_b, ...) array of their outcome tables. A missing table is
+    computed by one kernel pass that also yields every experiment measuring a
+    subset of its slots; the pass stores each of those not stored yet, so a
+    reader that asks for its largest experiment first pays one pass, and
+    every condition read off one scenario shares the same arrays.
     """
 
     def __init__(self, initial: np.ndarray, evolutions, slots: tuple):
@@ -119,10 +122,21 @@ class Tables(dict):
         key = _measured_slots(len(self.slots), measured)
         if key != measured:
             raise KeyError(f"tables are keyed by the sorted tuple of measured slots, {key}")
-        values = _tables(self.initial, self.evolutions, self.slots, key)
-        values.flags.writeable = False
-        self[key] = values
-        return values
+        every = _tables(self.initial, self.evolutions, self.slots, key)
+        # index 0 leaves a slot unmeasured and has weight 1, 1 + a is outcome a
+        wgrid = np.ones(())
+        for k in key:
+            wgrid = np.multiply.outer(wgrid, np.append(1.0, self.slots[k].instrument.weights))
+        every = every * wgrid
+        every.flags.writeable = False
+        n = self.initial.shape[0]
+        for r in range(len(key) + 1):
+            for sub in itertools.combinations(key, r):
+                if sub not in self:
+                    pick = tuple(slice(1, None) if k in sub else 0 for k in key)
+                    shape = [self.slots[k].instrument.n_outcomes for k in sub] or [1]
+                    self[sub] = every[(slice(None), *pick)].reshape(n, *shape)
+        return self[key]
 
 
 def _check_layout(dim: int, slots: tuple, evolutions) -> None:
@@ -196,41 +210,61 @@ def _measured_slots(n_slots: int, measured) -> tuple[int, ...]:
 
 
 def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
-    """Outcome tables of N scenarios with shared slots, shape (N, n_a, n_b, ...).
+    """Unweighted tables of every experiment on a subset of the measured slots.
 
-    Branches are propagated as an (N, branch, d, d) stack of conditional
-    density matrices, one per outcome combination so far; unmeasured slots
-    apply no map. With nothing measured each table is the single value (1,).
+    Returns the (N, 1 + n_a, 1 + n_b, ...) array over the measured slots a,
+    b, ...: index 0 leaves that slot unmeasured and 1 + i reads its outcome
+    i, so the table of a subset is the view with index 0 on the other slots.
+    Branches are one (N, branch, d, d) stack of conditional density
+    matrices. At each measured slot before the last, every branch is carried
+    on unmeasured and under each Kraus operator. The last measured slot is
+    read in the Heisenberg picture: its effects K_i' K_i are conjugated once
+    by the evolution into it, and every probability is one product of the
+    branch stack with [I, U' K_i' K_i U], whose identity row gives the
+    experiments that leave the slot unmeasured. Evolutions after that slot
+    leave every trace unchanged and are skipped. With nothing measured the
+    array is (N,).
     """
     n, d = initial.shape[0], initial.shape[-1]
-    fams = [slots[k].instrument for k in measured]
-    shape = [f.n_outcomes for f in fams]
-    # The last measure step holds the most branches; its product and the
-    # intermediate before it are the peak of the whole run.
-    peak = 2 * n * math.prod(shape) * d * d * 16
+    if not measured:
+        return np.trace(initial, axis1=1, axis2=2).real
+    *prefix, last = measured
+    n_last = slots[last].instrument.n_outcomes
+    n_branches = math.prod(1 + slots[k].instrument.n_outcomes for k in prefix)
+    # The branch stack before the last slot and its growth buffer (or the
+    # product of an evolution), the conjugated effects, and the probabilities:
+    # complex, then their weight grid and the weighted real tables.
+    peak = 16 * n * (2 * n_branches * d * d + (1 + n_last) * (d * d + 2 * n_branches))
     if peak > PHYSICAL_MEMORY_BYTES:
         raise ValueError(
             f"outcome tables need {peak:,} bytes at their peak, more than the "
             f"{PHYSICAL_MEMORY_BYTES:,} bytes of physical memory"
         )
-    branches = initial[:, None]
-    for k in range(len(slots)):
+    branches = initial[:, None].copy()
+    for k in range(last):
         if k > 0:
             u = evolutions[k - 1][:, None]
-            branches = u @ branches @ u.conj().swapaxes(-1, -2)
-        if k in measured:
+            np.matmul(u @ branches, u.conj().swapaxes(-1, -2), out=branches)
+        if k in prefix:
             ops = slots[k].instrument.dense_ops()
-            # (branch, outcome) order: K_a rho_b K_a^dagger at index [b, a]
-            branches = ops @ branches[:, :, None] @ ops.conj().transpose(0, 2, 1)
-            branches = branches.reshape(n, -1, d, d)
-    traces = np.trace(branches, axis1=2, axis2=3).real
-    values = traces.reshape(n, *(shape or [1]))
-    if fams:
-        wgrid = np.ones(())
-        for f in fams:
-            wgrid = np.multiply.outer(wgrid, f.weights)
-        values = values * wgrid
-    return values
+            grown = np.empty((n, branches.shape[1], 1 + ops.shape[0], d, d), dtype=complex)
+            grown[:, :, 0] = branches
+            # K_i rho_b K_i' at index [b, 1 + i]
+            np.matmul(ops @ branches[:, :, None], ops.conj().swapaxes(-1, -2), out=grown[:, :, 1:])
+            branches = grown.reshape(n, -1, d, d)
+    ops = slots[last].instrument.dense_ops()
+    effects = ops.conj().swapaxes(-1, -2) @ ops
+    if last > 0:
+        u = evolutions[last - 1]
+        effects = u.conj().swapaxes(-1, -2)[:, None] @ effects @ u[:, None]
+    else:
+        effects = effects[None]
+    # tr(E rho) = sum_ij rho_ij E_ji: column 1 + i holds the flattened E_i^T
+    flat = np.empty((effects.shape[0], d * d, 1 + n_last), dtype=complex)
+    flat[:, :, 0] = np.eye(d).ravel()
+    flat[:, :, 1:] = effects.swapaxes(-1, -2).reshape(-1, n_last, d * d).swapaxes(-1, -2)
+    probs = branches.reshape(n, -1, d * d) @ flat
+    return probs.real.reshape(n, *(1 + slots[k].instrument.n_outcomes for k in measured))
 
 
 def batch_joint_distribution(batch: ScenarioBatch, measured=None) -> np.ndarray:

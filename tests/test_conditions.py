@@ -44,6 +44,7 @@ from macroreal.instruments import (
     single_kraus_family,
     symmetrize_completeness,
 )
+from macroreal.mach_zehnder import MZParams, batch_numeric_residuals
 from macroreal.scenario import Scenario, ScenarioBatch, Slot, joint_distribution
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -295,34 +296,55 @@ def test_classical_hamiltonian_sees_rotation():
     assert rotated > 10.0 * max(quiet, 1e-12)
     with pytest.raises(ValueError, match="^need at least one evolution time$"):
         classical_hamiltonian(fam, [fam], h, [])
+    # a generator of references serves every time, not only the first
+    assert classical_hamiltonian(fam, (f for f in [fam]), h, [0.0, math.pi / 2.0]) == rotated
 
 
 def test_each_experiment_table_is_computed_once(monkeypatch, capsys):
-    calls = []
+    passes, stored = [], []
     kernel = scenario_module._tables
+    store = scenario_module.Tables.__setitem__
 
     def counted(initial, evolutions, slots, measured):
-        calls.append(measured)
+        passes.append(measured)
         return kernel(initial, evolutions, slots, measured)
 
+    def recorded(tables, key, values):
+        stored.append(key)
+        store(tables, key, values)
+
     monkeypatch.setattr(scenario_module, "_tables", counted)
-    subsets = [(0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
+    monkeypatch.setattr(scenario_module.Tables, "__setitem__", recorded)
+    every = [(), (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
     assert main(["nsit-check", str(resources.files("macroreal") / "data" / "mz_phi0.json")]) == 1
     capsys.readouterr()
-    assert sorted(calls) == subsets
+    assert passes == [(0, 1, 2)]
+    assert sorted(stored) == every
 
-    calls.clear()
+    passes.clear()
+    stored.clear()
     sc = random_scenario(np.random.default_rng(31))
     bundle = mr012_check(sc).to_dict()
     lgi_012(sc)
     nic_012(sc)
-    assert sorted(calls) == subsets
+    assert passes == [(0, 1, 2)]
+    assert sorted(stored) == every
+    assert not any(values.flags.writeable for values in sc.tables.values())
     with pytest.raises(ValueError):
         sc.tables[(0,)][0, 0] = 0.5
     with pytest.raises(ValueError):
         joint_distribution(sc).values[0, 0, 0] = 0.5
     assert mr012_check(sc).to_dict() == bundle
-    assert len(calls) == 7
+    assert len(passes) == 1 and len(stored) == 8
+
+    passes.clear()
+    stored.clear()
+    rng = np.random.default_rng(32)
+    points = [MZParams(rng.random(), rng.random(), 2.0 * math.pi * rng.random()) for _ in range(5)]
+    for batch in (points[:1], points):
+        batch_numeric_residuals(batch)
+    assert passes == [(0, 1, 2)] * 2
+    assert sorted(stored) == sorted(every * 2)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

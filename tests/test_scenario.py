@@ -6,7 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import haar_unitary, random_density, random_full_projective_family
+from helpers import (
+    haar_unitary,
+    random_density,
+    random_dichotomic_family,
+    random_full_projective_family,
+)
 from macroreal.conditions import correlator
 from macroreal.hilbert import DensityState, coherent_state
 from macroreal.instruments import (
@@ -158,15 +163,18 @@ def test_batch_validation_names_the_bad_item():
 
 
 def test_table_size_estimate_raises_before_allocating():
-    # three 625-outcome slots at dim 30: 625^3 branches of 30 x 30 matrices
+    # four 625-outcome slots at dim 30: 626^3 branches of 30 x 30 matrices
+    # reach the last slot, which is read through its 1 + 625 effects
     fam = coherent_projector_family(ComplexLattice.square(3.0, 0.25), 30)
     assert fam.n_outcomes == 625
     sc = Scenario(
         coherent_state(0.5, 30).density(),
-        tuple(Slot(float(k), fam) for k in range(3)),
-        (np.eye(30), np.eye(30)),
+        tuple(Slot(float(k), fam) for k in range(4)),
+        (np.eye(30),) * 3,
     )
-    peak = 2 * 625**3 * 30**2 * 16
+    branches = 626**3
+    peak = 16 * (2 * branches * 30**2 + 626 * (30**2 + 2 * branches))
+    assert peak > 10**12
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"{peak:,} bytes"):
@@ -175,6 +183,55 @@ def test_table_size_estimate_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert allocated < 10_000_000
+
+
+def _random_batch(rng, dim, fams, n):
+    states = [random_density(rng, dim) for _ in range(n)]
+    evos = [tuple(haar_unitary(rng, dim) for _ in fams[1:]) for _ in range(n)]
+    slots = tuple(Slot(float(k), f) for k, f in enumerate(fams))
+    batch = ScenarioBatch(
+        np.stack([st.matrix for st in states]),
+        slots,
+        tuple(np.stack([e[k] for e in evos]) for k in range(len(fams) - 1)),
+    )
+    return batch, [Scenario(states[i], slots, evos[i]) for i in range(n)]
+
+
+def test_one_pass_yields_every_subset_table():
+    rng = np.random.default_rng(15)
+    fams = [random_dichotomic_family(rng, 3) for _ in range(4)]
+    (sc,) = _random_batch(rng, 3, fams, 1)[1]
+    sc.tables[(0, 1, 2, 3)]
+    assert len(sc.tables) == 16
+    for r in range(1, 5):
+        for measured in itertools.combinations(range(4), r):
+            gap = np.max(np.abs(sc.tables[measured][0] - brute_force_joint(sc, measured)))
+            assert gap < 1e-13, measured
+
+    # a continuous readout: the weights of a grid of outcomes are not 1
+    dim = 6
+    fam = gaussian_x_family(0.8, dim, Grid1D(-6.0, 6.0, 41))
+    assert np.all(fam.weights != 1.0)
+    (sc,) = _random_batch(rng, dim, [fam, fam], 1)[1]
+    sc.tables[(0, 1)]
+    for measured in [(0,), (1,), (0, 1)]:
+        assert np.max(np.abs(sc.tables[measured][0] - brute_force_joint(sc, measured))) < 1e-13
+
+    # last measured slot 0 on a batch: its effects are shared by every item
+    fams = [random_full_projective_family(rng, 3) for _ in range(3)]
+    batch, singles = _random_batch(rng, 3, fams, 5)
+    order = [(), (0,), (0, 1, 2)]
+    for measured in order:
+        stacked = batch.tables[measured]
+        assert stacked.shape == (5, *([3] * len(measured) or [1]))
+        for sc in singles:
+            sc.tables[measured]
+    for i, sc in enumerate(singles):
+        for measured in [(), (0,)]:
+            assert np.max(np.abs(batch.tables[measured][i] - brute_force_joint(sc, measured))) < 1e-13
+        assert sc.tables.keys() == batch.tables.keys()
+        for measured, values in batch.tables.items():
+            assert np.array_equal(values[i], sc.tables[measured][0]), measured
 
 
 def test_marginalize_consistency():
