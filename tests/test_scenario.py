@@ -220,8 +220,7 @@ def test_one_pass_yields_every_subset_table():
     # last measured slot 0 on a batch: its effects are shared by every item
     fams = [random_full_projective_family(rng, 3) for _ in range(3)]
     batch, singles = _random_batch(rng, 3, fams, 5)
-    order = [(), (0,), (0, 1, 2)]
-    for measured in order:
+    for measured in [(), (0,), (0, 1, 2)]:
         stacked = batch.tables[measured]
         assert stacked.shape == (5, *([3] * len(measured) or [1]))
         for sc in singles:
