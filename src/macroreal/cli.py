@@ -291,16 +291,15 @@ def cmd_nsit_check(args: argparse.Namespace) -> int:
         _note(f"nsit-check: cannot load scenario {path!r}: {exc}")
         return EXIT_USAGE
 
-    # the full joint first: its one kernel pass fills every experiment table
-    scenario.tables[tuple(range(scenario.n_slots))]
+    # the bundle reads the full joint first, whose one pass fills every table
+    bundle = mr012_check(scenario, threshold=args.tol) if scenario.n_slots == 3 else None
     reports = []
     for i in range(scenario.n_slots):
         for j in range(i + 1, scenario.n_slots):
             reports.append(nsit_two_time(scenario, i, j, threshold=args.tol))
             reports.append(aot_check(scenario, i, j, threshold=args.tol))
 
-    bundle = None
-    if scenario.n_slots == 3:
+    if bundle is not None:
         reports.append(nsit_sandwich(scenario, threshold=args.tol))
         reports.append(nsit_leading(scenario, threshold=args.tol))
         # LGI_012 needs +-1 outcomes at all three slots, NIC_0(1)2 only at 0 and 2
@@ -309,7 +308,6 @@ def cmd_nsit_check(args: argparse.Namespace) -> int:
                 reports.append(check(scenario, threshold=args.tol))
             except ValueError as exc:
                 _note(f"nsit-check: {name} skipped: {exc}")
-        bundle = mr012_check(scenario, threshold=args.tol)
     else:
         _note(
             f"nsit-check: scenario has {scenario.n_slots} slots, "

@@ -47,12 +47,19 @@ def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _signaling(tables, of: tuple, keep: tuple) -> np.ndarray:
-    """Largest shift of the keep-slot statistics when the slots of are measured too.
+    """Largest shift of the keep-slot statistics when the slots of are measured too."""
+    return _sup(tables[keep], _marginal(tables, of, keep))
 
-    The larger experiment is read first, so its kernel pass also fills keep.
+
+def _bundle(tables):
+    """The tables of a three-slot bundle with the full joint read first.
+
+    Its one kernel pass also stores the six smaller experiments, so every
+    bundle condition costs one pass on a fresh table dict and reads tables
+    that all come from the same pass.
     """
-    marginal = _marginal(tables, of, keep)
-    return _sup(tables[keep], marginal)
+    tables[FULL]
+    return tables
 
 
 def nsit_residual(tables, i: int, j: int) -> np.ndarray:
@@ -67,12 +74,12 @@ def aot_residual(tables, i: int, j: int) -> np.ndarray:
 
 def sandwich_residual(tables) -> np.ndarray:
     """NSIT_0(1)2: the middle slot must be ignorable."""
-    return _signaling(tables, FULL, (0, 2))
+    return _signaling(_bundle(tables), FULL, (0, 2))
 
 
 def leading_residual(tables) -> np.ndarray:
     """NSIT_(0)12: the first slot must be ignorable."""
-    return _signaling(tables, FULL, (1, 2))
+    return _signaling(_bundle(tables), FULL, (1, 2))
 
 
 def correlator(tables, i: int, j: int, of: tuple | None = None) -> np.ndarray:
@@ -86,6 +93,7 @@ def correlator(tables, i: int, j: int, of: tuple | None = None) -> np.ndarray:
 def lgi_values(tables) -> dict:
     """C01 + C12 - C02 <= 1: each correlator from its own two-slot experiment,
     K the left side and residual the amount by which K exceeds 1."""
+    tables = _bundle(tables)
     c01, c12, c02 = correlator(tables, 0, 1), correlator(tables, 1, 2), correlator(tables, 0, 2)
     k = c01 + c12 - c02
     return {"residual": np.maximum(k - 1.0, 0.0), "K": k, "C01": c01, "C12": c12, "C02": c02}
@@ -93,21 +101,18 @@ def lgi_values(tables) -> dict:
 
 def nic_values(tables) -> dict:
     """NIC_0(1)2: C02 with and without the middle measurement, and their distance."""
+    tables = _bundle(tables)
     bare = correlator(tables, 0, 2)
     probed = correlator(tables, 0, 2, of=FULL)
     return {"residual": np.abs(bare - probed), "C02": bare, "C02_with_middle": probed}
 
 
 def mr012_residuals(tables) -> dict:
-    """The bundle's named conditions; AoT is the worst AoT_i(j) over slot pairs.
-
-    The sandwich reads the full joint first, whose kernel pass fills all seven
-    experiment tables.
-    """
-    sandwich = sandwich_residual(tables)
+    """The bundle's named conditions; AoT is the worst AoT_i(j) over slot pairs."""
+    tables = _bundle(tables)
     return {
         "NSIT_(1)2": nsit_residual(tables, 1, 2),
-        "NSIT_0(1)2": sandwich,
+        "NSIT_0(1)2": sandwich_residual(tables),
         "NSIT_(0)12": leading_residual(tables),
         "AoT": np.maximum.reduce([aot_residual(tables, i, j) for i, j in PAIRS]),
     }
@@ -268,7 +273,7 @@ def mr012_check(
     _require_three_slots(scenario)
     if mismatch_threshold is None:
         mismatch_threshold = threshold
-    tables = scenario.tables
+    tables = _bundle(scenario.tables)
 
     detail = {}
     sup = 0.0

@@ -109,7 +109,11 @@ class Tables(dict):
     computed by one kernel pass that also yields every experiment measuring a
     subset of its slots; the pass stores each of those not stored yet, so a
     reader that asks for its largest experiment first pays one pass, and
-    every condition read off one scenario shares the same arrays.
+    every condition read off one scenario shares the same arrays. A table
+    stored by a larger experiment's pass and one computed by its own pass
+    agree to roundoff, not bit for bit, so stored values can depend on the
+    order of the requests; the three-slot bundle conditions always read the
+    full joint first.
     """
 
     def __init__(self, initial: np.ndarray, evolutions, slots: tuple):
@@ -209,6 +213,29 @@ def _measured_slots(n_slots: int, measured) -> tuple[int, ...]:
     return measured
 
 
+def _peak_bytes(n: int, d: int, slots, measured) -> int:
+    """Bytes that the table pass for measured holds at its peak, N = n.
+
+    B is the number of branches before the last measured slot and e the
+    effect stack of 1 + n_last matrices, one per item once an evolution
+    conjugates it. The pass peaks in one of three steps. Growing or evolving
+    the branch stack holds the old stack and a product beside the new one
+    (2 B matrices per item) and the slot's operators. Reading the last slot
+    holds the stack, its operators, their effects, e and the complex
+    probabilities. Weighting holds the complex probabilities, their weight
+    grid and the weighted real tables.
+    """
+    *prefix, last = measured
+    n_last = slots[last].instrument.n_outcomes
+    n_prefix = max((slots[k].instrument.n_outcomes for k in prefix), default=0)
+    b = math.prod(1 + slots[k].instrument.n_outcomes for k in prefix)
+    e = (n if last > 0 else 1) * (1 + n_last)
+    entries = b * (1 + n_last)
+    grow = 2 * n * b * d * d + (2 * n_prefix + n) * d * d
+    read = n * b * d * d + (2 * n_last + e + 2 * n) * d * d + n * entries
+    return max(16 * grow, 16 * read, 24 * n * entries + 16 * entries)
+
+
 def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
     """Unweighted tables of every experiment on a subset of the measured slots.
 
@@ -228,18 +255,13 @@ def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
     n, d = initial.shape[0], initial.shape[-1]
     if not measured:
         return np.trace(initial, axis1=1, axis2=2).real
-    *prefix, last = measured
-    n_last = slots[last].instrument.n_outcomes
-    n_branches = math.prod(1 + slots[k].instrument.n_outcomes for k in prefix)
-    # The branch stack before the last slot and its growth buffer (or the
-    # product of an evolution), the conjugated effects, and the probabilities:
-    # complex, then their weight grid and the weighted real tables.
-    peak = 16 * n * (2 * n_branches * d * d + (1 + n_last) * (d * d + 2 * n_branches))
+    peak = _peak_bytes(n, d, slots, measured)
     if peak > PHYSICAL_MEMORY_BYTES:
         raise ValueError(
             f"outcome tables need {peak:,} bytes at their peak, more than the "
             f"{PHYSICAL_MEMORY_BYTES:,} bytes of physical memory"
         )
+    *prefix, last = measured
     branches = initial[:, None].copy()
     for k in range(last):
         if k > 0:
@@ -253,16 +275,19 @@ def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
             np.matmul(ops @ branches[:, :, None], ops.conj().swapaxes(-1, -2), out=grown[:, :, 1:])
             branches = grown.reshape(n, -1, d, d)
     ops = slots[last].instrument.dense_ops()
-    effects = ops.conj().swapaxes(-1, -2) @ ops
+    # tr(E rho) = sum_ij rho_ij conj(E_ij) for Hermitian E, so row 1 + i of
+    # flat holds conj(U' E_i U) = U^T conj(E_i) conj(U), with conj(K'K) = K^T conj(K)
+    effects = ops.swapaxes(-1, -2) @ ops.conj()
+    flat = np.empty((n if last > 0 else 1, 1 + len(effects), d, d), dtype=complex)
+    flat[:, 0] = np.eye(d)
     if last > 0:
         u = evolutions[last - 1]
-        effects = u.conj().swapaxes(-1, -2)[:, None] @ effects @ u[:, None]
+        ut, uc = u.swapaxes(-1, -2), u.conj()
+        for i, e in enumerate(effects):
+            np.matmul(ut @ e, uc, out=flat[:, 1 + i])
     else:
-        effects = effects[None]
-    # tr(E rho) = sum_ij rho_ij E_ji: column 1 + i holds the flattened E_i^T
-    flat = np.empty((effects.shape[0], d * d, 1 + n_last), dtype=complex)
-    flat[:, :, 0] = np.eye(d).ravel()
-    flat[:, :, 1:] = effects.swapaxes(-1, -2).reshape(-1, n_last, d * d).swapaxes(-1, -2)
+        flat[0, 1:] = effects
+    flat = flat.reshape(flat.shape[0], -1, d * d).swapaxes(-1, -2)
     probs = branches.reshape(n, -1, d * d) @ flat
     return probs.real.reshape(n, *(1 + slots[k].instrument.n_outcomes for k in measured))
 

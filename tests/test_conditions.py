@@ -45,7 +45,7 @@ from macroreal.instruments import (
     symmetrize_completeness,
 )
 from macroreal.mach_zehnder import MZParams, batch_numeric_residuals
-from macroreal.scenario import Scenario, ScenarioBatch, Slot, joint_distribution
+from macroreal.scenario import Scenario, ScenarioBatch, Slot, joint_distribution, save_scenario
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -300,7 +300,7 @@ def test_classical_hamiltonian_sees_rotation():
     assert classical_hamiltonian(fam, (f for f in [fam]), h, [0.0, math.pi / 2.0]) == rotated
 
 
-def test_each_experiment_table_is_computed_once(monkeypatch, capsys):
+def test_each_experiment_table_is_computed_once(monkeypatch, capsys, tmp_path):
     passes, stored = [], []
     kernel = scenario_module._tables
     store = scenario_module.Tables.__setitem__
@@ -336,6 +336,31 @@ def test_each_experiment_table_is_computed_once(monkeypatch, capsys):
         joint_distribution(sc).values[0, 0, 0] = 0.5
     assert mr012_check(sc).to_dict() == bundle
     assert len(passes) == 1 and len(stored) == 8
+
+    # each bundle condition alone reads the full joint first
+    rng = np.random.default_rng(33)
+    for check in (lgi_012, nic_012, nsit_sandwich, nsit_leading):
+        passes.clear()
+        check(random_scenario(rng))
+        assert passes == [(0, 1, 2)], check.__name__
+
+    # four slots: no bundle, so no pass measures more than a slot pair
+    passes.clear()
+    sc = random_scenario(rng)
+    path = tmp_path / "four_slot.json"
+    save_scenario(
+        Scenario(
+            sc.initial,
+            (*sc.slots, Slot(3.0, sc.slots[0].instrument)),
+            (*sc.evolutions, haar_unitary(rng, 2)),
+        ),
+        path,
+    )
+    main(["nsit-check", str(path)])
+    captured = capsys.readouterr()
+    assert "bundle skipped" in captured.err
+    assert len(captured.out.splitlines()) == 12
+    assert max(len(measured) for measured in passes) == 2
 
     passes.clear()
     stored.clear()

@@ -26,6 +26,7 @@ from macroreal.scenario import (
     Scenario,
     ScenarioBatch,
     Slot,
+    _peak_bytes,
     batch_joint_distribution,
     joint_distribution,
     marginalize,
@@ -163,8 +164,9 @@ def test_batch_validation_names_the_bad_item():
 
 
 def test_table_size_estimate_raises_before_allocating():
-    # four 625-outcome slots at dim 30: 626^3 branches of 30 x 30 matrices
-    # reach the last slot, which is read through its 1 + 625 effects
+    # four 625-outcome slots at dim 30: growing the stack to 626^3 branches of
+    # 30 x 30 matrices holds two stacks of that size and the slot's operators
+    # and their conjugates, more than the read of the last slot or the weighting
     fam = coherent_projector_family(ComplexLattice.square(3.0, 0.25), 30)
     assert fam.n_outcomes == 625
     sc = Scenario(
@@ -173,7 +175,7 @@ def test_table_size_estimate_raises_before_allocating():
         (np.eye(30),) * 3,
     )
     branches = 626**3
-    peak = 16 * (2 * branches * 30**2 + 626 * (30**2 + 2 * branches))
+    peak = 16 * (2 * branches + 2 * 625 + 1) * 30**2
     assert peak > 10**12
     tracemalloc.start()
     try:
@@ -183,6 +185,25 @@ def test_table_size_estimate_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert allocated < 10_000_000
+
+
+def test_table_size_estimate_is_the_traced_peak():
+    # the read of the last slot dominates: one measured slot, or the last of two
+    # behind an evolution; a grid readout of two slots weighs its branches
+    rng = np.random.default_rng(16)
+    cells = coherent_projector_family(ComplexLattice.square(3.0, 0.25), 30)
+    grid = gaussian_x_family(0.8, 12, Grid1D(-9.0, 9.0, 301))
+    cases = [(cells, 1, (0,)), (cells, 4, (0,)), (cells, 4, (1,)), (grid, 4, (0, 1))]
+    for fam, n, measured in cases:
+        batch = _random_batch(rng, fam.dim, [fam, fam], n)[0]
+        estimate = _peak_bytes(n, fam.dim, batch.slots, measured)
+        tracemalloc.start()
+        try:
+            batch.tables[measured]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.98 * estimate < peak < 1.02 * estimate, (n, measured, peak, estimate)
 
 
 def _random_batch(rng, dim, fams, n):
@@ -225,6 +246,11 @@ def test_one_pass_yields_every_subset_table():
         assert stacked.shape == (5, *([3] * len(measured) or [1]))
         for sc in singles:
             sc.tables[measured]
+    # a table read before the full joint comes from its own pass, equal to roundoff
+    sc = singles[0]
+    fresh = Scenario(sc.initial, sc.slots, sc.evolutions)
+    for measured in [(0,), (1,), (0, 2)]:
+        assert np.max(np.abs(fresh.tables[measured] - sc.tables[measured])) < 1e-15
     for i, sc in enumerate(singles):
         for measured in [(), (0,)]:
             assert np.max(np.abs(batch.tables[measured][i] - brute_force_joint(sc, measured))) < 1e-13
