@@ -27,6 +27,14 @@ DEFAULT_THRESHOLD = 1e-9
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 FULL = (0, 1, 2)
+MISMATCH = ((0,), (1,), (2,), *PAIRS)
+# (keep, of) of every comparison of tables[keep] with the marginal of tables[of]:
+# the six mismatch subsets against the full joint, then NSIT_(1)2 and AoT_i(j)
+COMPARISONS = (
+    *((keep, FULL) for keep in MISMATCH),
+    ((2,), (1, 2)),
+    *(((i,), (i, j)) for i, j in PAIRS),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -40,10 +48,6 @@ def _marginal(tables, of: tuple, keep: tuple) -> np.ndarray:
 
 def _sup(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b).max(axis=tuple(range(1, a.ndim)))
-
-
-def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return 0.5 * np.abs(a - b).sum(axis=tuple(range(1, a.ndim)))
 
 
 def _signaling(tables, of: tuple, keep: tuple) -> np.ndarray:
@@ -82,11 +86,27 @@ def leading_residual(tables) -> np.ndarray:
     return _signaling(_bundle(tables), FULL, (1, 2))
 
 
+def bundle_distances(tables) -> tuple[np.ndarray, np.ndarray]:
+    """Sup and total variation of every comparison of COMPARISONS, two (N, 10) arrays.
+
+    Column c compares tables[keep] with the marginal of tables[of] for the
+    c-th (keep, of); all ten differences are reduced from one concatenated
+    array, one segment per comparison.
+    """
+    tables = _bundle(tables)
+    n = len(tables[FULL])
+    gaps = [(tables[keep] - _marginal(tables, of, keep)).reshape(n, -1) for keep, of in COMPARISONS]
+    starts = np.cumsum([0] + [g.shape[1] for g in gaps[:-1]])
+    gaps = np.abs(np.concatenate(gaps, axis=1))
+    return np.maximum.reduceat(gaps, starts, axis=1), 0.5 * np.add.reduceat(gaps, starts, axis=1)
+
+
 def correlator(tables, i: int, j: int, of: tuple | None = None) -> np.ndarray:
     """<q_i q_j> for numeric outcome labels, in the experiment measuring the
     slots of (by default just i and j)."""
     values = tables[(i, j)] if of is None else _marginal(tables, of, (i, j))
-    oi, oj = (np.asarray(tables.slots[k].instrument.outcomes, dtype=float) for k in (i, j))
+    oi = np.asarray(tables.slots[i].instrument.outcomes, dtype=float)
+    oj = np.asarray(tables.slots[j].instrument.outcomes, dtype=float)
     return (oi[:, None] * values * oj).sum(-1).sum(-1)
 
 
@@ -109,12 +129,17 @@ def nic_values(tables) -> dict:
 
 def mr012_residuals(tables) -> dict:
     """The bundle's named conditions; AoT is the worst AoT_i(j) over slot pairs."""
-    tables = _bundle(tables)
+    return _members(bundle_distances(tables)[0])
+
+
+def _members(sup: np.ndarray) -> dict:
+    """Named conditions from the sup columns of bundle_distances: NSIT_0(1)2
+    and NSIT_(0)12 are the mismatch of P02 and P12."""
     return {
-        "NSIT_(1)2": nsit_residual(tables, 1, 2),
-        "NSIT_0(1)2": sandwich_residual(tables),
-        "NSIT_(0)12": leading_residual(tables),
-        "AoT": np.maximum.reduce([aot_residual(tables, i, j) for i, j in PAIRS]),
+        "NSIT_(1)2": sup[:, 6],
+        "NSIT_0(1)2": sup[:, 4],
+        "NSIT_(0)12": sup[:, 5],
+        "AoT": sup[:, 7:].max(axis=1),
     }
 
 
@@ -273,27 +298,16 @@ def mr012_check(
     _require_three_slots(scenario)
     if mismatch_threshold is None:
         mismatch_threshold = threshold
-    tables = _bundle(scenario.tables)
-
-    detail = {}
-    sup = 0.0
-    tv = 0.0
-    for s in [(0,), (1,), (2,), *PAIRS]:
-        m = _marginal(tables, FULL, s)
-        d_sup = float(_sup(tables[s], m)[0])
-        d_tv = float(_tv(tables[s], m)[0])
-        detail["P" + "".join(map(str, s))] = {"sup": d_sup, "tv": d_tv}
-        sup = max(sup, d_sup)
-        tv = max(tv, d_tv)
-
-    members = {
-        name: _report(name, values, threshold)
-        for name, values in mr012_residuals(tables).items()
+    sup, tv = bundle_distances(scenario.tables)
+    detail = {
+        "P" + "".join(map(str, keep)): {"sup": float(sup[0, c]), "tv": float(tv[0, c])}
+        for c, keep in enumerate(MISMATCH)
     }
+    members = {name: _report(name, values, threshold) for name, values in _members(sup).items()}
     return MR012Report(
         members=members,
-        mismatch_tv=tv,
-        mismatch_sup=sup,
+        mismatch_tv=float(tv[0, : len(MISMATCH)].max()),
+        mismatch_sup=float(sup[0, : len(MISMATCH)].max()),
         mismatch_threshold=mismatch_threshold,
         mismatch_detail=detail,
     )
@@ -306,8 +320,8 @@ def _require_three_slots(scenario: Scenario) -> None:
 
 def _require_dichotomic(scenario: Scenario, slots=None) -> None:
     for k in slots if slots is not None else range(scenario.n_slots):
-        out = np.asarray(scenario.slots[k].instrument.outcomes)
-        if out.shape != (2,) or set(np.asarray(out, dtype=float)) != {1.0, -1.0}:
+        out = scenario.slots[k].instrument.outcomes
+        if out.shape != (2,) or set(out.astype(float).tolist()) != {1.0, -1.0}:
             raise ValueError(f"slot {k} must have outcomes +1 and -1")
 
 

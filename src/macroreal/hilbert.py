@@ -59,20 +59,20 @@ def check_density_stack(m: np.ndarray) -> None:
     """
 
     def where(bad):
-        return "" if m.shape[0] == 1 else f" {int(bad[0])}"
+        return "" if m.shape[0] == 1 else f" {int(bad.argmax())}"
 
     mh = m.conj().swapaxes(-1, -2)
-    bad = np.flatnonzero(np.abs(m - mh).max(axis=(1, 2)) > DEFAULT_ATOL)
-    if bad.size:
+    bad = np.abs(m - mh).max(axis=(1, 2)) > DEFAULT_ATOL
+    if bad.any():
         raise ValueError(f"density matrix{where(bad)} is not Hermitian within tolerance")
     w = np.linalg.eigvalsh((m + mh) / 2)[:, 0]
-    bad = np.flatnonzero(w < -DEFAULT_ATOL)
-    if bad.size:
-        raise ValueError(f"density matrix{where(bad)} has negative eigenvalue {w[bad[0]]:g}")
+    bad = w < -DEFAULT_ATOL
+    if bad.any():
+        raise ValueError(f"density matrix{where(bad)} has negative eigenvalue {w[bad.argmax()]:g}")
     tr = np.trace(m, axis1=1, axis2=2).real
-    bad = np.flatnonzero(np.abs(tr - 1.0) > 1e-9)
-    if bad.size:
-        raise ValueError(f"density matrix{where(bad)} trace {tr[bad[0]]!r} is not 1")
+    bad = np.abs(tr - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(f"density matrix{where(bad)} trace {tr[bad.argmax()]!r} is not 1")
 
 
 def is_positive_semidefinite(m) -> bool:

@@ -16,6 +16,7 @@ and the non-selective channel is rho -> sum_a w_a A_a rho A_a'.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re as _re
 
@@ -25,6 +26,7 @@ from scipy.special import gammaincc, gammaln
 from macroreal.hilbert import (
     DEFAULT_ATOL,
     as_operator,
+    as_operator_stack,
     frame_diagonal,
     norm_exceeds,
     operator_norm,
@@ -126,7 +128,6 @@ class KrausFamily:
     right: np.ndarray | None = None
     scale: np.ndarray | None = None
     meta: dict = dataclasses.field(default_factory=dict)
-    completeness_defect: float = dataclasses.field(init=False, default=0.0)
 
     def __post_init__(self):
         self.outcomes = np.asarray(self.outcomes)
@@ -155,9 +156,11 @@ class KrausFamily:
                 raise ValueError("rank1 scale must match outcomes")
         else:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        self.completeness_defect = operator_norm(
-            self.completeness_operator() - np.eye(self.dim)
-        )
+
+    @functools.cached_property
+    def completeness_defect(self) -> float:
+        """Spectral norm of S - I, computed when first read."""
+        return operator_norm(self.completeness_operator() - np.eye(self.dim))
 
     @property
     def n_outcomes(self) -> int:
@@ -308,21 +311,25 @@ def not_projectors(ops: np.ndarray) -> np.ndarray:
 
 def projective_family(projectors, outcomes, label: str = "projective") -> KrausFamily:
     """Lueders instrument from a complete orthogonal projector list."""
-    ops = np.stack([as_operator(p) for p in projectors])
-    bad = np.flatnonzero(not_projectors(ops))
-    if bad.size:
-        raise ValueError(f"element {bad[0]} is not an orthogonal projector")
-    k = np.arange(len(ops))
+    ops = as_operator_stack(projectors)
+    n, d = ops.shape[:2]
+    k = np.arange(n)
     i, j = np.nonzero(k[:, None] < k)  # pairs i < j in row-major order
-    bad = np.flatnonzero(norm_exceeds(ops[i] @ ops[j], DEFAULT_ATOL))
-    if bad.size:
-        raise ValueError(f"projectors {i[bad[0]]} and {j[bad[0]]} overlap")
-    if norm_exceeds(ops.sum(axis=0) - np.eye(ops.shape[1]), DEFAULT_ATOL):
+    # one norm test over the stack [P_a^2 - P_a; P_a - P_a'; P_i P_j; sum_a P_a - I]
+    herm, total = ops - ops.conj().swapaxes(1, 2), ops.sum(axis=0, keepdims=True) - np.eye(d)
+    bad = norm_exceeds(np.concatenate([ops @ ops - ops, herm, ops[i] @ ops[j], total]), DEFAULT_ATOL)
+    element, overlap = bad[:n] | bad[n : 2 * n], bad[2 * n : -1]
+    if element.any():
+        raise ValueError(f"element {element.argmax()} is not an orthogonal projector")
+    if overlap.any():
+        k = overlap.argmax()
+        raise ValueError(f"projectors {i[k]} and {j[k]} overlap")
+    if bad[-1]:
         raise ValueError("projectors do not sum to the identity")
     return KrausFamily(
         label=label,
         outcomes=np.asarray(outcomes),
-        weights=np.ones(len(ops)),
+        weights=np.ones(n),
         kind="dense",
         ops=ops,
     )

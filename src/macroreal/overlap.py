@@ -420,9 +420,11 @@ def quadrature_overlap_numeric(
     for a P readout. The convolution is summed directly, so every term is
     nonnegative and no FFT roundoff reaches the square root of the
     Bhattacharyya sum. The half-span grows as 1/kappa so the momentum step
-    resolves a narrow P readout; an X readout needs a position step
-    2 * halfspan / n finer than delta. No Gaussian shortcuts are taken, so
-    this route checks the moment propagation independently.
+    resolves a narrow P readout. An X readout narrower than 1.5 position
+    steps 2 * halfspan / n raises ValueError: its sampled kernel falls short
+    of the variance delta^2 / 2. Two X readouts at t = 0 are exempt, since
+    they commute and their overlap is 1 on any grid. No Gaussian shortcuts
+    are taken, so this route checks the moment propagation independently.
     """
     case = _quadrature_case(case, delta, kappa, sigma, t, mass)
     if n < 2:
@@ -432,6 +434,11 @@ def quadrature_overlap_numeric(
     # and its kernel needs a momentum step pi / halfspan finer than kappa.
     halfspan = 8.0 * max(sigma, 1.0, 1.0 / kappa) + drift + 6.0 * max(delta, kappa)
     xs, dx = np.linspace(-halfspan, halfspan, n, endpoint=False, retstep=True)
+    if "X" in case and delta < 1.5 * dx and not (case == "XX" and t == 0.0):
+        raise ValueError(
+            f"X readout width delta = {delta:g} is below 1.5 position steps of {dx:.3g}; "
+            "use more grid points"
+        )
     ps = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     psi0 = (math.pi * sigma**2) ** -0.25 * np.exp(-(xs**2) / (2.0 * sigma**2))
 

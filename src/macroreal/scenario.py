@@ -127,11 +127,13 @@ class Tables(dict):
         if key != measured:
             raise KeyError(f"tables are keyed by the sorted tuple of measured slots, {key}")
         every = _tables(self.initial, self.evolutions, self.slots, key)
-        # index 0 leaves a slot unmeasured and has weight 1, 1 + a is outcome a
-        wgrid = np.ones(())
-        for k in key:
-            wgrid = np.multiply.outer(wgrid, np.append(1.0, self.slots[k].instrument.weights))
-        every = every * wgrid
+        weights = [self.slots[k].instrument.weights for k in key]
+        if any((w != 1.0).any() for w in weights):
+            # index 0 leaves a slot unmeasured and has weight 1, 1 + a is outcome a
+            wgrid = np.ones(())
+            for w in weights:
+                wgrid = np.multiply.outer(wgrid, np.append(1.0, w))
+            every = every * wgrid
         every.flags.writeable = False
         n = self.initial.shape[0]
         for r in range(len(key) + 1):
@@ -157,9 +159,9 @@ def _check_layout(dim: int, slots: tuple, evolutions) -> None:
     for k, u in enumerate(evolutions):
         if u.shape[1:] != (dim, dim):
             raise ValueError(f"evolution {k} dimension mismatch")
-        bad = np.flatnonzero(unitary_error(u) > 1e-10)
-        if bad.size:
-            where = "" if u.shape[0] == 1 else f" (batch item {int(bad[0])})"
+        bad = unitary_error(u) > 1e-10
+        if bad.any():
+            where = "" if u.shape[0] == 1 else f" (batch item {int(bad.argmax())})"
             raise ValueError(f"evolution {k}{where} is not unitary within 1e-10")
     times = [s.time for s in slots]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
@@ -222,8 +224,8 @@ def _peak_bytes(n: int, d: int, slots, measured) -> int:
     the branch stack holds the old stack and a product beside the new one
     (2 B matrices per item) and the slot's operators. Reading the last slot
     holds the stack, its operators, their effects, e and the complex
-    probabilities. Weighting holds the complex probabilities, their weight
-    grid and the weighted real tables.
+    probabilities. Weighting, skipped when every weight is 1, holds the
+    complex probabilities, their weight grid and the weighted real tables.
     """
     *prefix, last = measured
     n_last = slots[last].instrument.n_outcomes
@@ -290,15 +292,6 @@ def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
     flat = flat.reshape(flat.shape[0], -1, d * d).swapaxes(-1, -2)
     probs = branches.reshape(n, -1, d * d) @ flat
     return probs.real.reshape(n, *(1 + slots[k].instrument.n_outcomes for k in measured))
-
-
-def batch_joint_distribution(batch: ScenarioBatch, measured=None) -> np.ndarray:
-    """Outcome tables of every scenario in the batch, measuring the listed slots.
-
-    Returns the read-only (N, ...) array batch.tables[measured], whose item i
-    is joint_distribution(...).values of scenario i.
-    """
-    return batch.tables[_measured_slots(batch.n_slots, measured)]
 
 
 def joint_distribution(scenario: Scenario, measured=None) -> ProbabilityTable:

@@ -390,6 +390,7 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
         ["overlap", "quadrature", "--case", "XX", "--t", "1", "--mass", "inf"],
         ["overlap", "quadrature", "--case", "PP", "--t", "1", "--kappa", "0"],
         ["overlap", "quadrature", "--case", "PP", "--delta", "0"],
+        ["overlap", "quadrature", "--case", "XX", "--t", "1", "--delta", "0.1", "--grid", "256"],
     ],
 )
 def test_bad_option_values_exit_two(argv, capsys):

@@ -4,10 +4,18 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from helpers import haar_unitary, random_scenario
+from helpers import (
+    haar_unitary,
+    random_density,
+    random_dichotomic_family,
+    random_full_projective_family,
+    random_scenario,
+)
 from macroreal import scenario as scenario_module
 from macroreal.cli import main
 from macroreal.conditions import (
+    FULL,
+    MISMATCH,
     PAIRS,
     ConditionReport,
     aot_check,
@@ -31,9 +39,11 @@ from macroreal.conditions import (
     projective_necessity_check,
     sandwich_residual,
 )
+from macroreal.conditions import _marginal, _signaling
 from macroreal.hilbert import DensityState, number_operator, operator_norm
 from macroreal.instruments import (
     ComplexLattice,
+    Grid1D,
     KrausFamily,
     coherent_projector_family,
     fock_bin_family,
@@ -44,7 +54,7 @@ from macroreal.instruments import (
     single_kraus_family,
     symmetrize_completeness,
 )
-from macroreal.mach_zehnder import MZParams, batch_numeric_residuals
+from macroreal.mach_zehnder import MZParams, batch_numeric_residuals, mz_batch, verify_lattice
 from macroreal.scenario import Scenario, ScenarioBatch, Slot, joint_distribution, save_scenario
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -149,6 +159,85 @@ def test_mr_bundle_flags_interference():
     assert rep.members["NSIT_0(1)2"].residual > 0.2
     d = rep.to_dict()
     assert d["holds"] is False
+
+
+def reference_bundle(tables):
+    """The bundle one comparison at a time: one _signaling call per member, a
+    sup and a TV reduction per mismatch subset. Values are (N,) arrays."""
+    tables[FULL]
+    members = {
+        "NSIT_(1)2": _signaling(tables, (1, 2), (2,)),
+        "NSIT_0(1)2": _signaling(tables, FULL, (0, 2)),
+        "NSIT_(0)12": _signaling(tables, FULL, (1, 2)),
+        "AoT": np.maximum.reduce([_signaling(tables, (i, j), (i,)) for i, j in PAIRS]),
+    }
+    sup = {s: _signaling(tables, FULL, s) for s in MISMATCH}
+    tv = {
+        s: 0.5 * np.abs(tables[s] - _marginal(tables, FULL, s)).sum(axis=tuple(range(1, len(s) + 1)))
+        for s in MISMATCH
+    }
+    return members, sup, tv
+
+
+def assert_bundle_is_the_reference(sc):
+    rep = mr012_check(sc)
+    members, sup, tv = reference_bundle(sc.tables)
+    assert {k: r.residual for k, r in rep.members.items()} == {k: v[0] for k, v in members.items()}
+    for s in MISMATCH:
+        detail = rep.mismatch_detail["P" + "".join(map(str, s))]
+        assert detail["sup"] == sup[s][0]
+        assert abs(detail["tv"] - tv[s][0]) <= 2.2e-16
+    assert rep.mismatch_sup == max(v[0] for v in sup.values())
+    assert abs(rep.mismatch_tv - max(v[0] for v in tv.values())) <= 2.2e-16
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dichotomic", [True, False])
+def test_bundle_distances_equal_the_per_comparison_form(dim, dichotomic):
+    rng = np.random.default_rng(60 + dim + 10 * dichotomic)
+    for _ in range(40):
+        assert_bundle_is_the_reference(random_scenario(rng, dim, dichotomic=dichotomic))
+
+
+def test_bundle_distances_with_uneven_and_weighted_slots():
+    rng = np.random.default_rng(61)
+    dim = 3
+    init = random_density(rng, dim)
+    evos = (haar_unitary(rng, dim), haar_unitary(rng, dim))
+    # 2, 3 and 2 outcomes: segments of unequal length in every experiment size
+    fams = [random_dichotomic_family(rng, dim), random_full_projective_family(rng, dim)]
+    fams.append(random_dichotomic_family(rng, dim))
+    sc = Scenario(init, tuple(Slot(float(k), f) for k, f in enumerate(fams)), evos)
+    assert_bundle_is_the_reference(sc)
+
+    # a grid readout in the middle: outcome weights 0.5, so the tables carry
+    # the weight grid; its twin folds sqrt(w) into unit-weight operators
+    grid = gaussian_x_family(1.0, dim, Grid1D(-6.0, 6.0, 25))
+    assert np.all(grid.weights == 0.5)
+    twin = KrausFamily(
+        label="folded",
+        outcomes=grid.outcomes,
+        weights=np.ones(grid.n_outcomes),
+        kind="dense",
+        ops=grid.dense_ops() * np.sqrt(grid.weights)[:, None, None],
+    )
+    weighted, folded = (
+        Scenario(init, (Slot(0.0, fams[0]), Slot(1.0, f), Slot(2.0, fams[2])), evos)
+        for f in (grid, twin)
+    )
+    assert_bundle_is_the_reference(weighted)
+    for measured in [(1,), (0, 1), (1, 2), FULL]:
+        gap = np.abs(weighted.tables[measured] - folded.tables[measured]).max()
+        assert gap < 1e-15, measured
+
+
+def test_lattice_residuals_are_the_per_comparison_form():
+    rep = verify_lattice()
+    numeric = batch_numeric_residuals(rep.points, rep.convention)
+    members = reference_bundle(mz_batch(rep.points, rep.convention).tables)[0]
+    for name, values in members.items():
+        assert np.array_equal(numeric[name], values), name
+    assert np.array_equal(numeric["MR_012"], np.maximum.reduce(list(members.values())))
 
 
 def test_mr_bundle_needs_three_slots():

@@ -70,6 +70,32 @@ def test_projective_family_validation():
     with pytest.raises(ValueError, match="^element 0 is not an orthogonal projector$"):
         projective_family([(1 + 1e-9) * p0, np.eye(2) - p0], [1, -1])
 
+    # three outcomes; when several checks fail, the first of element, overlap
+    # and sum names the fault
+    e0, e1, e2 = (np.diag(row).astype(complex) for row in np.eye(3))
+    assert projective_family([e0, e1, e2], [0, 1, 2]).n_outcomes == 3
+    with pytest.raises(ValueError, match="^element 2 is not an orthogonal projector$"):
+        projective_family([e0, e0, 2 * e2], [0, 1, 2])  # 0 and 1 overlap, sum is wrong
+    with pytest.raises(ValueError, match="^projectors 1 and 2 overlap$"):
+        projective_family([e0, e1 + e2, e2], [0, 1, 2])  # sum is wrong
+    with pytest.raises(ValueError, match="^projectors do not sum to the identity$"):
+        projective_family([e0, e1, np.zeros((3, 3))], [0, 1, 2])
+
+
+def test_completeness_defect_is_computed_on_first_read():
+    dense = random_scenario(np.random.default_rng(9), dim=3).slots[0].instrument
+    assert "completeness_defect" not in vars(dense)
+    fams = [
+        dense,
+        gaussian_x_family(1.0, 12),  # diagonal in the position eigenbasis
+        fock_bin_family("2m^2", 10),  # diagonal in the Fock basis
+        coherent_projector_family(ComplexLattice.square(2.0, 0.5), 8),  # rank one
+    ]
+    for fam in fams:
+        expected = operator_norm(fam.completeness_operator() - np.eye(fam.dim))
+        assert fam.completeness_defect == expected
+        assert fam.describe()["completeness_defect"] == expected
+
 
 def test_dense_completeness_operator_matches_einsum_form():
     def einsum_form(fam):

@@ -237,6 +237,22 @@ def test_quadrature_rejects_bad_parameters(kwargs):
             route("XX", **kwargs)
 
 
+@pytest.mark.parametrize("case,kwargs", [("PX", {"delta": 0.1}), ("XX", {"delta": 0.1, "t": 1.0})])
+def test_quadrature_numeric_rejects_an_unresolved_x_readout(case, kwargs):
+    with pytest.raises(ValueError, match="below 1.5 position steps"):
+        quadrature_overlap_numeric(case, n=256, **kwargs)
+
+
+def test_quadrature_numeric_x_readout_at_the_resolution_cut():
+    # PX at t = 0 on 256 points: half-span 14 and position step 28 / 256 for every delta <= 1
+    dx = 28.0 / 256
+    with pytest.raises(ValueError, match="below 1.5 position steps"):
+        quadrature_overlap_numeric("PX", delta=0.999 * 1.5 * dx, n=256)
+    for delta, tol in ((1.5 * dx, 1e-10), (2.0 * dx, 1e-12)):
+        res = quadrature_overlap_numeric("PX", delta=delta, n=256)
+        assert abs(res.value - res.meta["analytic"]) < tol, delta
+
+
 def test_quadrature_numeric_xp_time_independent():
     values = [quadrature_overlap_numeric("XP", t=t).value for t in (0.0, 1.0, 10.0)]
     assert max(values) - min(values) < 1e-4

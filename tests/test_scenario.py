@@ -27,7 +27,6 @@ from macroreal.scenario import (
     ScenarioBatch,
     Slot,
     _peak_bytes,
-    batch_joint_distribution,
     joint_distribution,
     marginalize,
     scenario_from_hamiltonian,
@@ -129,7 +128,7 @@ def test_batch_rows_are_the_single_scenario_tables():
         tuple(np.stack([e[k] for e in evos]) for k in range(2)),
     )
     for measured in [(), (0,), (1, 2), (0, 2), (0, 1, 2)]:
-        stacked = batch_joint_distribution(batch, measured)
+        stacked = batch.tables[measured]
         for i in range(n):
             single = joint_distribution(Scenario(states[i], slots, evos[i]), measured)
             assert stacked[i].shape == single.values.shape
