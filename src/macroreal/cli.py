@@ -14,8 +14,6 @@ Exit codes: 0 clean, 1 a checker found violations, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -95,8 +93,12 @@ def parse_complex_list(spec: str) -> list[complex]:
     return values
 
 
+_QUOTED = frozenset(',"\n\r')
+
+
 def _format_cell(value) -> str:
-    """The CSV cell contract: floats as %.12g, true/false, an empty cell for None."""
+    """The CSV cell contract: floats as %.12g, true/false, an empty cell for None,
+    and a string holding , " \\n or \\r wrapped in double quotes, inner quotes doubled."""
     # floats first: they fill most cells of every sweep
     if type(value) is float or isinstance(value, np.floating):
         return format(float(value), ".12g")
@@ -106,7 +108,10 @@ def _format_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return str(value)
+    text = str(value)
+    if _QUOTED.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _json_cell(value):
@@ -122,25 +127,23 @@ def _json_default(obj):
 
 
 def _table(rows: list[tuple]):
-    """write_rows' rows(cell) over a list of tuples, every value passed through cell."""
-    return lambda cell: (tuple(map(cell, row)) for row in rows)
+    """write_rows' columns(cell) over a list of row tuples, every value passed through cell."""
+    return lambda cell: [map(cell, column) for column in zip(*rows)]
 
 
-def write_rows(rows, fieldnames: list[str], args: argparse.Namespace) -> None:
+def write_rows(columns, fieldnames: list[str], args: argparse.Namespace) -> None:
     """Write a table to --out or stdout as CSV or JSON.
 
-    rows(cell) yields one tuple per row in fieldnames order, each value passed
-    through cell: _format_cell for CSV, _json_cell for JSON. A value shared by
-    several rows may go through cell once.
+    columns(cell) returns one iterable per field, in fieldnames order, yielding
+    the field's value in every row passed through cell: _format_cell for CSV,
+    _json_cell for JSON. A value shared by several rows may go through cell once.
     """
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows(rows(_format_cell))
-        text = buf.getvalue()
+        lines = [",".join(map(_format_cell, fieldnames))]
+        lines += map(",".join, zip(*columns(_format_cell)))
+        text = "\n".join(lines) + "\n"
     else:
-        body = [dict(zip(fieldnames, row)) for row in rows(_json_cell)]
+        body = [dict(zip(fieldnames, row)) for row in zip(*columns(_json_cell))]
         text = json.dumps(body, indent=2, sort_keys=True, default=_json_default) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -201,42 +204,37 @@ def _random_params(rng: np.random.Generator) -> MZParams:
     return MZParams(float(r1), float(r2), float(phi), float(q), c)
 
 
-def _mz_rows(report):
-    """write_rows' rows(cell): one MZ_FIELDS tuple per (point, condition), point-major.
+def _mz_columns(report):
+    """write_rows' columns(cell): the MZ_FIELDS columns, one row per (point,
+    condition), point-major.
 
-    A point's six parameter cells go through cell once and are shared by its
-    seven condition rows; verdicts go through a two-entry lookup.
+    A point's six parameter cells go through cell once and are repeated for its
+    seven condition rows; verdicts go through a two-entry lookup. The residual
+    and verdict columns are iterators, so their cells are made row by row as
+    write_rows joins them rather than all held at once.
     """
-    arrays = (
-        report.analytic,
-        report.numeric,
-        report.analytic_holds,
-        report.numeric_holds,
-        report.compared,
-        report.agree,
-    )
+    k = len(CONDITION_NAMES)
 
-    def rows(cell):
-        names = [cell(name) for name in CONDITION_NAMES]
+    def columns(cell):
         verdict = (cell(False), cell(True))
-        empty = cell(None)
+        params = [p.describe() for p in report.points]
+        cs = [d["c"] or (None, None) for d in params]
+        head = [[d[name] for d in params] for name in ("r1", "r2", "phi", "q")]
+        head += [[c[0] for c in cs], [c[1] for c in cs]]
+        cols = [[v for v in map(cell, col) for _ in range(k)] for col in head]
+        cols.append([cell(name) for name in CONDITION_NAMES] * len(params))
         # tolist() gives Python floats and bools; a bool indexes verdict
-        for params, *cells in zip(report.points, *(a.tolist() for a in arrays)):
-            d = params.describe()
-            c = d["c"] or (None, None)
-            head = tuple(map(cell, (d["r1"], d["r2"], d["phi"], d["q"], c[0], c[1])))
-            for name, a, n, a_holds, n_holds, compared, agree in zip(names, *cells):
-                yield head + (
-                    name,
-                    cell(a),
-                    cell(n),
-                    verdict[a_holds],
-                    verdict[n_holds],
-                    verdict[compared],
-                    verdict[agree] if compared else empty,
-                )
+        cols += [map(cell, a.ravel().tolist()) for a in (report.analytic, report.numeric)]
+        a_holds, n_holds, compared, agree = (
+            a.ravel().tolist()
+            for a in (report.analytic_holds, report.numeric_holds, report.compared, report.agree)
+        )
+        cols += [map(verdict.__getitem__, flags) for flags in (a_holds, n_holds, compared)]
+        empty = cell(None)
+        cols.append(verdict[a] if c else empty for a, c in zip(agree, compared))
+        return cols
 
-    return rows
+    return columns
 
 
 def cmd_mz_scan(args: argparse.Namespace) -> int:
@@ -259,7 +257,7 @@ def cmd_mz_scan(args: argparse.Namespace) -> int:
         guard=args.guard,
         convention=None if args.convention == "auto" else args.convention,
     )
-    write_rows(_mz_rows(report), MZ_FIELDS, args)
+    write_rows(_mz_columns(report), MZ_FIELDS, args)
     summary = report.to_dict()
     if args.out:
         with open(args.out + ".summary.json", "w") as fh:

@@ -128,8 +128,18 @@ def nic_values(tables) -> dict:
 
 
 def mr012_residuals(tables) -> dict:
-    """The bundle's named conditions; AoT is the worst AoT_i(j) over slot pairs."""
-    return _members(bundle_distances(tables)[0])
+    """The bundle's named conditions; AoT is the worst AoT_i(j) over slot pairs.
+
+    Each is its own comparison, the same sup that mr012_check reads off
+    bundle_distances.
+    """
+    tables = _bundle(tables)
+    return {
+        "NSIT_(1)2": nsit_residual(tables, 1, 2),
+        "NSIT_0(1)2": sandwich_residual(tables),
+        "NSIT_(0)12": leading_residual(tables),
+        "AoT": np.maximum.reduce([aot_residual(tables, i, j) for i, j in PAIRS]),
+    }
 
 
 def _members(sup: np.ndarray) -> dict:

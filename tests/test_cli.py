@@ -1,4 +1,6 @@
+import argparse
 import csv
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 
 import macroreal
 from macroreal import cli
-from macroreal.cli import MZ_FIELDS, main, parse_complex_list, parse_range
+from macroreal.cli import MZ_FIELDS, _table, main, parse_complex_list, parse_range, write_rows
 from macroreal.conditions import nic_012
 from macroreal.hilbert import DensityState
 from macroreal.instruments import projective_family
@@ -361,6 +363,54 @@ def test_mz_scan_cells_are_the_report_values(tmp_path, monkeypatch):
             assert row[4] == row[5] == ""
         assert all(row[m] in ("true", "false") for m in (9, 10, 11))
         assert (row[12] == "") == (row[11] == "false")
+
+
+def _written(tmp_path, rows, fields, fmt):
+    out = tmp_path / f"table.{fmt}"
+    write_rows(_table(rows), fields, argparse.Namespace(format=fmt, out=str(out)))
+    return out.read_bytes().decode()
+
+
+def _unquoted_cell(v):
+    """The cell contract without CSV quoting, for csv.writer to quote."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".12g")
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return v
+
+
+def test_csv_cells_are_quoted_as_the_csv_module_quotes_them(tmp_path):
+    fields = ["f0", "f1", "f2", "f3", "f4"]
+    rows = [
+        ("a,b", 'say "hi"', "two\nlines", "", None),
+        (True, False, np.float64(0.1), np.int64(-3), 1.5),
+        ('"', ",", "\n", 'x,"y"\nz', 2),
+        ("plain", "NSIT_(0)1", np.float64(-0.0), np.int64(0), 1e-17),
+    ]
+    cells = [[_unquoted_cell(v) for v in row] for row in rows]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows(cells)
+    body = _written(tmp_path, rows, fields, "csv")
+    assert body == buf.getvalue()
+    assert list(csv.reader(io.StringIO(body, newline=""))) == [fields, *cells]
+
+
+def test_csv_quotes_a_carriage_return(tmp_path):
+    # csv.writer quotes a lone \r only from Python 3.13 on, so the form is pinned
+    body = _written(tmp_path, [("a\rb", 'x"\r', "c")], ["p", "q", "r"], "csv")
+    assert body == 'p,q,r\n"a\rb","x""\r",c\n'
+
+
+@pytest.mark.parametrize("fmt, body", [("csv", "a,b\n"), ("json", "[]\n")])
+def test_empty_table_writes_only_the_header(tmp_path, fmt, body):
+    assert _written(tmp_path, [], ["a", "b"], fmt) == body
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
