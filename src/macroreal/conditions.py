@@ -128,11 +128,8 @@ def nic_values(tables) -> dict:
 
 
 def mr012_residuals(tables) -> dict:
-    """The bundle's named conditions; AoT is the worst AoT_i(j) over slot pairs.
-
-    Each is its own comparison, the same sup that mr012_check reads off
-    bundle_distances.
-    """
+    """The bundle's named conditions, each from its own comparison (the sups
+    mr012_check reads off bundle_distances); AoT is the worst AoT_i(j)."""
     tables = _bundle(tables)
     return {
         "NSIT_(1)2": nsit_residual(tables, 1, 2),
