@@ -141,7 +141,9 @@ def write_rows(columns, fieldnames: list[str], args: argparse.Namespace) -> None
     if args.format == "csv":
         lines = [",".join(map(_format_cell, fieldnames))]
         lines += map(",".join, zip(*columns(_format_cell)))
-        text = "\n".join(lines) + "\n"
+        lines.append("")  # the final newline, without copying the joined body
+        text = "\n".join(lines)
+        del lines
     else:
         body = [dict(zip(fieldnames, row)) for row in zip(*columns(_json_cell))]
         text = json.dumps(body, indent=2, sort_keys=True, default=_json_default) + "\n"

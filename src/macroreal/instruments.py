@@ -294,13 +294,7 @@ def _array_from_json(data):
 
 def identity_family(dim: int) -> KrausFamily:
     """Trivial one-outcome family that leaves every state untouched."""
-    return KrausFamily(
-        label="identity",
-        outcomes=np.array([0]),
-        weights=np.array([1.0]),
-        kind="dense",
-        ops=np.eye(dim, dtype=complex)[None, :, :],
-    )
+    return single_kraus_family(np.eye(dim), label="identity")
 
 
 def not_projectors(ops: np.ndarray) -> np.ndarray:
@@ -621,39 +615,10 @@ def symmetrize_completeness(family: KrausFamily) -> KrausFamily:
             "be symmetrized"
         )
     inv_sqrt = (v * w**-0.5) @ v.conj().T
-    meta = dict(family.meta)
-    meta["symmetrized"] = True
+    meta = dict(family.meta, symmetrized=True)
     if family.kind == "diagonal":
-        if family.basis is None:
-            diag = family.weights @ family.envelopes**2
-        else:
-            diag = frame_diagonal(family.basis, s)
-        return KrausFamily(
-            label=family.label,
-            outcomes=family.outcomes,
-            weights=family.weights,
-            kind="diagonal",
-            basis=family.basis,
-            envelopes=family.envelopes * diag**-0.5,
-            meta=meta,
-        )
+        diag = np.diag(s).real if family.basis is None else frame_diagonal(family.basis, s)
+        return dataclasses.replace(family, envelopes=family.envelopes * diag**-0.5, meta=meta)
     if family.kind == "rank1":
-        return KrausFamily(
-            label=family.label,
-            outcomes=family.outcomes,
-            weights=family.weights,
-            kind="rank1",
-            left=family.left,
-            right=inv_sqrt @ family.right,
-            scale=family.scale,
-            meta=meta,
-        )
-    ops = family.ops @ inv_sqrt
-    return KrausFamily(
-        label=family.label,
-        outcomes=family.outcomes,
-        weights=family.weights,
-        kind="dense",
-        ops=ops,
-        meta=meta,
-    )
+        return dataclasses.replace(family, right=inv_sqrt @ family.right, meta=meta)
+    return dataclasses.replace(family, ops=family.ops @ inv_sqrt, meta=meta)

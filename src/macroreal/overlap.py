@@ -20,7 +20,7 @@ import math
 import numpy as np
 import scipy.fft
 
-from macroreal.hilbert import StateVector, coherent_state, default_fock_dim, frame_diagonal
+from macroreal.hilbert import coherent_state, default_fock_dim, frame_diagonal
 from macroreal.instruments import (
     ComplexLattice,
     KrausFamily,
@@ -85,6 +85,14 @@ def bhattacharyya(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
 HUSIMI_BLOCK = 2048  # columns per block of a readout; bounds the (rows x block) temporary
 
 
+def _block_readout(read, lattice: ComplexLattice, cols: np.ndarray) -> OutcomeDistribution:
+    """Readout density pi^{-1} read(block) over the HUSIMI_BLOCK column blocks of cols."""
+    vals = np.empty(cols.shape[1])
+    for lo in range(0, cols.shape[1], HUSIMI_BLOCK):
+        vals[lo : lo + HUSIMI_BLOCK] = read(cols[:, lo : lo + HUSIMI_BLOCK])
+    return OutcomeDistribution(lattice.points, lattice.weights, vals / math.pi)
+
+
 def husimi(state: np.ndarray, lattice: ComplexLattice, cols: np.ndarray | None = None) -> OutcomeDistribution:
     """Husimi readout density pi^{-1} <beta| rho |beta> on the lattice.
 
@@ -93,17 +101,12 @@ def husimi(state: np.ndarray, lattice: ComplexLattice, cols: np.ndarray | None =
     coherent_columns(lattice.points, d) when the caller holds it. The mixed
     state is read in HUSIMI_BLOCK column blocks.
     """
-    pts = lattice.points
     if cols is None:
-        cols = coherent_columns(pts, state.shape[0])
-    if state.ndim == 1:
-        vals = np.abs(state.conj() @ cols) ** 2
-    else:
-        vals = np.empty(cols.shape[1])
-        for lo in range(0, cols.shape[1], HUSIMI_BLOCK):
-            block = cols[:, lo : lo + HUSIMI_BLOCK]
-            vals[lo : lo + HUSIMI_BLOCK] = frame_diagonal(block, state)
-    return OutcomeDistribution(pts, lattice.weights, vals / math.pi)
+        cols = coherent_columns(lattice.points, state.shape[0])
+    if state.ndim == 2:
+        return _block_readout(lambda block: frame_diagonal(block, state), lattice, cols)
+    vals = np.abs(state.conj() @ cols) ** 2
+    return OutcomeDistribution(lattice.points, lattice.weights, vals / math.pi)
 
 
 def branch_husimi(
@@ -120,39 +123,43 @@ def branch_husimi(
     if family.kind != "diagonal" or family.basis is not None:
         raise ValueError("branch readout needs a family diagonal in the Fock basis")
     branches = family.envelopes * psi.conj()
-    vals = np.empty(cols.shape[1])
-    for lo in range(0, cols.shape[1], HUSIMI_BLOCK):
-        amps = branches @ cols[:, lo : lo + HUSIMI_BLOCK]
-        vals[lo : lo + HUSIMI_BLOCK] = family.weights @ (amps.real**2 + amps.imag**2)
-    return OutcomeDistribution(lattice.points, lattice.weights, vals / math.pi)
+
+    def read(block):
+        amps = branches @ block
+        return family.weights @ (amps.real**2 + amps.imag**2)
+
+    return _block_readout(read, lattice, cols)
 
 
-def _lattice_radius(gamma: complex) -> float:
-    """Half-side R of the Fock engine's readout lattice, the square [-R, R]^2."""
-    return abs(gamma) + 5.0
+def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[OverlapResult, KrausFamily]:
+    """Overlap of the Husimi readouts of |gamma> before and after a readout family.
 
-
-def _invaded_overlap(
-    state: StateVector, family: KrausFamily, lattice: ComplexLattice, cols: np.ndarray
-) -> tuple[float, dict]:
-    """Overlap of the Husimi readouts of a pure state before and after family.
-
-    A family diagonal in the Fock basis (Fock bins, rings) is read through its
-    branches; any other family through the density matrix of its channel.
+    The readout lattice is the square [-R, R]^2 with R = |gamma| + 5, and dim
+    defaults to default_fock_dim(gamma). readout(lattice, R, dim) returns the
+    family and the coherent_columns stack of the lattice. A family diagonal in
+    the Fock basis (Fock bins, rings) is read through its branches; any other
+    family through the density matrix of its channel.
     """
-    psi = state.amplitudes
-    reference = husimi(psi, lattice, cols)
+    g = complex(gamma)
+    if dim is None:
+        dim = default_fock_dim(g)
+    radius = abs(g) + 5.0
+    lattice = ComplexLattice.square(radius, step)
+    family, cols = readout(lattice, radius, dim)
+    state = coherent_state(g, dim)
+    reference = husimi(state.amplitudes, lattice, cols)
     if family.kind == "diagonal" and family.basis is None:
-        invaded = branch_husimi(psi, family, lattice, cols)
+        invaded = branch_husimi(state.amplitudes, family, lattice, cols)
     else:
         invaded = husimi(family.channel(state.density().matrix), lattice, cols)
-    v = bhattacharyya(reference, invaded)
     meta = {
         "reference_mass": reference.mass,
         "invaded_mass": invaded.mass,
         "lattice": lattice.describe(),
+        "gamma": [g.real, g.imag],
+        "dim": dim,
     }
-    return v, meta
+    return OverlapResult(value=bhattacharyya(reference, invaded), meta=meta), family
 
 
 def coherent_delta_overlap(gamma, *, dim: int | None = None, step: float = 0.25) -> OverlapResult:
@@ -162,16 +169,15 @@ def coherent_delta_overlap(gamma, *, dim: int | None = None, step: float = 0.25)
     independent of gamma; the discretization reproduces that value as the
     lattice resolves the state.
     """
-    g = complex(gamma)
-    if dim is None:
-        dim = default_fock_dim(g)
-    radius = _lattice_radius(g)
-    lattice = ComplexLattice.square(radius, step)
-    # the family's bra side, right, is the raw coherent_columns stack of the lattice
-    fam = coherent_projector_family(lattice, dim)
-    value, meta = _invaded_overlap(coherent_state(g, dim), fam, lattice, fam.right)
-    meta.update({"gamma": [g.real, g.imag], "dim": dim, "ideal": 2.0 * math.sqrt(2.0) / 3.0})
-    return OverlapResult(value=value, meta=meta)
+
+    def readout(lattice, radius, dim):
+        # the family's bra side, right, is the raw coherent_columns stack of the lattice
+        fam = coherent_projector_family(lattice, dim)
+        return fam, fam.right
+
+    result, _ = _readout_overlap(gamma, dim, step, readout)
+    result.meta["ideal"] = 2.0 * math.sqrt(2.0) / 3.0
+    return result
 
 
 def ring_overlap(d: float, gamma, *, dim: int | None = None, step: float = 0.25) -> OverlapResult:
@@ -180,23 +186,14 @@ def ring_overlap(d: float, gamma, *, dim: int | None = None, step: float = 0.25)
     The readout stays nearly non-invasive when the state sits well inside one
     ring and dips when |gamma| crosses a ring border.
     """
-    g = complex(gamma)
-    if dim is None:
-        dim = default_fock_dim(g)
-    radius = _lattice_radius(g)
-    lattice = ComplexLattice.square(radius, step)
-    fam = ring_family(d, dim, math.hypot(radius, radius) + 2.0 * step)
-    cols = coherent_columns(lattice.points, dim)
-    value, meta = _invaded_overlap(coherent_state(g, dim), fam, lattice, cols)
-    meta.update(
-        {
-            "gamma": [g.real, g.imag],
-            "dim": dim,
-            "d": float(d),
-            "raw_defect": fam.completeness_defect,
-        }
-    )
-    return OverlapResult(value=value, meta=meta)
+
+    def readout(lattice, radius, dim):
+        fam = ring_family(d, dim, math.hypot(radius, radius) + 2.0 * step)
+        return fam, coherent_columns(lattice.points, dim)
+
+    result, fam = _readout_overlap(gamma, dim, step, readout)
+    result.meta.update({"d": float(d), "raw_defect": fam.completeness_defect})
+    return result
 
 
 def cell_overlap(side: float, gamma, *, dim: int | None = None, step: float = 0.25) -> OverlapResult:
@@ -205,19 +202,18 @@ def cell_overlap(side: float, gamma, *, dim: int | None = None, step: float = 0.
     As the side shrinks the partition resolves points, and the overlap
     approaches the delta-readout value 2 sqrt(2) / 3 from above.
     """
-    g = complex(gamma)
-    if dim is None:
-        dim = default_fock_dim(g)
-    radius = _lattice_radius(g)
-    lattice = ComplexLattice.square(radius, step)
-    labels, n_cells = cell_labels(lattice.points, side, radius + 2.0 * step)
-    cols = coherent_columns(lattice.points, dim)
-    fam = coherent_coarse_family(
-        labels, n_cells, lattice, dim, label=f"cells(side={side:g})", cols=cols
-    )
-    value, meta = _invaded_overlap(coherent_state(g, dim), fam, lattice, cols)
-    meta.update({"gamma": [g.real, g.imag], "dim": dim, "side": float(side)})
-    return OverlapResult(value=value, meta=meta)
+
+    def readout(lattice, radius, dim):
+        labels, n_cells = cell_labels(lattice.points, side, radius + 2.0 * step)
+        cols = coherent_columns(lattice.points, dim)
+        fam = coherent_coarse_family(
+            labels, n_cells, lattice, dim, label=f"cells(side={side:g})", cols=cols
+        )
+        return fam, cols
+
+    result, _ = _readout_overlap(gamma, dim, step, readout)
+    result.meta["side"] = float(side)
+    return result
 
 
 def fock_overlap(border, gamma, *, dim: int | None = None, step: float = 0.25) -> OverlapResult:
@@ -227,15 +223,13 @@ def fock_overlap(border, gamma, *, dim: int | None = None, step: float = 0.25) -
     measurement erases number coherences between different bins, which the
     Husimi readout sees as a loss of phase localization.
     """
-    g = complex(gamma)
-    if dim is None:
-        dim = default_fock_dim(g)
-    lattice = ComplexLattice.square(_lattice_radius(g), step)
-    fam = fock_bin_family(border, dim)
-    cols = coherent_columns(lattice.points, dim)
-    value, meta = _invaded_overlap(coherent_state(g, dim), fam, lattice, cols)
-    meta.update({"gamma": [g.real, g.imag], "dim": dim, "n_bins": int(fam.n_outcomes)})
-    return OverlapResult(value=value, meta=meta)
+
+    def readout(lattice, radius, dim):
+        return fock_bin_family(border, dim), coherent_columns(lattice.points, dim)
+
+    result, fam = _readout_overlap(gamma, dim, step, readout)
+    result.meta["n_bins"] = int(fam.n_outcomes)
+    return result
 
 
 # ---------------------------------------------------------------------------

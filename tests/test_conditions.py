@@ -40,7 +40,14 @@ from macroreal.conditions import (
     sandwich_residual,
 )
 from macroreal.conditions import _marginal, _signaling
-from macroreal.hilbert import DensityState, number_operator, operator_norm
+from macroreal.hilbert import (
+    DensityState,
+    coherent_state,
+    default_fock_dim,
+    number_operator,
+    operator_norm,
+    unitary_from_hamiltonian,
+)
 from macroreal.instruments import (
     ComplexLattice,
     Grid1D,
@@ -51,6 +58,7 @@ from macroreal.instruments import (
     gaussian_x_family,
     identity_family,
     projective_family,
+    ring_family,
     single_kraus_family,
     symmetrize_completeness,
 )
@@ -284,6 +292,22 @@ def test_operator_residual_bounds_statistical_residual():
             (np.eye(2, dtype=complex),),
         )
         assert nsit_two_time(sc, 0, 1).residual <= bound + 1e-12
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0])
+def test_fock_diagonal_readouts_are_classical_under_number_hamiltonians(gamma):
+    # Fock bins and exact rings commute with H = n and H = n^2 / 2, so their
+    # NSIT residual is zero for every state and time
+    dim = default_fock_dim(gamma) + 10
+    n = number_operator(dim)
+    initial = coherent_state(gamma, dim).density()
+    for fam in (fock_bin_family("2m^2", dim), ring_family(1.5, dim, 12.0)):
+        for h in (n, 0.5 * n @ n):
+            for t in (0.3, math.pi / 2.0, math.pi, 2.0):
+                u = unitary_from_hamiltonian(h, t)
+                sc = Scenario(initial, (Slot(0.0, fam), Slot(t, fam)), (u,))
+                assert nsit_two_time(sc, 0, 1).residual <= 1e-14
+                assert nsit_operator_residual(fam, fam, u) <= 1e-14
 
 
 def test_operator_residual_rejects_incomplete():

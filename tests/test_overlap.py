@@ -8,6 +8,7 @@ from macroreal.instruments import (
     ComplexLattice,
     Grid1D,
     KrausFamily,
+    cell_labels,
     coherent_coarse_family,
     coherent_columns,
     coherent_projector_family,
@@ -30,6 +31,7 @@ from macroreal.overlap import (
     quadrature_overlap_numeric,
     ring_overlap,
 )
+from macroreal.scenario import Scenario, Slot
 
 IDEAL_DELTA = 2.0 * math.sqrt(2.0) / 3.0
 
@@ -323,3 +325,57 @@ def test_cell_overlap_meta_records_side():
     res = cell_overlap(1.0, 0.5)
     assert res.meta["side"] == 1.0
     assert 0.0 <= res.value <= 1.0 + 1e-9
+
+
+def _readout_family(kind, arg, lattice, dim):
+    """The family the Fock-engine overlap of this kind reads on its lattice."""
+    radius = lattice.re_hi
+    if kind == "fock":
+        return fock_bin_family(arg, dim)
+    if kind == "ring":
+        return ring_family(arg, dim, math.hypot(radius, radius) + 2.0 * lattice.step)
+    if kind == "cell":
+        labels, n_cells = cell_labels(lattice.points, arg, radius + 2.0 * lattice.step)
+        return coherent_coarse_family(labels, n_cells, lattice, dim)
+    return coherent_projector_family(lattice, dim)
+
+
+@pytest.mark.parametrize(
+    "kind,arg,gamma,step",
+    [
+        ("fock", "m", 1.0, 0.25),
+        ("fock", "m", 2.0, 0.25),
+        ("fock", "2m^2", 1.5, 0.25),
+        ("ring", 2.0, 1.0, 0.25),
+        ("cell", 1.0, 0.5, 0.25),
+        ("delta", None, 0.5, 0.5),
+    ],
+)
+def test_overlap_is_the_bhattacharyya_coefficient_of_the_nsit_tables(kind, arg, gamma, step):
+    # two slots on |gamma>: the readout, then coherent projectors on the
+    # overlap's own lattice, with the identity between; the tables carry the
+    # lattice weights, so BC = sum sqrt(P_1 sum_a P_01) needs no quadrature;
+    # roundoff leaves far entries slightly negative, clipped as bhattacharyya does
+    if kind == "delta":
+        res = coherent_delta_overlap(gamma, step=step)
+    else:
+        res = {"fock": fock_overlap, "ring": ring_overlap, "cell": cell_overlap}[kind](
+            arg, gamma, step=step
+        )
+    dim = default_fock_dim(gamma)
+    lattice = ComplexLattice.square(abs(gamma) + 5.0, step)
+    sc = Scenario(
+        coherent_state(gamma, dim).density(),
+        (
+            Slot(0.0, _readout_family(kind, arg, lattice, dim)),
+            Slot(1.0, coherent_projector_family(lattice, dim)),
+        ),
+        (np.eye(dim),),
+    )
+    invaded = np.clip(sc.tables[(0, 1)][0].sum(axis=0), 0.0, None)
+    reference = np.clip(sc.tables[(1,)][0], 0.0, None)
+    bc = np.sqrt(reference * invaded).sum()
+    tv = 0.5 * np.abs(reference - invaded).sum()
+    assert abs(bc - res.value) <= 1e-12
+    # Fuchs-van de Graaf bounds on the total variation of the NSIT_(0)1 pair
+    assert 1.0 - bc <= tv <= math.sqrt(1.0 - bc**2)
