@@ -168,6 +168,25 @@ def test_lgi_max_search_hits_lueders_bound():
     assert abs(res["params"]["r2"] - 0.75) < 1e-3
 
 
+@pytest.mark.parametrize("n_grid", [9, 21])
+def test_lgi_grid_matches_a_scalar_triple_loop(n_grid):
+    # the coarse grid of lgi_max_search written point by point in math, keeping
+    # the first strict maximum in (r1, r2, phi) order
+    rs = np.linspace(0.0, 1.0, n_grid).tolist()
+    phis = np.linspace(0.0, 2.0 * math.pi, 2 * n_grid, endpoint=False).tolist()
+    best_k, best = -math.inf, None
+    for r1 in rs:
+        for r2 in rs:
+            for phi in phis:
+                alpha = math.sqrt(r1 * r2 * (1.0 - r1) * (1.0 - r2))
+                k = 1.0 - 4.0 * (r1 + alpha * math.cos(phi) - r1 * r2)
+                if k > best_k:
+                    best_k, best = k, {"r1": r1, "r2": r2, "phi": phi}
+    res = lgi_max_search(n_grid)
+    assert res["grid_params"] == best
+    assert abs(res["grid_K"] - best_k) <= 1e-15
+
+
 def test_counterexample_search_finds_two_time_blind_spot():
     found = two_time_counterexample_search()
     assert found is not None
