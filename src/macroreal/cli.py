@@ -243,17 +243,13 @@ def cmd_mz_scan(args: argparse.Namespace) -> int:
     if args.random_points < 0:
         raise ValueError(f"--random-points must be non-negative, got {args.random_points}")
     states = _state_list(args)
-    r1s = args.r1 or [float(v) for v in np.linspace(0.0, 1.0, 11)]
-    r2s = args.r2 or r1s
-    phis = args.phi or [float(v) for v in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)]
-
     rng = np.random.default_rng(args.seed)
     extra = [_random_params(rng) for _ in range(args.random_points)]
     report = verify_lattice(
-        r1s,
-        phis,
+        args.r1,
+        args.phi,
         states,
-        r2_values=r2s,
+        r2_values=args.r2,
         extra_points=extra,
         threshold=args.tol,
         guard=args.guard,

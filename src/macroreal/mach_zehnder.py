@@ -24,7 +24,6 @@ from macroreal.conditions import (
     lgi_values,
     mr012_residuals,
     nsit_residual,
-    nsit_two_time,
 )
 from macroreal.hilbert import DensityState
 from macroreal.instruments import projective_family
@@ -159,12 +158,17 @@ def mz_scenario(params: MZParams) -> Scenario:
     return Scenario(initial_state(params), MZ_SLOTS, mz_unitaries(params))
 
 
+def _setting_arrays(points):
+    """(r1, r2, phi, q, c) of a list of settings as five (N,) arrays."""
+    return tuple(
+        np.array([getattr(p, name) for p in points])
+        for name in ("r1", "r2", "phi", "q", "coherence")
+    )
+
+
 def mz_batch(points, convention: str = "crossed-p0") -> ScenarioBatch:
     """The scenarios of many settings as one batch, in the order given."""
-    r1, r2, phi, q = (
-        np.array([getattr(p, name) for p in points]) for name in ("r1", "r2", "phi", "q")
-    )
-    c = np.array([p.coherence for p in points])
+    r1, r2, phi, q, c = _setting_arrays(points)
     return ScenarioBatch(
         _state_matrices(q, c), MZ_SLOTS, _unitaries(r1, r2, phi, convention)
     )
@@ -174,40 +178,36 @@ def mz_batch(points, convention: str = "crossed-p0") -> ScenarioBatch:
 # Closed forms (exact for the 'crossed-p0' convention)
 
 
-def lgi_k_value(params: MZParams) -> float:
+def _lgi_k(r1, r2, phi):
     """Left side of the three-time Leggett-Garg inequality, state independent."""
-    r1, r2 = params.r1, params.r2
-    alpha = math.sqrt(r1 * r2 * (1.0 - r1) * (1.0 - r2))
-    return 1.0 - 4.0 * (r1 + alpha * math.cos(params.phi) - r1 * r2)
+    alpha = np.sqrt(r1 * r2 * (1.0 - r1) * (1.0 - r2))
+    return 1.0 - 4.0 * (r1 + alpha * np.cos(phi) - r1 * r2)
+
+
+def _closed_forms(r1, r2, phi, q, c) -> np.ndarray:
+    """Closed-form residuals of (N,) setting arrays; column k holds CONDITION_NAMES[k]."""
+    root1 = np.sqrt(r1 * (1.0 - r1))
+    root2 = np.sqrt(r2 * (1.0 - r2))
+    cos = np.cos(phi)
+    nsit01 = 2.0 * root1 * np.abs(c.imag)
+    nsit12 = 2.0 * root2 * np.abs(
+        (c.imag * (1.0 - 2.0 * r1) + root1 * (1.0 - 2.0 * q)) * cos + c.real * np.sin(phi)
+    )
+    sandwich = 2.0 * (root1 * root2) * np.abs(cos) * np.maximum(q, 1.0 - q)
+    leading = nsit01 * np.maximum(r2, 1.0 - r2)
+    lgi = np.maximum(0.0, _lgi_k(r1, r2, phi) - 1.0)
+    mr012 = np.maximum.reduce([nsit12, sandwich, leading])
+    return np.stack([nsit01, nsit12, sandwich, leading, lgi, np.zeros_like(lgi), mr012], axis=1)
+
+
+def lgi_k_value(params: MZParams) -> float:
+    """Left side of the three-time Leggett-Garg inequality at one setting."""
+    return float(_lgi_k(*_setting_arrays([params])[:3])[0])
 
 
 def analytic_residuals(params: MZParams) -> dict:
-    """Closed-form residuals for every lattice condition at this setting."""
-    r1, r2, phi, q = params.r1, params.r2, params.phi, params.q
-    c = params.coherence
-    t1, t2 = 1.0 - r1, 1.0 - r2
-    root1 = math.sqrt(r1 * t1)
-    root2 = math.sqrt(r2 * t2)
-    alpha = root1 * root2
-
-    res_01 = 2.0 * root1 * abs(c.imag)
-    res_12 = 2.0 * root2 * abs(
-        (c.imag * (1.0 - 2.0 * r1) + root1 * (1.0 - 2.0 * q)) * math.cos(phi)
-        + c.real * math.sin(phi)
-    )
-    res_sandwich = 2.0 * alpha * abs(math.cos(phi)) * max(q, 1.0 - q)
-    res_leading = 2.0 * root1 * abs(c.imag) * max(r2, t2)
-    k = lgi_k_value(params)
-    res = {
-        "NSIT_(0)1": res_01,
-        "NSIT_(1)2": res_12,
-        "NSIT_0(1)2": res_sandwich,
-        "NSIT_(0)12": res_leading,
-        "LGI_012": max(0.0, k - 1.0),
-        "AoT": 0.0,
-    }
-    res["MR_012"] = max(res["NSIT_(1)2"], res["NSIT_0(1)2"], res["NSIT_(0)12"])
-    return res
+    """Closed-form residuals at one setting: the one-point case of _closed_forms."""
+    return dict(zip(CONDITION_NAMES, _closed_forms(*_setting_arrays([params]))[0].tolist()))
 
 
 def batch_numeric_residuals(points, convention: str = "crossed-p0") -> dict:
@@ -246,12 +246,9 @@ def numeric_residuals(params: MZParams, convention: str = "crossed-p0") -> dict:
 def _residual_arrays(points, convention: str):
     """Closed-form and pipeline residuals of every setting, as two (N, 7) arrays.
 
-    Column k holds condition CONDITION_NAMES[k]. The closed forms stay per
-    point in math, the pipeline side runs as one batch.
+    Column k holds condition CONDITION_NAMES[k]. Both sides run as one batch.
     """
-    analytic = np.array(
-        [[res[name] for name in CONDITION_NAMES] for res in map(analytic_residuals, points)]
-    ).reshape(-1, len(CONDITION_NAMES))
+    analytic = _closed_forms(*_setting_arrays(points))
     if not points:
         return analytic, analytic.copy()
     numeric = batch_numeric_residuals(points, convention)
@@ -422,16 +419,13 @@ def lgi_max_search(n_grid: int = 41) -> dict:
 
     rs = np.linspace(0.0, 1.0, n_grid)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * n_grid, endpoint=False)
-    best = (-np.inf, None)
-    for r1 in rs:
-        for r2 in rs:
-            # cos(phi) = -1 maximizes K whenever alpha > 0; scanning phi anyway
-            # keeps the search honest about the phase dependence.
-            for phi in phis:
-                k = lgi_k_value(MZParams(float(r1), float(r2), float(phi)))
-                if k > best[0]:
-                    best = (k, (float(r1), float(r2), float(phi)))
-    k_grid, (r1, r2, phi) = best
+    # cos(phi) = -1 maximizes K whenever alpha > 0; scanning phi anyway
+    # keeps the search honest about the phase dependence.
+    k = _lgi_k(rs[:, None, None], rs[None, :, None], phis)
+    # argmax keeps the first maximum in (r1, r2, phi) order
+    i, j, m = np.unravel_index(np.argmax(k), k.shape)
+    k_grid = float(k[i, j, m])
+    r1, r2, phi = float(rs[i]), float(rs[j]), float(phis[m])
     grid_params = {"r1": r1, "r2": r2, "phi": phi}
 
     def neg_k(v):
@@ -463,23 +457,12 @@ def two_time_counterexample_search() -> dict:
     finite residual proportional to the interference visibility. Real
     coherences run from 0.05 below 0.5 in steps of 0.05.
     """
+    points = [MZParams(0.5, 0.5, 0.0, 0.5, float(cre)) for cre in np.arange(0.05, 0.5, 0.05)]
+    analytic = _closed_forms(*_setting_arrays(points))
+    nsit02 = nsit_residual(mz_batch(points).tables, 0, 2)
+    two_time = np.maximum.reduce([analytic[:, 0], analytic[:, 1], nsit02])
     best = None
-    for cre in np.arange(0.05, 0.5, 0.05):
-        params = MZParams(0.5, 0.5, 0.0, 0.5, float(cre))
-        ana = analytic_residuals(params)
-        two_time = max(ana["NSIT_(0)1"], ana["NSIT_(1)2"], _nsit02_residual(params))
-        if two_time < 1e-12:
-            score = ana["NSIT_0(1)2"]
-            if best is None or score > best["sandwich"]:
-                best = {
-                    "params": params.describe(),
-                    "two_time_max": two_time,
-                    "sandwich": score,
-                }
+    for params, tt, score in zip(points, two_time.tolist(), analytic[:, 2].tolist()):
+        if tt < 1e-12 and (best is None or score > best["sandwich"]):
+            best = {"params": params.describe(), "two_time_max": tt, "sandwich": score}
     return best
-
-
-def _nsit02_residual(params: MZParams) -> float:
-    """Numeric NSIT_(0)2 residual (no tidy closed form is needed for it)."""
-    sc = mz_scenario(params)
-    return nsit_two_time(sc, 0, 2).residual
