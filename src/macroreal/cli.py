@@ -78,19 +78,35 @@ def parse_range(spec: str) -> list[float]:
 
 
 def parse_complex_list(spec: str) -> list[complex]:
-    """Parse a comma list of complex values; accepts both 0.3i and 0.3j."""
-    values = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            values.append(complex(token.replace("i", "j")))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"cannot parse complex value {token!r}")
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty complex list {spec!r}")
-    return values
+    """Parse a comma list of finite complex values; accepts both 0.3i and 0.3j."""
+    try:
+        values = [complex(v.replace("i", "j")) for v in spec.split(",") if v.strip()]
+        if not values or not np.isfinite(values).all():
+            raise ValueError
+        return values
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"cannot parse complex list {spec!r}; expected a comma list of finite values"
+        )
+
+
+def _finite_float(spec: str) -> float:
+    """argparse type of --guard: a finite float."""
+    try:
+        value = float(spec)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {spec!r}")
+    return value
+
+
+def _tolerance(spec: str) -> float:
+    """argparse type of --tol: a finite float >= 0."""
+    value = _finite_float(spec)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {spec!r}")
+    return value
 
 
 _QUOTED = frozenset(',"\n\r')
@@ -435,7 +451,7 @@ def _common_options() -> argparse.ArgumentParser:
 def _add_tol(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
         help=f"condition threshold (default: ${DEFAULT_TOL_ENV} or 1e-9)",
     )
@@ -466,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mz.add_argument("--q", type=parse_range, help="upper-path populations")
     mz.add_argument("--c", type=parse_complex_list, help="coherences, e.g. 0.3i,0.2")
-    mz.add_argument("--guard", type=float, default=1e-6, help="verdict guard band")
+    mz.add_argument("--guard", type=_finite_float, default=1e-6, help="verdict guard band")
     mz.add_argument(
         "--convention", choices=("auto",) + CONVENTIONS, default="auto",
         help="interferometer layout convention",
@@ -548,6 +564,8 @@ def main(argv=None) -> int:
                 args.tol = float(raw)
             except ValueError:
                 raise ValueError(f"{DEFAULT_TOL_ENV}={raw!r} is not a number") from None
+            if not 0.0 <= args.tol < math.inf:
+                raise ValueError(f"{DEFAULT_TOL_ENV}={raw!r} is not a finite number >= 0")
         return args.run(args)
     except ValueError as exc:
         _note(f"{args.command} {getattr(args, 'family', '')}".rstrip() + f": {exc}")

@@ -55,17 +55,18 @@ class MZParams:
     c: complex | None = None
 
     def __post_init__(self):
-        for name in ("r1", "r2"):
+        for name in ("r1", "r2", "q"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         if self.c is not None:
             limit = self.q * (1.0 - self.q)
-            if abs(self.c) ** 2 > limit + 1e-12:
+            # "not <=" also rejects a NaN or infinite c
+            if not abs(self.c) ** 2 <= limit + 1e-12:
                 raise ValueError(
-                    f"|c|^2 = {abs(self.c) ** 2:.3g} exceeds q(1-q) = {limit:.3g}"
+                    f"|c|^2 = {abs(self.c) ** 2:.3g} is not within q(1-q) = {limit:.3g}"
                 )
 
     @property
@@ -73,12 +74,8 @@ class MZParams:
         return 0j if self.c is None else complex(self.c)
 
     def describe(self) -> dict:
-        d = {"r1": self.r1, "r2": self.r2, "phi": self.phi, "q": self.q}
-        if self.c is None:
-            d["c"] = None
-        else:
-            d["c"] = [complex(self.c).real, complex(self.c).imag]
-        return d
+        c = None if self.c is None else [self.coherence.real, self.coherence.imag]
+        return {"r1": self.r1, "r2": self.r2, "phi": self.phi, "q": self.q, "c": c}
 
 
 def _state_matrices(q, c) -> np.ndarray:

@@ -143,6 +143,8 @@ def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[Over
     g = complex(gamma)
     if dim is None:
         dim = default_fock_dim(g)
+    if dim < 1:
+        raise ValueError(f"the Fock cutoff must be at least 1, got {dim}")
     radius = abs(g) + 5.0
     lattice = ComplexLattice.square(radius, step)
     family, cols = readout(lattice, radius, dim)

@@ -81,6 +81,14 @@ def test_empty_list_value_exits_two(argv, capsys):
         ["overlap", "fock", "--g", "m", "--gamma", "inf"],
         ["overlap", "coherent", "--seed", "1"],
         ["nsit-check", data_file("mz_phi0.json"), "--seed", "1"],
+        # thresholds are finite, --tol also >= 0; coherences are finite
+        ["mz-scan", "--tol", "nan"],
+        ["mz-scan", "--tol", "-1"],
+        ["mz-scan", "--guard", "nan"],
+        ["mz-scan", "--c", "nan"],
+        ["mz-scan", "--c", "nanj"],
+        ["mz-scan", "--c", "1e400"],
+        ["nsit-check", data_file("mz_phi0.json"), "--tol", "inf"],
     ],
 )
 def test_usage_error_exits_two(argv):
@@ -169,6 +177,45 @@ def test_non_numeric_env_tolerance_exits_two(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "nsit-check: MACROREAL_DEFAULT_TOL='abc' is not a number\n"
+    for raw in ("nan", "-1", "inf"):
+        monkeypatch.setenv("MACROREAL_DEFAULT_TOL", raw)
+        code = main(["nsit-check", data_file("mz_phi0.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"nsit-check: MACROREAL_DEFAULT_TOL={raw!r} is not a finite number >= 0\n"
+        )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nsit_check_out_bodies(tmp_path, fmt):
+    out = tmp_path / f"reports.{fmt}"
+    code = main(["nsit-check", data_file("mz_phi0.json"), "--format", fmt, "--out", str(out)])
+    assert code == 1
+    names = [
+        "NSIT_(0)1", "AoT_0(1)", "NSIT_(0)2", "AoT_0(2)", "NSIT_(1)2",
+        "AoT_1(2)", "NSIT_0(1)2", "NSIT_(0)12", "LGI_012", "NIC_0(1)2",
+    ]
+    violated = {"NSIT_(1)2": 0.2, "NSIT_0(1)2": 0.35, "NIC_0(1)2": 1.0}
+    if fmt == "csv":
+        lines = out.read_text().splitlines()
+        assert lines[0] == "name,residual,threshold,holds"
+        rows = [
+            {"name": name, "residual": float(residual), "holds": {"true": True, "false": False}[holds]}
+            for name, residual, _, holds in (line.split(",") for line in lines[1:])
+        ]
+    else:
+        body = json.loads(out.read_text())
+        assert sorted(body) == ["mr012", "reports"]
+        rows = body["reports"]
+        assert body["mr012"]["holds"] is False
+        assert abs(body["mr012"]["mismatch_tv"] - 0.5) <= 1e-12
+    assert [row["name"] for row in rows] == names
+    assert {row["name"] for row in rows if not row["holds"]} == set(violated)
+    for row in rows:
+        if row["name"] in violated:
+            assert abs(row["residual"] - violated[row["name"]]) <= 1e-12
 
 
 def test_mz_scan_small_lattice(tmp_path, capsys):
@@ -441,6 +488,11 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
         ["overlap", "quadrature", "--case", "PP", "--t", "1", "--kappa", "0"],
         ["overlap", "quadrature", "--case", "PP", "--delta", "0"],
         ["overlap", "quadrature", "--case", "XX", "--t", "1", "--delta", "0.1", "--grid", "256"],
+        # a Fock cutoff below 1
+        ["overlap", "fock", "--g", "m", "--gamma", "1", "--dim", "0"],
+        ["overlap", "ring", "--d", "6", "--dim", "0"],
+        ["overlap", "coherent", "--gamma", "1", "--dim", "0"],
+        ["overlap", "fock", "--g", "m", "--gamma", "1", "--dim", "-3"],
     ],
 )
 def test_bad_option_values_exit_two(argv, capsys):

@@ -42,6 +42,11 @@ def test_params_validation():
         MZParams(0.5, 0.5, 0.0, 0.9, 0.5)  # |c|^2 > q(1-q)
     with pytest.raises(ValueError):
         MZParams(0.5, 0.5, 0.0, -0.1)
+    # a NaN phase or coherence would slip past the range and |c|^2 tests
+    bad = [(math.nan, None), (math.inf, 0.1), (0.0, math.nan), (0.0, complex(0.0, math.nan))]
+    for phi, c in bad + [(0.0, math.inf)]:
+        with pytest.raises(ValueError):
+            MZParams(0.5, 0.5, phi, 0.5, c)
 
 
 def test_initial_state_forms():
