@@ -199,11 +199,11 @@ def _closed_forms(r1, r2, phi, q, c) -> np.ndarray:
 
 def lgi_k_value(params: MZParams) -> float:
     """Left side of the three-time Leggett-Garg inequality at one setting."""
-    return float(_lgi_k(*_setting_arrays([params])[:3])[0])
+    return float(_lgi_k(params.r1, params.r2, params.phi))
 
 
 def analytic_residuals(params: MZParams) -> dict:
-    """Closed-form residuals at one setting: the one-point case of _closed_forms."""
+    """Closed-form residuals at one setting: the one-point case of the batch closed forms."""
     return dict(zip(CONDITION_NAMES, _closed_forms(*_setting_arrays([params]))[0].tolist()))
 
 
