@@ -74,7 +74,7 @@ class MZParams:
         return 0j if self.c is None else complex(self.c)
 
     def describe(self) -> dict:
-        c = None if self.c is None else [self.coherence.real, self.coherence.imag]
+        c = None if self.c is None else [complex(self.c).real, complex(self.c).imag]
         return {"r1": self.r1, "r2": self.r2, "phi": self.phi, "q": self.q, "c": c}
 
 

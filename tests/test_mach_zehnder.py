@@ -43,8 +43,13 @@ def test_params_validation():
     with pytest.raises(ValueError):
         MZParams(0.5, 0.5, 0.0, -0.1)
     # a NaN phase or coherence would slip past the range and |c|^2 tests
-    bad = [(math.nan, None), (math.inf, 0.1), (0.0, math.nan), (0.0, complex(0.0, math.nan))]
-    for phi, c in bad + [(0.0, math.inf)]:
+    for phi, c in (
+        (math.nan, None),
+        (math.inf, 0.1),
+        (0.0, math.nan),
+        (0.0, complex(0.0, math.nan)),
+        (0.0, math.inf),
+    ):
         with pytest.raises(ValueError):
             MZParams(0.5, 0.5, phi, 0.5, c)
 
