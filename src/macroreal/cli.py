@@ -130,10 +130,6 @@ def _format_cell(value) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _json_cell(value):
-    return value
-
-
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -143,31 +139,30 @@ def _json_default(obj):
 
 
 def _table(rows: list[tuple]):
-    """write_rows' columns(cell) over a list of row tuples, every value passed through cell."""
-    return lambda cell: [map(cell, column) for column in zip(*rows)]
+    """write_rows' body of a list of row tuples: a CSV line per row, every
+    value through _format_cell, or the JSON list of row objects."""
+
+    def body(fieldnames, fmt):
+        if fmt == "csv":
+            return ["".join(",".join(map(_format_cell, row)) + "\n" for row in [fieldnames, *rows])]
+        records = [dict(zip(fieldnames, row)) for row in rows]
+        return [json.dumps(records, indent=2, sort_keys=True, default=_json_default) + "\n"]
+
+    return body
 
 
-def write_rows(columns, fieldnames: list[str], args: argparse.Namespace) -> None:
+def write_rows(body, fieldnames: list[str], args: argparse.Namespace) -> None:
     """Write a table to --out or stdout as CSV or JSON.
 
-    columns(cell) returns one iterable per field, in fieldnames order, yielding
-    the field's value in every row passed through cell: _format_cell for CSV,
-    _json_cell for JSON. A value shared by several rows may go through cell once.
+    body(fieldnames, format) returns the text, header included, as an
+    iterable of chunks; each chunk is written as it comes.
     """
-    if args.format == "csv":
-        lines = [",".join(map(_format_cell, fieldnames))]
-        lines += map(",".join, zip(*columns(_format_cell)))
-        lines.append("")  # the final newline, without copying the joined body
-        text = "\n".join(lines)
-        del lines
-    else:
-        body = [dict(zip(fieldnames, row)) for row in zip(*columns(_json_cell))]
-        text = json.dumps(body, indent=2, sort_keys=True, default=_json_default) + "\n"
+    chunks = body(fieldnames, args.format)
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _note(message: str) -> None:
@@ -210,57 +205,120 @@ def _state_list(args: argparse.Namespace) -> list[dict]:
     return states
 
 
-def _random_params(rng: np.random.Generator) -> MZParams:
-    r1, r2 = rng.uniform(0.0, 1.0, size=2)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    q = rng.uniform(0.0, 1.0)
-    if rng.uniform() < 0.5:
-        return MZParams(float(r1), float(r2), float(phi), float(q), None)
-    radius = rng.uniform(0.0, math.sqrt(q * (1.0 - q)))
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    c = radius * complex(math.cos(angle), math.sin(angle))
-    return MZParams(float(r1), float(r2), float(phi), float(q), c)
+def _random_points(rng: np.random.Generator, n: int) -> list[MZParams]:
+    """n random settings from one block of uniform draws.
 
-
-def _mz_columns(report):
-    """write_rows' columns(cell): the MZ_FIELDS columns, one row per (point,
-    condition), point-major.
-
-    A point's six parameter cells go through cell once and are repeated for its
-    seven condition rows; verdicts go through a two-entry lookup. The residual
-    and verdict columns are iterators, so their cells are made row by row as
-    write_rows joins them rather than all held at once.
+    A point takes r1, r2, phi, q and a coin, then for a superposition (coin
+    >= 0.5) the radius and angle of c, each as Generator.uniform computes it,
+    low + (high - low) * u; with low = 0 that is high * u, bit for bit.
     """
-    k = len(CONDITION_NAMES)
+    u = iter(rng.random(7 * n).tolist())
+    tau = 2.0 * math.pi
+    points = []
+    for _ in range(n):
+        r1, r2, phi, q, coin = next(u), next(u), tau * next(u), next(u), next(u)
+        c = None
+        if coin >= 0.5:
+            radius, angle = math.sqrt(q * (1.0 - q)) * next(u), tau * next(u)
+            c = radius * complex(math.cos(angle), math.sin(angle))
+        points.append(MZParams(r1, r2, phi, q, c))
+    return points
 
-    def columns(cell):
-        verdict = (cell(False), cell(True))
-        params = [p.describe() for p in report.points]
-        cs = [d["c"] or (None, None) for d in params]
-        head = [[d[name] for d in params] for name in ("r1", "r2", "phi", "q")]
-        head += [[c[0] for c in cs], [c[1] for c in cs]]
-        cols = [[v for v in map(cell, col) for _ in range(k)] for col in head]
-        cols.append([cell(name) for name in CONDITION_NAMES] * len(params))
-        # tolist() gives Python floats and bools; a bool indexes verdict
-        cols += [map(cell, a.ravel().tolist()) for a in (report.analytic, report.numeric)]
+
+MZ_BLOCK = 1024  # points formatted and written at a time
+
+
+def _mz_blocks(report):
+    """(slice, params) per block of points; params pairs each point's
+    (r1, r2, phi, q, c_re, c_im) with whether it has a coherence."""
+    for i in range(0, report.n_points, MZ_BLOCK):
+        block = slice(i, i + MZ_BLOCK)
+        r1, r2, phi, q, c = (a[block] for a in report.settings)
+        numbers = np.stack([r1, r2, phi, q, c.real, c.imag], axis=1).tolist()
+        yield block, zip(numbers, report.has_c[block].tolist())
+
+
+def _mz_csv(report, fields):
+    """The mz-scan CSV body, one block of points at a time.
+
+    A point's parameter cells are formatted once, into a prefix of its seven
+    condition rows (a mixture's c_re and c_im are empty), and every row is one
+    %-template; '%.12g' % x is format(x, '.12g'), the _format_cell contract.
+    The verdict cells are one of 16 strings, looked up by (analytic_holds,
+    numeric_holds, compared, agree).
+    """
+    yield ",".join(map(_format_cell, fields)) + "\n"
+    names = [_format_cell(name) + "," for name in CONDITION_NAMES]
+    flags = (False, True)
+    tails = [
+        ",".join(map(_format_cell, (a, n, c, g if c else None)))
+        for a in flags for n in flags for c in flags for g in flags
+    ]
+    codes = 8 * report.analytic_holds + 4 * report.numeric_holds + 2 * report.compared + report.agree
+    for block, params in _mz_blocks(report):
+        prefixes = [
+            "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g," % tuple(p) if has_c
+            else "%.12g,%.12g,%.12g,%.12g,,," % tuple(p[:4])
+            for p, has_c in params
+        ]
+        rows = zip(
+            [prefix + name for prefix in prefixes for name in names],
+            report.analytic[block].ravel().tolist(),
+            report.numeric[block].ravel().tolist(),
+            map(tails.__getitem__, codes[block].ravel().tolist()),
+        )
+        yield "".join(map("%s%.12g,%.12g,%s\n".__mod__, rows))
+
+
+def _mz_json(report, fields):
+    """The mz-scan JSON body, one block of points at a time.
+
+    The bytes are those of json.dumps(rows, indent=2, sort_keys=True). A
+    point's parameter cells fill a copy of the sorted-key row template once,
+    and each row fills its seven own cells: float.__repr__ for numbers (json's
+    own float text; with a NaN or an infinity among the residuals every number
+    goes through json.dumps), true, false and null, and
+    encode_basestring_ascii for the condition.
+    """
+    if not report.n_points:
+        yield "[]\n"
+        return
+    finite = np.isfinite(report.analytic).all() and np.isfinite(report.numeric).all()
+    number = float.__repr__ if finite else json.dumps
+    text = json.encoder.encode_basestring_ascii
+    keys = sorted(fields)
+    row = "  {\n" + ",\n".join(f"    {text(k)}: %s" for k in keys) + "\n  }"
+    verdict = ("false", "true")
+    for block, params in _mz_blocks(report):
+        templates = []
+        for p, has_c in params:
+            cells = dict(zip(fields, map(number, p)))  # the point's six fields lead
+            if not has_c:
+                cells["c_re"] = cells["c_im"] = "null"
+            templates += [row % tuple(cells.get(k, "%s") for k in keys)] * len(CONDITION_NAMES)
         a_holds, n_holds, compared, agree = (
-            a.ravel().tolist()
+            a[block].ravel().tolist()
             for a in (report.analytic_holds, report.numeric_holds, report.compared, report.agree)
         )
-        cols += [map(verdict.__getitem__, flags) for flags in (a_holds, n_holds, compared)]
-        empty = cell(None)
-        cols.append(verdict[a] if c else empty for a, c in zip(agree, compared))
-        return cols
-
-    return columns
+        own = {
+            "condition": map(text, CONDITION_NAMES * (len(templates) // len(CONDITION_NAMES))),
+            "analytic_residual": map(number, report.analytic[block].ravel().tolist()),
+            "numeric_residual": map(number, report.numeric[block].ravel().tolist()),
+            "analytic_holds": map(verdict.__getitem__, a_holds),
+            "numeric_holds": map(verdict.__getitem__, n_holds),
+            "compared": map(verdict.__getitem__, compared),
+            "agree": (verdict[g] if c else "null" for g, c in zip(agree, compared)),
+        }
+        rows = map(str.__mod__, templates, zip(*(own[k] for k in keys if k in own)))
+        yield ("[\n" if block.start == 0 else ",\n") + ",\n".join(rows)
+    yield "\n]\n"
 
 
 def cmd_mz_scan(args: argparse.Namespace) -> int:
     if args.random_points < 0:
         raise ValueError(f"--random-points must be non-negative, got {args.random_points}")
     states = _state_list(args)
-    rng = np.random.default_rng(args.seed)
-    extra = [_random_params(rng) for _ in range(args.random_points)]
+    extra = _random_points(np.random.default_rng(args.seed), args.random_points)
     report = verify_lattice(
         args.r1,
         args.phi,
@@ -271,7 +329,7 @@ def cmd_mz_scan(args: argparse.Namespace) -> int:
         guard=args.guard,
         convention=None if args.convention == "auto" else args.convention,
     )
-    write_rows(_mz_columns(report), MZ_FIELDS, args)
+    write_rows(lambda fields, fmt: (_mz_csv if fmt == "csv" else _mz_json)(report, fields), MZ_FIELDS, args)
     summary = report.to_dict()
     if args.out:
         with open(args.out + ".summary.json", "w") as fh:

@@ -14,6 +14,7 @@ exact; verify_lattice can recalibrate the choice automatically.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time as _time
 
@@ -163,12 +164,14 @@ def _setting_arrays(points):
     )
 
 
+def _batch(settings, convention: str) -> ScenarioBatch:
+    r1, r2, phi, q, c = settings
+    return ScenarioBatch(_state_matrices(q, c), MZ_SLOTS, _unitaries(r1, r2, phi, convention))
+
+
 def mz_batch(points, convention: str = "crossed-p0") -> ScenarioBatch:
     """The scenarios of many settings as one batch, in the order given."""
-    r1, r2, phi, q, c = _setting_arrays(points)
-    return ScenarioBatch(
-        _state_matrices(q, c), MZ_SLOTS, _unitaries(r1, r2, phi, convention)
-    )
+    return _batch(_setting_arrays(points), convention)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +219,10 @@ def batch_numeric_residuals(points, convention: str = "crossed-p0") -> dict:
     the whole batch. Each pairwise table is its own experiment, not a
     marginal of the full joint.
     """
-    t = mz_batch(points, convention).tables
+    return _table_residuals(mz_batch(points, convention).tables)
+
+
+def _table_residuals(t) -> dict:
     members = mr012_residuals(t)
     lgi = lgi_values(t)
     return {
@@ -240,31 +246,37 @@ def numeric_residuals(params: MZParams, convention: str = "crossed-p0") -> dict:
     }
 
 
-def _residual_arrays(points, convention: str):
-    """Closed-form and pipeline residuals of every setting, as two (N, 7) arrays.
+def _residual_arrays(settings, convention: str):
+    """Closed-form and pipeline residuals of (r1, r2, phi, q, c) arrays, as two (N, 7) arrays.
 
     Column k holds condition CONDITION_NAMES[k]. Both sides run as one batch.
     """
-    analytic = _closed_forms(*_setting_arrays(points))
-    if not points:
-        return analytic, analytic.copy()
-    numeric = batch_numeric_residuals(points, convention)
-    return analytic, np.stack([numeric[name] for name in CONDITION_NAMES], axis=1)
+    numeric = _table_residuals(_batch(settings, convention).tables)
+    return _closed_forms(*settings), np.stack([numeric[name] for name in CONDITION_NAMES], axis=1)
+
+
+def _point(settings, has_c, i) -> MZParams:
+    """Setting i of the (r1, r2, phi, q, c) arrays; has_c[i] False is a mixture."""
+    r1, r2, phi, q, c = (a[i].item() for a in settings)
+    return MZParams(r1, r2, phi, q, c if has_c[i] else None)
 
 
 @dataclasses.dataclass
 class LatticeReport:
     """Result of sweeping the closed forms against the numeric pipeline.
 
-    analytic and numeric are (n_points, 7) residual arrays, one row per entry
-    of points and one column per CONDITION_NAMES entry. A condition holds at
-    residual <= threshold; a verdict is compared unless the closed-form
-    residual sits inside the guard band threshold < a < guard.
+    settings holds the (r1, r2, phi, q, c) arrays of the points and has_c
+    marks those given a coherence (a c of 0 included); points builds them as
+    MZParams on first read. analytic and numeric are (n_points, 7) residual
+    arrays, one row per point and one column per CONDITION_NAMES entry. A
+    condition holds at residual <= threshold; a verdict is compared unless the
+    closed-form residual sits inside the guard band threshold < a < guard.
     """
 
     convention: str
     calibration: dict
-    points: list
+    settings: tuple
+    has_c: np.ndarray
     analytic: np.ndarray
     numeric: np.ndarray
     threshold: float
@@ -282,7 +294,7 @@ class LatticeReport:
         self.max_formula_error = float(np.abs(a - n).max(initial=0.0))
         self.mismatches = [
             {
-                "params": self.points[i].describe(),
+                "params": _point(self.settings, self.has_c, i).describe(),
                 "condition": CONDITION_NAMES[k],
                 "analytic": float(a[i, k]),
                 "numeric": float(n[i, k]),
@@ -290,9 +302,13 @@ class LatticeReport:
             for i, k in zip(*np.nonzero(self.compared & ~self.agree))
         ]
 
+    @functools.cached_property
+    def points(self) -> list:
+        return [_point(self.settings, self.has_c, i) for i in range(self.n_points)]
+
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return len(self.has_c)
 
     @property
     def ok(self) -> bool:
@@ -346,7 +362,9 @@ def verify_lattice(
     Every (r1, r2, phi, state) combination, followed by the MZParams in
     extra_points, is evaluated both ways, the numeric side as one batch;
     LatticeReport compares the verdicts. r2_values defaults to r_values. With
-    convention=None the layout is calibrated first on a few probe points.
+    convention=None the layout is calibrated first on a few probe points. The
+    lattice is built as (r1, r2, phi, q, c) arrays; its first setting outside
+    MZParams' bounds raises MZParams' own ValueError.
     """
     t0 = _time.perf_counter()
     if r_values is None:
@@ -362,19 +380,24 @@ def verify_lattice(
     if convention is None:
         convention, calibration = calibrate_convention()
 
-    points = [
-        MZParams(float(r1), float(r2), float(phi), st["q"], st["c"])
-        for r1 in r_values
-        for r2 in r2_values
-        for phi in phi_values
-        for st in states
-    ]
-    points.extend(extra_points)
-    analytic, numeric = _residual_arrays(points, convention)
+    axes = [np.asarray(v, dtype=float) for v in (r_values, r2_values, phi_values)]
+    *grid, k = (a.ravel() for a in np.meshgrid(*axes, np.arange(len(states)), indexing="ij"))
+    grid.append(np.array([st["q"] for st in states], dtype=float)[k])
+    grid.append(np.array([0j if st["c"] is None else st["c"] for st in states], dtype=complex)[k])
+    has_c = np.array([st["c"] is not None for st in states], dtype=bool)[k]
+    has_c = np.concatenate([has_c, np.array([p.c is not None for p in extra_points], dtype=bool)])
+    settings = tuple(map(np.concatenate, zip(grid, _setting_arrays(extra_points))))
+    r1, r2, phi, q, c = settings
+    ok = (0.0 <= r1) & (r1 <= 1.0) & (0.0 <= r2) & (r2 <= 1.0) & (0.0 <= q) & (q <= 1.0)
+    ok &= np.isfinite(phi) & (~has_c | (np.abs(c) ** 2 <= q * (1.0 - q) + 1e-12))
+    for i in np.flatnonzero(~ok):
+        _point(settings, has_c, i)  # raises MZParams' own message
+    analytic, numeric = _residual_arrays(settings, convention)
     return LatticeReport(
         convention=convention,
         calibration=calibration,
-        points=points,
+        settings=settings,
+        has_c=has_c,
         analytic=analytic,
         numeric=numeric,
         threshold=threshold,
@@ -396,9 +419,10 @@ def calibrate_convention():
         MZParams(0.5, 0.5, 1.1, 0.5, 0.45),
         MZParams(0.7, 0.2, 2.0, 0.2, 0.1 - 0.3j),
     ]
+    settings = _setting_arrays(probe_points)
     errors = {}
     for conv in CONVENTIONS:
-        analytic, numeric = _residual_arrays(probe_points, conv)
+        analytic, numeric = _residual_arrays(settings, conv)
         errors[conv] = float(np.abs(analytic - numeric).max(initial=0.0))
     best = min(errors, key=errors.get)
     return best, {"errors": errors, "chosen": best}

@@ -277,7 +277,7 @@ def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
             grown[:, :, 0] = branches
             # K_i rho_b K_i' at index [b, 1 + i]
             np.matmul(ops @ branches[:, :, None], ops.conj().swapaxes(-1, -2), out=grown[:, :, 1:])
-            branches = grown.reshape(n, -1, d, d)
+            branches = grown.reshape(n, grown.shape[1] * grown.shape[2], d, d)
     ops = slots[last].instrument.dense_ops()
     # tr(E rho) = sum_ij rho_ij conj(E_ij) for Hermitian E, so row 1 + i of
     # flat holds conj(U' E_i U) = U^T conj(E_i) conj(U), with conj(K'K) = K^T conj(K)
@@ -291,8 +291,8 @@ def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
             np.matmul(ut @ e, uc, out=flat[:, 1 + i])
     else:
         flat[0, 1:] = effects
-    flat = flat.reshape(flat.shape[0], -1, d * d).swapaxes(-1, -2)
-    probs = branches.reshape(n, -1, d * d) @ flat
+    flat = flat.reshape(flat.shape[0], flat.shape[1], d * d).swapaxes(-1, -2)
+    probs = branches.reshape(n, branches.shape[1], d * d) @ flat
     return probs.real.reshape(n, *(1 + slots[k].instrument.n_outcomes for k in measured))
 
 

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from macroreal.cli import MZ_FIELDS, _table, main, parse_complex_list, parse_ran
 from macroreal.conditions import nic_012
 from macroreal.hilbert import DensityState
 from macroreal.instruments import projective_family
-from macroreal.mach_zehnder import CONDITION_NAMES
+from macroreal.mach_zehnder import CONDITION_NAMES, LatticeReport, MZParams, verify_lattice
 from macroreal.scenario import Scenario, Slot, save_scenario
 
 
@@ -365,7 +366,7 @@ def test_mz_scan_cells_are_the_report_values(tmp_path, monkeypatch):
         "--r1", "0:1:0.5",
         "--phi", "0:6.2832:1.5708",
         "--q", "0.3,0.5",
-        "--c", "0.3i,0.2+0.35i",
+        "--c", "0,0.3i,0.2+0.35i",
         "--guard", "0.05",
         "--tol", "1e-3",
         "--random-points", "4",
@@ -383,6 +384,10 @@ def test_mz_scan_cells_are_the_report_values(tmp_path, monkeypatch):
     compared = report.compared.ravel()
     assert compared.any() and not compared.all()
     assert {p.c is None for p in report.points} == {True, False}
+    assert [p.c is not None for p in report.points] == report.has_c.tolist()
+    # a coherence of 0 writes 0,0 and a mixture two empty cells
+    assert {tuple(row[4:6]) for row in rows} >= {("0", "0"), ("", "")}
+    assert {(r["c_re"], r["c_im"]) for r in records} >= {(0.0, 0.0), (None, None)}
 
     def expected(i, k):
         p = report.points[i]
@@ -410,6 +415,98 @@ def test_mz_scan_cells_are_the_report_values(tmp_path, monkeypatch):
             assert row[4] == row[5] == ""
         assert all(row[m] in ("true", "false") for m in (9, 10, 11))
         assert (row[12] == "") == (row[11] == "false")
+
+    # a lattice without an admissible state is a usage error, as before
+    assert main(["mz-scan", "--state", "sup", "--c", "0.9", "--out", str(csv_path)]) == 2
+
+
+# '%.12g' % x is what _format_cell writes for a float, so the mz-scan row
+# template keeps the cell contract
+@pytest.mark.parametrize(
+    "x",
+    [
+        math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2,
+        np.float64(2.0 / 3.0),
+        0.9999999999996,  # the 12th digit rounds up through every 9
+        1.23456789012500001,
+    ],
+)
+def test_percent_g_is_the_float_cell(x):
+    assert "%.12g" % float(x) == format(float(x), ".12g") == cli._format_cell(x)
+
+
+def _scalar_random_params(rng):
+    # mz-scan's random points as they were drawn before: one uniform call a value
+    r1, r2 = rng.uniform(0.0, 1.0, size=2)
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    q = rng.uniform(0.0, 1.0)
+    if rng.uniform() < 0.5:
+        return MZParams(float(r1), float(r2), float(phi), float(q), None)
+    radius = rng.uniform(0.0, math.sqrt(q * (1.0 - q)))
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    c = radius * complex(math.cos(angle), math.sin(angle))
+    return MZParams(float(r1), float(r2), float(phi), float(q), c)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_points_are_the_scalar_draws(seed):
+    rng = np.random.default_rng(seed)
+    expected = [_scalar_random_params(rng) for _ in range(300)]
+    points = cli._random_points(np.random.default_rng(seed), 300)
+    assert points == expected
+    assert {p.c is None for p in points} == {True, False}
+
+
+def _mz_body(report, fmt):
+    return "".join((cli._mz_csv if fmt == "csv" else cli._mz_json)(report, MZ_FIELDS))
+
+
+def _mz_records(report):
+    """The rows of an mz-scan report as Python values, in MZ_FIELDS order."""
+    rows = []
+    for i, p in enumerate(report.points):
+        c = (None, None) if p.c is None else (p.c.real, p.c.imag)
+        for k, name in enumerate(CONDITION_NAMES):
+            compared = bool(report.compared[i, k])
+            rows.append(
+                (p.r1, p.r2, p.phi, p.q, *c, name,
+                 float(report.analytic[i, k]), float(report.numeric[i, k]),
+                 bool(report.analytic_holds[i, k]), bool(report.numeric_holds[i, k]),
+                 compared, bool(report.agree[i, k]) if compared else None)
+            )
+    return rows
+
+
+def test_mz_json_spells_non_finite_residuals_as_json_does():
+    states = [{"q": 0.5, "c": None}, {"q": 0.5, "c": 0.3j}]
+    base = verify_lattice([0.3], [0.9, 2.0], states, convention="crossed-p0")
+    analytic, numeric = base.analytic.copy(), base.numeric.copy()
+    analytic[0, 1], numeric[2, 3], numeric[3, 0] = math.nan, math.inf, -math.inf
+    report = LatticeReport(
+        base.convention, {}, base.settings, base.has_c, analytic, numeric,
+        base.threshold, base.guard, 0.0,
+    )
+    rows = [dict(zip(MZ_FIELDS, row)) for row in _mz_records(report)]
+    want = json.dumps(rows, indent=2, sort_keys=True, default=cli._json_default) + "\n"
+    body = _mz_body(report, "json")
+    assert body == want
+    assert "NaN" in body and "-Infinity" in body
+    assert _mz_body(base, "json") == "".join(cli._table(_mz_records(base))(MZ_FIELDS, "json"))
+
+
+def test_mz_bodies_of_an_empty_report():
+    report = verify_lattice([], convention="crossed-p0")
+    assert _mz_body(report, "csv") == ",".join(MZ_FIELDS) + "\n"
+    assert _mz_body(report, "json") == "[]\n"
+
+
+def test_mz_bodies_span_several_blocks(monkeypatch):
+    monkeypatch.setattr(cli, "MZ_BLOCK", 3)
+    states = [{"q": 0.5, "c": None}, {"q": 0.3, "c": 0.2 + 0.35j}]
+    report = verify_lattice([0.0, 0.4, 1.0], [0.5, 2.0], states, convention="crossed-p0")
+    assert report.n_points == 3 * 3 * 2 * 2
+    for fmt in ("csv", "json"):
+        assert _mz_body(report, fmt) == "".join(cli._table(_mz_records(report))(MZ_FIELDS, fmt))
 
 
 def _written(tmp_path, rows, fields, fmt):

@@ -14,6 +14,7 @@ from macroreal.mach_zehnder import (
     initial_state,
     lgi_k_value,
     lgi_max_search,
+    mz_batch,
     mz_scenario,
     mz_unitaries,
     numeric_residuals,
@@ -129,6 +130,52 @@ def test_verify_lattice_rows_keep_lattice_order():
         ana = analytic_residuals(p)
         assert num_row.tolist() == [num[name] for name in CONDITION_NAMES]
         assert ana_row.tolist() == [ana[name] for name in CONDITION_NAMES]
+
+
+def test_an_empty_batch_has_empty_tables():
+    residuals = batch_numeric_residuals([])
+    for name in CONDITION_NAMES:
+        assert isinstance(residuals[name], np.ndarray) and residuals[name].shape == (0,), name
+    assert mz_batch([]).tables[(0, 1, 2)].shape == (0, 2, 2, 2)
+    report = verify_lattice([], convention="crossed-p0")
+    assert report.n_points == 0 and report.points == [] and report.ok
+    assert report.analytic.shape == report.numeric.shape == (0, len(CONDITION_NAMES))
+
+
+@pytest.mark.parametrize(
+    "r1, phi, state",
+    [
+        (1.5, 0.0, {"q": 0.5, "c": None}),
+        (-0.1, 0.0, {"q": 0.5, "c": 0.1}),
+        (0.5, 0.0, {"q": 2.0, "c": None}),
+        (0.5, math.nan, {"q": 0.5, "c": None}),
+        (0.5, 0.0, {"q": 0.9, "c": 0.5}),
+        (0.5, 0.0, {"q": 0.5, "c": complex(0.0, math.nan)}),
+    ],
+)
+def test_verify_lattice_rejects_a_setting_as_mzparams_does(r1, phi, state):
+    with pytest.raises(ValueError) as expected:
+        MZParams(r1, 0.5, phi, state["q"], state["c"])
+    good = {"q": 0.5, "c": 0.3j}
+    # the bad setting is the third point, after two admissible ones
+    with pytest.raises(ValueError) as raised:
+        verify_lattice([0.2, r1], [phi], [good, state], r2_values=[0.5], convention="crossed-p0")
+    assert str(raised.value) == str(expected.value)
+    assert "\n" not in str(raised.value)
+
+
+def test_lattice_report_keeps_coherences_of_zero():
+    states = [{"q": 0.5, "c": None}, {"q": 0.5, "c": 0}, {"q": 0.3, "c": 0.2 + 0.35j}]
+    extra = [MZParams(0.35, 0.45, 2.5, 0.4, 0j), MZParams(0.1, 0.2, 0.3, 0.4)]
+    report = verify_lattice([0.25], [1.0], states, extra_points=extra, convention="crossed-p0")
+    assert report.has_c.tolist() == [False, True, True, True, False]
+    assert [p.describe()["c"] for p in report.points] == [
+        None, [0.0, 0.0], [0.2, 0.35], [0.0, 0.0], None
+    ]
+    r1, r2, phi, q, c = report.settings
+    assert r1.tolist() == [0.25, 0.25, 0.25, 0.35, 0.1]
+    assert q.tolist() == [0.5, 0.5, 0.3, 0.4, 0.4]
+    assert c.tolist() == [0j, 0j, 0.2 + 0.35j, 0j, 0j]
 
 
 def test_lgi_value_at_special_points():
