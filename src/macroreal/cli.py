@@ -228,14 +228,26 @@ def _random_points(rng: np.random.Generator, n: int) -> list[MZParams]:
 MZ_BLOCK = 1024  # points formatted and written at a time
 
 
-def _mz_blocks(report):
-    """(slice, params) per block of points; params pairs each point's
-    (r1, r2, phi, q, c_re, c_im) with whether it has a coherence."""
-    for i in range(0, report.n_points, MZ_BLOCK):
-        block = slice(i, i + MZ_BLOCK)
-        r1, r2, phi, q, c = (a[block] for a in report.settings)
-        numbers = np.stack([r1, r2, phi, q, c.real, c.imag], axis=1).tolist()
-        yield block, zip(numbers, report.has_c[block].tolist())
+def _mz_records(report) -> list[tuple]:
+    """The mz-scan rows as Python values in MZ_FIELDS order, one per (point,
+    condition), point-major; a mixture's c_re and c_im are None, and so is
+    agree where the verdicts are not compared."""
+    k = len(CONDITION_NAMES)
+    r1, r2, phi, q, c = (a.tolist() for a in report.settings)
+    heads = [
+        (*p, z.real, z.imag) if has_c else (*p, None, None)
+        for *p, z, has_c in zip(r1, r2, phi, q, c, report.has_c.tolist())
+    ]
+    cells = zip(*(
+        a.ravel().tolist()
+        for a in (report.analytic, report.numeric, report.analytic_holds,
+                  report.numeric_holds, report.compared, report.agree)
+    ))
+    return [
+        (*heads[j // k], CONDITION_NAMES[j % k], a, n, a_holds, n_holds, compared,
+         agree if compared else None)
+        for j, (a, n, a_holds, n_holds, compared, agree) in enumerate(cells)
+    ]
 
 
 def _mz_csv(report, fields):
@@ -255,11 +267,14 @@ def _mz_csv(report, fields):
         for a in flags for n in flags for c in flags for g in flags
     ]
     codes = 8 * report.analytic_holds + 4 * report.numeric_holds + 2 * report.compared + report.agree
-    for block, params in _mz_blocks(report):
+    for i in range(0, report.n_points, MZ_BLOCK):
+        block = slice(i, i + MZ_BLOCK)
+        r1, r2, phi, q, c = (a[block] for a in report.settings)
+        params = np.stack([r1, r2, phi, q, c.real, c.imag], axis=1).tolist()
         prefixes = [
             "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g," % tuple(p) if has_c
             else "%.12g,%.12g,%.12g,%.12g,,," % tuple(p[:4])
-            for p, has_c in params
+            for p, has_c in zip(params, report.has_c[block].tolist())
         ]
         rows = zip(
             [prefix + name for prefix in prefixes for name in names],
@@ -268,50 +283,6 @@ def _mz_csv(report, fields):
             map(tails.__getitem__, codes[block].ravel().tolist()),
         )
         yield "".join(map("%s%.12g,%.12g,%s\n".__mod__, rows))
-
-
-def _mz_json(report, fields):
-    """The mz-scan JSON body, one block of points at a time.
-
-    The bytes are those of json.dumps(rows, indent=2, sort_keys=True). A
-    point's parameter cells fill a copy of the sorted-key row template once,
-    and each row fills its seven own cells: float.__repr__ for numbers (json's
-    own float text; with a NaN or an infinity among the residuals every number
-    goes through json.dumps), true, false and null, and
-    encode_basestring_ascii for the condition.
-    """
-    if not report.n_points:
-        yield "[]\n"
-        return
-    finite = np.isfinite(report.analytic).all() and np.isfinite(report.numeric).all()
-    number = float.__repr__ if finite else json.dumps
-    text = json.encoder.encode_basestring_ascii
-    keys = sorted(fields)
-    row = "  {\n" + ",\n".join(f"    {text(k)}: %s" for k in keys) + "\n  }"
-    verdict = ("false", "true")
-    for block, params in _mz_blocks(report):
-        templates = []
-        for p, has_c in params:
-            cells = dict(zip(fields, map(number, p)))  # the point's six fields lead
-            if not has_c:
-                cells["c_re"] = cells["c_im"] = "null"
-            templates += [row % tuple(cells.get(k, "%s") for k in keys)] * len(CONDITION_NAMES)
-        a_holds, n_holds, compared, agree = (
-            a[block].ravel().tolist()
-            for a in (report.analytic_holds, report.numeric_holds, report.compared, report.agree)
-        )
-        own = {
-            "condition": map(text, CONDITION_NAMES * (len(templates) // len(CONDITION_NAMES))),
-            "analytic_residual": map(number, report.analytic[block].ravel().tolist()),
-            "numeric_residual": map(number, report.numeric[block].ravel().tolist()),
-            "analytic_holds": map(verdict.__getitem__, a_holds),
-            "numeric_holds": map(verdict.__getitem__, n_holds),
-            "compared": map(verdict.__getitem__, compared),
-            "agree": (verdict[g] if c else "null" for g, c in zip(agree, compared)),
-        }
-        rows = map(str.__mod__, templates, zip(*(own[k] for k in keys if k in own)))
-        yield ("[\n" if block.start == 0 else ",\n") + ",\n".join(rows)
-    yield "\n]\n"
 
 
 def cmd_mz_scan(args: argparse.Namespace) -> int:
@@ -329,7 +300,10 @@ def cmd_mz_scan(args: argparse.Namespace) -> int:
         guard=args.guard,
         convention=None if args.convention == "auto" else args.convention,
     )
-    write_rows(lambda fields, fmt: (_mz_csv if fmt == "csv" else _mz_json)(report, fields), MZ_FIELDS, args)
+    if args.format == "csv":
+        write_rows(lambda fields, _: _mz_csv(report, fields), MZ_FIELDS, args)
+    else:
+        write_rows(_table(_mz_records(report)), MZ_FIELDS, args)
     summary = report.to_dict()
     if args.out:
         with open(args.out + ".summary.json", "w") as fh:

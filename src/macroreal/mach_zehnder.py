@@ -363,8 +363,8 @@ def verify_lattice(
     extra_points, is evaluated both ways, the numeric side as one batch;
     LatticeReport compares the verdicts. r2_values defaults to r_values. With
     convention=None the layout is calibrated first on a few probe points. The
-    lattice is built as (r1, r2, phi, q, c) arrays; its first setting outside
-    MZParams' bounds raises MZParams' own ValueError.
+    lattice is built as (r1, r2, phi, q, c) arrays from its axes and states,
+    which are checked one by one through MZParams.
     """
     t0 = _time.perf_counter()
     if r_values is None:
@@ -380,18 +380,24 @@ def verify_lattice(
     if convention is None:
         convention, calibration = calibrate_convention()
 
-    axes = [np.asarray(v, dtype=float) for v in (r_values, r2_values, phi_values)]
+    axes = [[float(v) for v in values] for values in (r_values, r2_values, phi_values)]
+    if all(axes) and states:
+        # every axis value and state is in some point: each goes through MZParams once
+        r1s, r2s, phis = axes
+        for r1 in r1s:
+            MZParams(r1, 0.0, 0.0)
+        for r2 in r2s:
+            MZParams(0.0, r2, 0.0)
+        for phi in phis:
+            MZParams(0.0, 0.0, phi)
+        for st in states:
+            MZParams(0.0, 0.0, 0.0, st["q"], st["c"])
     *grid, k = (a.ravel() for a in np.meshgrid(*axes, np.arange(len(states)), indexing="ij"))
     grid.append(np.array([st["q"] for st in states], dtype=float)[k])
     grid.append(np.array([0j if st["c"] is None else st["c"] for st in states], dtype=complex)[k])
     has_c = np.array([st["c"] is not None for st in states], dtype=bool)[k]
     has_c = np.concatenate([has_c, np.array([p.c is not None for p in extra_points], dtype=bool)])
     settings = tuple(map(np.concatenate, zip(grid, _setting_arrays(extra_points))))
-    r1, r2, phi, q, c = settings
-    ok = (0.0 <= r1) & (r1 <= 1.0) & (0.0 <= r2) & (r2 <= 1.0) & (0.0 <= q) & (q <= 1.0)
-    ok &= np.isfinite(phi) & (~has_c | (np.abs(c) ** 2 <= q * (1.0 - q) + 1e-12))
-    for i in np.flatnonzero(~ok):
-        _point(settings, has_c, i)  # raises MZParams' own message
     analytic, numeric = _residual_arrays(settings, convention)
     return LatticeReport(
         convention=convention,

@@ -457,27 +457,16 @@ def test_random_points_are_the_scalar_draws(seed):
     assert {p.c is None for p in points} == {True, False}
 
 
-def _mz_body(report, fmt):
-    return "".join((cli._mz_csv if fmt == "csv" else cli._mz_json)(report, MZ_FIELDS))
+def _mz_csv(report):
+    return "".join(cli._mz_csv(report, MZ_FIELDS))
 
 
-def _mz_records(report):
-    """The rows of an mz-scan report as Python values, in MZ_FIELDS order."""
-    rows = []
-    for i, p in enumerate(report.points):
-        c = (None, None) if p.c is None else (p.c.real, p.c.imag)
-        for k, name in enumerate(CONDITION_NAMES):
-            compared = bool(report.compared[i, k])
-            rows.append(
-                (p.r1, p.r2, p.phi, p.q, *c, name,
-                 float(report.analytic[i, k]), float(report.numeric[i, k]),
-                 bool(report.analytic_holds[i, k]), bool(report.numeric_holds[i, k]),
-                 compared, bool(report.agree[i, k]) if compared else None)
-            )
-    return rows
+def _records_csv(report):
+    """The CSV that _table writes from the report's records, cell by cell."""
+    return "".join(_table(cli._mz_records(report))(MZ_FIELDS, "csv"))
 
 
-def test_mz_json_spells_non_finite_residuals_as_json_does():
+def test_mz_csv_spells_non_finite_residuals_as_the_cell_contract():
     states = [{"q": 0.5, "c": None}, {"q": 0.5, "c": 0.3j}]
     base = verify_lattice([0.3], [0.9, 2.0], states, convention="crossed-p0")
     analytic, numeric = base.analytic.copy(), base.numeric.copy()
@@ -486,27 +475,24 @@ def test_mz_json_spells_non_finite_residuals_as_json_does():
         base.convention, {}, base.settings, base.has_c, analytic, numeric,
         base.threshold, base.guard, 0.0,
     )
-    rows = [dict(zip(MZ_FIELDS, row)) for row in _mz_records(report)]
-    want = json.dumps(rows, indent=2, sort_keys=True, default=cli._json_default) + "\n"
-    body = _mz_body(report, "json")
-    assert body == want
-    assert "NaN" in body and "-Infinity" in body
-    assert _mz_body(base, "json") == "".join(cli._table(_mz_records(base))(MZ_FIELDS, "json"))
+    body = _mz_csv(report)
+    assert body == _records_csv(report)
+    assert "nan," in body and ",inf," in body and "-inf," in body
+    assert _mz_csv(base) == _records_csv(base)
 
 
 def test_mz_bodies_of_an_empty_report():
     report = verify_lattice([], convention="crossed-p0")
-    assert _mz_body(report, "csv") == ",".join(MZ_FIELDS) + "\n"
-    assert _mz_body(report, "json") == "[]\n"
+    assert _mz_csv(report) == ",".join(MZ_FIELDS) + "\n"
+    assert "".join(_table(cli._mz_records(report))(MZ_FIELDS, "json")) == "[]\n"
 
 
-def test_mz_bodies_span_several_blocks(monkeypatch):
+def test_mz_csv_spans_several_blocks(monkeypatch):
     monkeypatch.setattr(cli, "MZ_BLOCK", 3)
     states = [{"q": 0.5, "c": None}, {"q": 0.3, "c": 0.2 + 0.35j}]
     report = verify_lattice([0.0, 0.4, 1.0], [0.5, 2.0], states, convention="crossed-p0")
     assert report.n_points == 3 * 3 * 2 * 2
-    for fmt in ("csv", "json"):
-        assert _mz_body(report, fmt) == "".join(cli._table(_mz_records(report))(MZ_FIELDS, fmt))
+    assert _mz_csv(report) == _records_csv(report)
 
 
 def _written(tmp_path, rows, fields, fmt):

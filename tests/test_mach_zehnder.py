@@ -257,3 +257,15 @@ def test_counterexample_search_finds_two_time_blind_spot():
     assert nsit_two_time(sc, 1, 2).residual < 1e-12
     assert nsit_two_time(sc, 0, 2).residual < 1e-12
     assert nsit_sandwich(sc).residual > 0.1
+
+
+def test_verify_lattice_checks_r2_and_only_a_nonempty_lattice():
+    with pytest.raises(ValueError) as expected:
+        MZParams(0.5, 1.5, 0.0)
+    states = [{"q": 0.5, "c": None}]
+    with pytest.raises(ValueError) as raised:
+        verify_lattice([0.5], [0.0], states, r2_values=[0.5, 1.5], convention="crossed-p0")
+    assert str(raised.value) == str(expected.value)
+    # beside an empty axis no setting is built, so none is checked
+    report = verify_lattice([], [math.nan], [{"q": 2.0, "c": None}], convention="crossed-p0")
+    assert report.n_points == 0
