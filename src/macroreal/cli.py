@@ -138,8 +138,8 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _table(rows: list[tuple]):
-    """write_rows' body of a list of row tuples: a CSV line per row, every
+def _table(rows):
+    """write_rows' body of row tuples (read once): a CSV line per row, every
     value through _format_cell, or the JSON list of row objects."""
 
     def body(fieldnames, fmt):
@@ -228,10 +228,10 @@ def _random_points(rng: np.random.Generator, n: int) -> list[MZParams]:
 MZ_BLOCK = 1024  # points formatted and written at a time
 
 
-def _mz_records(report) -> list[tuple]:
-    """The mz-scan rows as Python values in MZ_FIELDS order, one per (point,
-    condition), point-major; a mixture's c_re and c_im are None, and so is
-    agree where the verdicts are not compared."""
+def _mz_records(report):
+    """The mz-scan rows as tuples of Python values in MZ_FIELDS order, one per
+    (point, condition), point-major and made as they are read; a mixture's
+    c_re and c_im are None, and so is agree where the verdicts are not compared."""
     k = len(CONDITION_NAMES)
     r1, r2, phi, q, c = (a.tolist() for a in report.settings)
     heads = [
@@ -243,11 +243,11 @@ def _mz_records(report) -> list[tuple]:
         for a in (report.analytic, report.numeric, report.analytic_holds,
                   report.numeric_holds, report.compared, report.agree)
     ))
-    return [
+    return (
         (*heads[j // k], CONDITION_NAMES[j % k], a, n, a_holds, n_holds, compared,
          agree if compared else None)
         for j, (a, n, a_holds, n_holds, compared, agree) in enumerate(cells)
-    ]
+    )
 
 
 def _mz_csv(report, fields):
