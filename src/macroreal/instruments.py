@@ -159,7 +159,9 @@ class KrausFamily:
 
     @functools.cached_property
     def completeness_defect(self) -> float:
-        """Spectral norm of S - I, computed when first read."""
+        """Spectral norm of S - I, computed when first read; the largest |S_nn - 1| when S is Fock-diagonal."""
+        if self.kind == "diagonal" and self.basis is None:
+            return float(np.abs(self.weights @ self.envelopes**2 - 1.0).max())
         return operator_norm(self.completeness_operator() - np.eye(self.dim))
 
     @property

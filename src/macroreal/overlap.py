@@ -82,44 +82,34 @@ def bhattacharyya(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     return float(np.dot(p.weights, np.sqrt(pv * qv)))
 
 
-HUSIMI_BLOCK = 2048  # columns per block of a readout; bounds the (rows x block) temporary
+HUSIMI_BLOCK = 2048  # lattice points per readout block; bounds the (rows x block) temporaries and built columns
 
 
-def _block_readout(read, lattice: ComplexLattice, cols: np.ndarray) -> OutcomeDistribution:
-    """Readout density pi^{-1} read(block) over the HUSIMI_BLOCK column blocks of cols."""
-    vals = np.empty(cols.shape[1])
-    for lo in range(0, cols.shape[1], HUSIMI_BLOCK):
-        vals[lo : lo + HUSIMI_BLOCK] = read(cols[:, lo : lo + HUSIMI_BLOCK])
-    return OutcomeDistribution(lattice.points, lattice.weights, vals / math.pi)
+def _block_readout(reads, lattice: ComplexLattice, dim: int, cols: np.ndarray | None = None) -> list:
+    """Readout densities pi^{-1} read(block), one per read, over HUSIMI_BLOCK lattice points at a time.
 
-
-def husimi(state: np.ndarray, lattice: ComplexLattice, cols: np.ndarray | None = None) -> OutcomeDistribution:
-    """Husimi readout density pi^{-1} <beta| rho |beta> on the lattice.
-
-    state is a density matrix rho, or a state vector psi for rho = |psi><psi|,
-    which reads |<beta|psi>|^2 at O(d) per point instead of O(d^2). cols is
-    coherent_columns(lattice.points, d) when the caller holds it. The mixed
-    state is read in HUSIMI_BLOCK column blocks.
+    Each block is built once: a slice of cols, the lattice's coherent_columns
+    stack, when the caller holds it, else coherent_columns of its points alone.
     """
-    if cols is None:
-        cols = coherent_columns(lattice.points, state.shape[0])
+    pts = lattice.points
+    vals = np.empty((len(reads), pts.size))
+    for lo in range(0, pts.size, HUSIMI_BLOCK):
+        hi = lo + HUSIMI_BLOCK
+        block = coherent_columns(pts[lo:hi], dim) if cols is None else cols[:, lo:hi]
+        for out, read in zip(vals, reads):
+            out[lo:hi] = read(block)
+    return [OutcomeDistribution(pts, lattice.weights, v / math.pi) for v in vals]
+
+
+def _state_read(state: np.ndarray):
+    """Block read <beta| rho |beta> of a density matrix, or |<beta|psi>|^2 of a state vector."""
     if state.ndim == 2:
-        return _block_readout(lambda block: frame_diagonal(block, state), lattice, cols)
-    vals = np.abs(state.conj() @ cols) ** 2
-    return OutcomeDistribution(lattice.points, lattice.weights, vals / math.pi)
+        return lambda block: frame_diagonal(block, state)
+    return lambda block: np.abs(state.conj() @ block) ** 2
 
 
-def branch_husimi(
-    psi: np.ndarray, family: KrausFamily, lattice: ComplexLattice, cols: np.ndarray
-) -> OutcomeDistribution:
-    """Husimi readout of the pure state psi after the nonselective family.
-
-    family is diagonal in the Fock basis, A_a = diag(e_a), so the invaded
-    readout is the branch sum pi^{-1} sum_a w_a |<beta| A_a psi>|^2, that is
-    sum_a w_a |(e_a * conj(psi)) C|^2 / pi for C = cols. That costs
-    O(n_a d) per point against O(d^2) for the density matrix
-    family.channel(|psi><psi|), which is never built.
-    """
+def _branch_read(psi: np.ndarray, family: KrausFamily):
+    """Block read sum_a w_a |<beta| A_a psi>|^2 of a family diagonal in the Fock basis."""
     if family.kind != "diagonal" or family.basis is not None:
         raise ValueError("branch readout needs a family diagonal in the Fock basis")
     branches = family.envelopes * psi.conj()
@@ -128,7 +118,32 @@ def branch_husimi(
         amps = branches @ block
         return family.weights @ (amps.real**2 + amps.imag**2)
 
-    return _block_readout(read, lattice, cols)
+    return read
+
+
+def husimi(state: np.ndarray, lattice: ComplexLattice, cols: np.ndarray | None = None) -> OutcomeDistribution:
+    """Husimi readout density pi^{-1} <beta| rho |beta> on the lattice.
+
+    state is a density matrix rho, or a state vector psi for rho = |psi><psi|,
+    which reads |<beta|psi>|^2 at O(d) per point instead of O(d^2). cols is
+    coherent_columns(lattice.points, d) when the caller holds it; without it
+    the columns are built one HUSIMI_BLOCK block at a time.
+    """
+    return _block_readout([_state_read(state)], lattice, state.shape[0], cols)[0]
+
+
+def branch_husimi(
+    psi: np.ndarray, family: KrausFamily, lattice: ComplexLattice, cols: np.ndarray | None = None
+) -> OutcomeDistribution:
+    """Husimi readout of the pure state psi after the nonselective family.
+
+    family is diagonal in the Fock basis, A_a = diag(e_a), so the invaded
+    readout is the branch sum pi^{-1} sum_a w_a |<beta| A_a psi>|^2, that is
+    sum_a w_a |(e_a * conj(psi)) C|^2 / pi for C = cols. That costs
+    O(n_a d) per point against O(d^2) for the density matrix
+    family.channel(|psi><psi|), which is never built. cols is as in husimi.
+    """
+    return _block_readout([_branch_read(psi, family)], lattice, psi.size, cols)[0]
 
 
 def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[OverlapResult, KrausFamily]:
@@ -136,9 +151,10 @@ def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[Over
 
     The readout lattice is the square [-R, R]^2 with R = |gamma| + 5, and dim
     defaults to default_fock_dim(gamma). readout(lattice, R, dim) returns the
-    family and the coherent_columns stack of the lattice. A family diagonal in
-    the Fock basis (Fock bins, rings) is read through its branches; any other
-    family through the density matrix of its channel.
+    family and the lattice's coherent_columns stack, or None if it built none.
+    Both readouts are taken in one pass over the column blocks: a family
+    diagonal in the Fock basis (Fock bins, rings) through its branches, any
+    other family through the density matrix of its channel.
     """
     g = complex(gamma)
     if dim is None:
@@ -149,11 +165,11 @@ def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[Over
     lattice = ComplexLattice.square(radius, step)
     family, cols = readout(lattice, radius, dim)
     state = coherent_state(g, dim)
-    reference = husimi(state.amplitudes, lattice, cols)
     if family.kind == "diagonal" and family.basis is None:
-        invaded = branch_husimi(state.amplitudes, family, lattice, cols)
+        invaded = _branch_read(state.amplitudes, family)
     else:
-        invaded = husimi(family.channel(state.density().matrix), lattice, cols)
+        invaded = _state_read(family.channel(state.density().matrix))
+    reference, invaded = _block_readout([_state_read(state.amplitudes), invaded], lattice, dim, cols)
     meta = {
         "reference_mass": reference.mass,
         "invaded_mass": invaded.mass,
@@ -190,8 +206,7 @@ def ring_overlap(d: float, gamma, *, dim: int | None = None, step: float = 0.25)
     """
 
     def readout(lattice, radius, dim):
-        fam = ring_family(d, dim, math.hypot(radius, radius) + 2.0 * step)
-        return fam, coherent_columns(lattice.points, dim)
+        return ring_family(d, dim, math.hypot(radius, radius) + 2.0 * step), None
 
     result, fam = _readout_overlap(gamma, dim, step, readout)
     result.meta.update({"d": float(d), "raw_defect": fam.completeness_defect})
@@ -227,7 +242,7 @@ def fock_overlap(border, gamma, *, dim: int | None = None, step: float = 0.25) -
     """
 
     def readout(lattice, radius, dim):
-        return fock_bin_family(border, dim), coherent_columns(lattice.points, dim)
+        return fock_bin_family(border, dim), None
 
     result, fam = _readout_overlap(gamma, dim, step, readout)
     result.meta["n_bins"] = int(fam.n_outcomes)
@@ -300,10 +315,12 @@ def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> Ove
     re, im = lattice.re_axis, lattice.im_axis
     q0 = np.zeros((re.size, im.size))
     q1 = np.zeros((re.size, im.size))
+    # <x|beta>* has the (x, Im beta) phase e^{-i sqrt2 x Im beta} in every row of the lattice
+    chirp = np.exp(-1j * math.sqrt(2.0) * np.outer(xs, im))
     for i, br in enumerate(re):
         # <x|beta>* psi(x) dx for every beta in this row of the lattice
-        conj_beta = _coherent_wavefunction_row(xs, br, im)
-        w = conj_beta.conj() * psi[:, None] * dx
+        envelope = math.pi**-0.25 * np.exp(-0.5 * (xs - math.sqrt(2.0) * br) ** 2) * psi * dx
+        w = envelope[:, None] * chirp * np.exp(1j * br * im)
         q0[i] = np.abs(w.sum(axis=0)) ** 2 / math.pi
         kw = scipy.fft.ifft(kernel_hat * scipy.fft.fft(w, length, axis=0), axis=0)[:n]
         q1[i] = np.einsum("xb,xb->b", w.conj(), kw).real / math.pi
@@ -332,15 +349,6 @@ def _coherent_wavefunction(xs: np.ndarray, gamma: complex) -> np.ndarray:
         * np.exp(-0.5 * (xs - math.sqrt(2.0) * re) ** 2)
         * np.exp(1j * math.sqrt(2.0) * im * xs - 1j * re * im)
     )
-
-
-def _coherent_wavefunction_row(xs: np.ndarray, beta_re: float, beta_im: np.ndarray) -> np.ndarray:
-    """<x|beta> for all beta = beta_re + i beta_im, shape (n_x, n_im)."""
-    base = math.pi**-0.25 * np.exp(-0.5 * (xs - math.sqrt(2.0) * beta_re) ** 2)
-    osc = np.exp(
-        1j * math.sqrt(2.0) * np.outer(xs, beta_im) - 1j * beta_re * beta_im[None, :]
-    )
-    return base[:, None] * osc
 
 
 # ---------------------------------------------------------------------------

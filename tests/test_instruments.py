@@ -85,12 +85,27 @@ def test_projective_family_validation():
 def test_completeness_defect_is_computed_on_first_read():
     dense = random_scenario(np.random.default_rng(9), dim=3).slots[0].instrument
     assert "completeness_defect" not in vars(dense)
+    weights = np.array([0.5, 2.0, 1.25])
+    share = np.random.default_rng(7).dirichlet(np.ones(3), size=30).T
     fams = [
         dense,
         gaussian_x_family(1.0, 12),  # diagonal in the position eigenbasis
         fock_bin_family("2m^2", 10),  # diagonal in the Fock basis
+        fock_bin_family("m", 40),
+        ring_family(0.5, 10, 8.0),  # Fock-diagonal with roundoff defects
+        ring_family(2.0, 60, 20.0),
+        ring_family(6.0, 260, 40.0),
+        # Fock-diagonal with weights 0.5, 2 and 1.25, effects summing to 1.1
+        KrausFamily(
+            label="weighted",
+            outcomes=np.arange(3),
+            weights=weights,
+            kind="diagonal",
+            envelopes=np.sqrt(1.1 * share / weights[:, None]),
+        ),
         coherent_projector_family(ComplexLattice.square(2.0, 0.5), 8),  # rank one
     ]
+    assert all(fam.completeness_defect > 0.0 for fam in fams[4:8])  # the rings and the weighted family
     for fam in fams:
         expected = operator_norm(fam.completeness_operator() - np.eye(fam.dim))
         assert fam.completeness_defect == expected

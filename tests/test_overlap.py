@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,57 @@ def test_branch_readout_equals_the_readout_of_the_channel(name):
     branches = branch_husimi(psi, fam, lattice, cols)
     mixed = husimi(fam.channel(np.outer(psi, psi.conj())), lattice, cols)
     assert np.max(np.abs(branches.values - mixed.values)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        ComplexLattice.square(5.0, 0.25),  # 1,681 points, below one block
+        ComplexLattice(-7.875, 7.875, -7.875, 7.875, 0.25),  # 4,096 points, two blocks
+        ComplexLattice.square(6.0, 0.25),  # 2,401 points, one block and a remainder
+    ],
+)
+def test_blocked_reads_equal_the_full_stack_reads(lattice):
+    # without cols each HUSIMI_BLOCK block of columns is built on its own;
+    # the recurrence is elementwise per point, so every value is the same
+    gamma = 2.0 - 1.0j
+    dim = default_fock_dim(gamma)
+    cols = coherent_columns(lattice.points, dim)
+    psi = coherent_state(gamma, dim).amplitudes
+    blocked = husimi(psi, lattice).values
+    assert np.array_equal(blocked, husimi(psi, lattice, cols).values)
+    # a threaded BLAS splits one product over the whole stack among its threads
+    # by the column count and may sum a point at the split in another order;
+    # |psi| = 1 and |<n|beta>| <= 1 bound the gap
+    full = np.abs(psi.conj() @ cols) ** 2 / math.pi
+    assert np.max(np.abs(blocked - full)) <= 2.0 * dim * np.finfo(float).eps / math.pi
+    dephased = fock_bin_family("2m", dim).channel(np.outer(psi, psi.conj()))
+    assert np.array_equal(husimi(dephased, lattice).values, husimi(dephased, lattice, cols).values)
+    for fam in (*(fock_bin_family(rule, dim) for rule in ("m", "2m^2", "100m^2")), ring_family(2.0, dim, 12.0)):
+        blocked = branch_husimi(psi, fam, lattice).values
+        assert np.array_equal(blocked, branch_husimi(psi, fam, lattice, cols).values)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda step: ring_overlap(4.0, 6.0, step=step), lambda step: fock_overlap("m", 6.0, step=step)],
+    ids=["ring", "fock"],
+)
+def test_fock_diagonal_overlap_memory_does_not_scale_with_the_lattice(read):
+    # halving the step quadruples the lattice, to 31,329 points; the traced
+    # peak stays near one dim x HUSIMI_BLOCK block, far below the column stack
+    peaks = []
+    for step in (0.25, 0.125):
+        tracemalloc.start()
+        try:
+            read(step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    stack = default_fock_dim(6.0) * ComplexLattice.square(11.0, 0.125).points.size * 16
+    assert peaks[1] < stack / 4, (peaks, stack)
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_branch_readout_refuses_families_off_the_fock_basis():
