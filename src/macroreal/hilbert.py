@@ -11,7 +11,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import special
 
 DEFAULT_ATOL = 1e-10
 
@@ -155,6 +154,9 @@ def coherent_truncation_loss(gamma, dim: int) -> float:
 
     That tail is the lower regularized incomplete gamma P(dim, |gamma|^2).
     """
+    # imported here: importing the package loads numpy only, scipy on first call
+    from scipy import special
+
     g2 = abs(complex(gamma)) ** 2
     return float(special.gammainc(dim, g2))
 
@@ -189,6 +191,9 @@ def coherent_amplitudes(gamma, dim: int) -> np.ndarray:
         amps = np.zeros(dim, dtype=complex)
         amps[0] = 1.0
         return amps
+    # imported here: importing the package loads numpy only, scipy on first call
+    from scipy import special
+
     r = abs(g)
     phase = g / r
     logmod = -0.5 * r * r + k * math.log(r) - 0.5 * special.gammaln(k + 1.0)

@@ -21,7 +21,6 @@ import math
 import re as _re
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from macroreal.hilbert import (
     DEFAULT_ATOL,
@@ -492,6 +491,9 @@ def coherent_columns(points: np.ndarray, dim: int) -> np.ndarray:
         np.multiply(cols[k - 1], pts * (1.0 / math.sqrt(k)), out=cols[k])
     far = np.flatnonzero(half_r2 > _UNDERFLOW_EXPONENT)
     if far.size:
+        # imported here: importing the package loads numpy only, scipy on first call
+        from scipy.special import gammaln
+
         k = np.arange(dim)[:, None]
         b = pts[far]
         logmod = -half_r2[far] + k * np.log(np.abs(b)) - 0.5 * gammaln(k + 1.0)
@@ -569,6 +571,9 @@ def ring_family(d: float, dim: int, max_radius: float) -> KrausFamily:
     PRL 99, 180403). The outer ring takes the remaining tail Q(n+1, lo^2), so
     the effects sum to Q(n+1, 0) = 1 and no lattice or correction is needed.
     """
+    # imported here: importing the package loads numpy only, scipy on first call
+    from scipy.special import gammaincc
+
     count = _ring_count(d, max_radius)
     tail = gammaincc(np.arange(dim) + 1.0, (d * np.arange(count)[:, None]) ** 2)
     effects = np.concatenate([tail[:-1] - tail[1:], tail[-1:]])

@@ -106,27 +106,17 @@ def beamsplitter(r) -> np.ndarray:
     return np.stack([np.stack([t, x], axis=-1), np.stack([x, t], axis=-1)], axis=-2)
 
 
-def phase_plate(phi, arm: int) -> np.ndarray:
-    """Phase exp(i phi) on one arm; an array of phases gives a (..., 2, 2) stack."""
-    shift = np.exp(1j * np.asarray(phi, dtype=float))
-    m = np.zeros(shift.shape + (2, 2), dtype=complex)
-    m[..., arm, arm] = shift
-    m[..., 1 - arm, 1 - arm] = 1.0
-    return m
-
-
-_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
 def _unitaries(r1, r2, phi, convention: str):
     u01 = beamsplitter(r1)
-    bs2 = beamsplitter(r2)
-    plate = phase_plate(phi, 0 if convention.endswith("p0") else 1)
+    # the second beamsplitter after a phase plate on one arm: that arm's column
+    # of the beamsplitter times exp(i phi)
+    u12 = beamsplitter(r2)
+    arm = 0 if convention.endswith("p0") else 1
+    u12[..., arm] *= np.exp(1j * np.asarray(phi, dtype=float))[..., None]
     if convention.startswith("crossed"):
-        u12 = _SWAP @ bs2 @ plate
-    elif convention.startswith("straight"):
-        u12 = bs2 @ plate
-    else:
+        # the crossed layout relabels the two output paths: the rows swap
+        u12 = u12[..., ::-1, :]
+    elif not convention.startswith("straight"):
         raise ValueError(f"unknown convention {convention!r}")
     return u01, u12
 

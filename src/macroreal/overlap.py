@@ -18,7 +18,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.fft
 
 from macroreal.hilbert import coherent_state, default_fock_dim, frame_diagonal
 from macroreal.instruments import (
@@ -275,6 +274,9 @@ def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> Ove
     position grid spans |x| <= sqrt(2) |gamma| + 9. The closed form is
     attached in the metadata for cross-checking.
     """
+    # imported here: importing the package loads numpy only, scipy on first call
+    import scipy.fft
+
     if delta_sq <= 0:
         raise ValueError("delta_sq must be positive")
     delta = math.sqrt(delta_sq)

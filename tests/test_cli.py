@@ -17,7 +17,7 @@ from macroreal import cli
 from macroreal.cli import MZ_FIELDS, _table, main, parse_complex_list, parse_range, write_rows
 from macroreal.conditions import nic_012
 from macroreal.hilbert import DensityState
-from macroreal.instruments import projective_family
+from macroreal.instruments import _UNDERFLOW_EXPONENT, projective_family
 from macroreal.mach_zehnder import CONDITION_NAMES, LatticeReport, MZParams, verify_lattice
 from macroreal.scenario import Scenario, Slot, save_scenario
 
@@ -543,11 +543,56 @@ def test_empty_table_writes_only_the_header(tmp_path, fmt, body):
     assert _written(tmp_path, [], ["a", "b"], fmt) == body
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+def _fresh_python(code):
     src = str(Path(macroreal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import macroreal.cli, sys; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
+_SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
+@pytest.mark.parametrize(
+    "modules",
+    [
+        "macroreal",
+        "macroreal.cli",
+        # the modules the benchmark's sweep workload runs
+        "macroreal.hilbert, macroreal.instruments, macroreal.scenario, macroreal.conditions",
+    ],
+    ids=["package", "cli", "sweep"],
+)
+def test_importing_macroreal_leaves_scipy_unloaded(modules):
+    assert _fresh_python(f"import sys, {modules}; sys.exit({_SCIPY_LOADED})") == 0
+
+
+# each function that imports scipy on first call, which a fresh interpreter
+# reaches with scipy unloaded; points past |b| = 38 take coherent_columns to
+# its log-domain branch
+_COLD_CALLS = """
+import numpy as np
+from macroreal.hilbert import coherent_state
+from macroreal.instruments import coherent_columns, ring_family
+from macroreal.overlap import coherent_x_overlap
+far = np.array([38.0, 27.0 - 27.0j, -38.5j])
+values = {
+    "state": coherent_state(2.0).amplitudes,
+    "rings": ring_family(2.0, 40, 10.0).envelopes,
+    "columns": coherent_columns(np.concatenate([[0.5 + 0.5j], far]), 30),
+    "x_overlap": coherent_x_overlap(0.5).value,
+}
+"""
+
+
+def test_scipy_users_give_the_same_values_from_a_cold_start(tmp_path):
+    out = tmp_path / "cold.npz"
+    assert _fresh_python(f"{_COLD_CALLS}\nnp.savez({str(out)!r}, **values)") == 0
+    cold = np.load(out)
+    scope = {}
+    exec(_COLD_CALLS, scope)
+    assert np.all(0.5 * np.abs(scope["far"]) ** 2 > _UNDERFLOW_EXPONENT)
+    for name, value in scope["values"].items():
+        assert np.array_equal(cold[name], value), name
 
 
 @pytest.mark.parametrize(

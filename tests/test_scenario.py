@@ -188,14 +188,26 @@ def test_table_size_estimate_raises_before_allocating():
 
 def test_table_size_estimate_is_the_traced_peak():
     # the read of the last slot dominates: one measured slot, or the last of two
-    # behind an evolution; a grid readout of two slots weighs its branches
+    # behind an evolution; a grid readout of two slots weighs its branches; of
+    # three slots, the branch stack grows at two slots, or grows at one and
+    # evolves into the last
     rng = np.random.default_rng(16)
     cells = coherent_projector_family(ComplexLattice.square(3.0, 0.25), 30)
     grid = gaussian_x_family(0.8, 12, Grid1D(-9.0, 9.0, 301))
-    cases = [(cells, 1, (0,)), (cells, 4, (0,)), (cells, 4, (1,)), (grid, 4, (0, 1))]
-    for fam, n, measured in cases:
-        batch = _random_batch(rng, fam.dim, [fam, fam], n)[0]
-        estimate = _peak_bytes(n, fam.dim, batch.slots, measured)
+    coarse = gaussian_x_family(0.8, 12, Grid1D(-9.0, 9.0, 41))
+    cases = [
+        ([cells] * 2, 1, (0,)),
+        ([cells] * 2, 4, (0,)),
+        ([cells] * 2, 4, (1,)),
+        ([grid] * 2, 4, (0, 1)),
+        ([coarse] * 3, 4, (0, 1, 2)),
+        ([coarse] * 3, 4, (0, 2)),
+        ([coarse] * 3, 4, (1, 2)),
+    ]
+    for fams, n, measured in cases:
+        dim = fams[0].dim
+        batch = _random_batch(rng, dim, fams, n)[0]
+        estimate = _peak_bytes(n, dim, batch.slots, measured)
         tracemalloc.start()
         try:
             batch.tables[measured]
