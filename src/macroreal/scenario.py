@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 import os
 
 import numpy as np
@@ -220,24 +219,26 @@ def _measured_slots(n_slots: int, measured) -> tuple[int, ...]:
 def _peak_bytes(n: int, d: int, slots, measured) -> int:
     """Bytes that the table pass for measured holds at its peak, N = n.
 
-    B is the number of branches before the last measured slot and e the
-    effect stack of 1 + n_last matrices, one per item once an evolution
-    conjugates it. The pass peaks in one of three steps. Growing or evolving
-    the branch stack holds the old stack and a product beside the new one
-    (2 B matrices per item) and the slot's operators. Reading the last slot
-    holds the stack, its operators, their effects, e and the complex
-    probabilities. Weighting, skipped when every weight is 1, holds the
-    complex probabilities, their weight grid and the weighted real tables.
+    One term per step in d x d complex matrices, b the branches per item after
+    it and o the outcomes of the last grown slot (its K_a' stay). Evolving holds
+    the stack, its copy in item order, a product and U'; growing both stacks,
+    the conjugate transposes and K_a'; reading m outcomes the stack, operators,
+    effects, U' and F (1 + m) read matrices (F = N behind an evolution, else
+    1), then two products of min(d, m) effects or the complex probabilities;
+    weighting the complex probabilities, weight grid and weighted tables.
     """
     *prefix, last = measured
-    n_last = slots[last].instrument.n_outcomes
-    n_prefix = max((slots[k].instrument.n_outcomes for k in prefix), default=0)
-    b = math.prod(1 + slots[k].instrument.n_outcomes for k in prefix)
-    e = (n if last > 0 else 1) * (1 + n_last)
-    entries = b * (1 + n_last)
-    grow = 2 * n * b * d * d + (2 * n_prefix + n) * d * d
-    read = n * b * d * d + (2 * n_last + e + 2 * n) * d * d + n * entries
-    return max(16 * grow, 16 * read, 24 * n * entries + 16 * entries)
+    m, f = slots[last].instrument.n_outcomes, n if last > 0 else 1
+    b, o, steps = 1, 0, [0]
+    for k in range(last):
+        steps.append(3 * b * n + n + o if k > 0 else 0)
+        if k in prefix:
+            o = slots[k].instrument.n_outcomes
+            b *= 1 + o
+            steps.append(2 * b * n + o)
+    entries = b * (1 + m)
+    read = 16 * (b * n + 2 * m + o + f * (2 + m)) * d * d + max(32 * f * min(d, m) * d * d, 16 * n * entries)
+    return max(16 * max(steps) * d * d, read, 24 * n * entries + 16 * entries)
 
 
 def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
@@ -245,16 +246,20 @@ def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
 
     Returns the (N, 1 + n_a, 1 + n_b, ...) array over the measured slots a,
     b, ...: index 0 leaves that slot unmeasured and 1 + i reads its outcome
-    i, so the table of a subset is the view with index 0 on the other slots.
-    Branches are one (N, branch, d, d) stack of conditional density
-    matrices. At each measured slot before the last, every branch is carried
-    on unmeasured and under each Kraus operator. The last measured slot is
-    read in the Heisenberg picture: its effects K_i' K_i are conjugated once
-    by the evolution into it, and every probability is one product of the
-    branch stack with [I, U' K_i' K_i U], whose identity row gives the
-    experiments that leave the slot unmeasured. Evolutions after that slot
-    leave every trace unchanged and are skipped. With nothing measured the
-    array is (N,).
+    i, so the table of a subset is the view with index 0 on the other slots;
+    (N,) with nothing measured. Branches are one (B, N, d, d) stack, newest
+    outcome slowest. At each measured slot before the last every branch is
+    carried on unmeasured and under each Kraus operator K_a, shared by all
+    items: rho K_a' in products whose rows run over (branch, item, row), a
+    conjugating transpose, and (rho K_a')' K_a' = K_a rho' K_a'. A branch may
+    be carried as its conjugate transpose: every map of the pass commutes
+    with ' and a table keeps only Re tr(E rho), E Hermitian. An evolution is
+    two products per item over all its branches. The last measured slot is
+    read in the Heisenberg picture, tr(rho E) for E in [I, U' K_i' K_i U] in
+    one product per item; later evolutions are skipped. Shared factors meet N
+    only in the rows and per-item products have fixed shapes, so a batch
+    item's tables are bit for bit its one-scenario tables. Up to d = 12 the
+    BLAS thread count does not move them either (checked for 1 and 2).
     """
     n, d = initial.shape[0], initial.shape[-1]
     if not measured:
@@ -266,34 +271,39 @@ def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
             f"{PHYSICAL_MEMORY_BYTES:,} bytes of physical memory"
         )
     *prefix, last = measured
-    branches = initial[:, None].copy()
+    branches = initial[None].copy()
     for k in range(last):
-        if k > 0:
-            u = evolutions[k - 1][:, None]
-            np.matmul(u @ branches, u.conj().swapaxes(-1, -2), out=branches)
-        if k in prefix:
-            ops = slots[k].instrument.dense_ops()
-            grown = np.empty((n, branches.shape[1], 1 + ops.shape[0], d, d), dtype=complex)
-            grown[:, :, 0] = branches
-            # K_i rho_b K_i' at index [b, 1 + i]
-            np.matmul(ops @ branches[:, :, None], ops.conj().swapaxes(-1, -2), out=grown[:, :, 1:])
-            branches = grown.reshape(n, grown.shape[1] * grown.shape[2], d, d)
+        b = len(branches)
+        if k > 0:  # U times each item's (d, b d) view, then times U' as its (d b, d) view
+            u = evolutions[k - 1]
+            branches[...] = (
+                (u @ branches.transpose(1, 2, 0, 3).reshape(n, d, b * d)).reshape(n, d * b, d)
+                @ u.conj().swapaxes(-1, -2)
+            ).reshape(n, d, b, d).transpose(2, 0, 1, 3)
+        if k in prefix:  # rho K_a' into grown[1 + a], then (rho K_a')' K_a' in its place
+            kh = slots[k].instrument.dense_ops().conj().swapaxes(-1, -2)
+            grown = np.empty((1 + len(kh), b, n, d, d), dtype=complex)
+            grown[0] = branches
+            rk = np.matmul(branches.reshape(-1, d), kh, out=grown[1:].reshape(len(kh), -1, d))
+            np.matmul(np.conj(rk.reshape(-1, d, d).swapaxes(1, 2), order="C").reshape(rk.shape), kh, out=rk)
+            branches = grown.reshape((1 + len(kh)) * b, n, d, d)
     ops = slots[last].instrument.dense_ops()
-    # tr(E rho) = sum_ij rho_ij conj(E_ij) for Hermitian E, so row 1 + i of
-    # flat holds conj(U' E_i U) = U^T conj(E_i) conj(U), with conj(K'K) = K^T conj(K)
-    effects = ops.swapaxes(-1, -2) @ ops.conj()
-    flat = np.empty((n if last > 0 else 1, 1 + len(effects), d, d), dtype=complex)
-    flat[:, 0] = np.eye(d)
-    if last > 0:
-        u = evolutions[last - 1]
-        ut, uc = u.swapaxes(-1, -2), u.conj()
-        for i, e in enumerate(effects):
-            np.matmul(ut @ e, uc, out=flat[:, 1 + i])
-    else:
-        flat[0, 1:] = effects
-    flat = flat.reshape(flat.shape[0], flat.shape[1], d * d).swapaxes(-1, -2)
-    probs = branches.reshape(n, branches.shape[1], d * d) @ flat
-    return probs.real.reshape(n, *(1 + slots[k].instrument.n_outcomes for k in measured))
+    # E_a = K_a' K_a side by side; row 1 + a of read is the transpose of U' E_a U
+    effects = (ops.conj().swapaxes(-1, -2) @ ops).transpose(1, 0, 2).reshape(d, -1)
+    u = evolutions[last - 1] if last > 0 else np.eye(d)[None]
+    uh = u.conj().swapaxes(-1, -2).reshape(-1, d)
+    read = np.empty((len(u), 1 + len(ops), d, d), dtype=complex)
+    read[:, 0] = np.eye(d)
+    for lo in range(0, len(ops), d):
+        w = min(d, len(ops) - lo)
+        read[:, 1 + lo : 1 + lo + w] = (
+            (uh @ effects[:, lo * d : (lo + w) * d]).reshape(-1, w * d, d) @ u
+        ).reshape(len(u), d, w, d).transpose(0, 2, 3, 1)
+    rows = read.reshape(len(u), 1 + len(ops), d * d).swapaxes(1, 2)
+    probs = branches.reshape(len(branches), n, d * d).swapaxes(0, 1) @ rows
+    dims = [1 + slots[k].instrument.n_outcomes for k in measured]
+    # the branch axis runs over the prefix slots newest first
+    return probs.real.reshape(n, *dims[-2::-1], dims[-1]).transpose(0, *range(len(prefix), 0, -1), -1)
 
 
 def joint_distribution(scenario: Scenario, measured=None) -> ProbabilityTable:

@@ -106,6 +106,20 @@ def test_batched_residuals_equal_the_single_point_path():
                 assert abs(batched[name][i] - single[name]) <= 1e-15, (conv, i, name)
 
 
+def test_lattice_items_are_their_one_scenario_tables_bit_for_bit():
+    # the argument-free mz-scan lattice as one batch, the full joint read first
+    # as the conditions read it: a sample of its items, one scenario at a time
+    points = verify_lattice().points
+    batch = mz_batch(points)
+    batch.tables[(0, 1, 2)]
+    for i in np.random.default_rng(44).choice(len(points), 40, replace=False):
+        sc = mz_scenario(points[i])
+        sc.tables[(0, 1, 2)]
+        assert sc.tables.keys() == batch.tables.keys()
+        for measured, values in batch.tables.items():
+            assert np.array_equal(values[i], sc.tables[measured][0]), (points[i], measured)
+
+
 def test_verify_lattice_rows_keep_lattice_order():
     rs = [0.2, 0.7]
     r2s = [0.1, 0.5, 0.9]

@@ -26,6 +26,7 @@ from macroreal.scenario import (
     Scenario,
     ScenarioBatch,
     Slot,
+    Tables,
     _peak_bytes,
     joint_distribution,
     marginalize,
@@ -164,8 +165,9 @@ def test_batch_validation_names_the_bad_item():
 
 def test_table_size_estimate_raises_before_allocating():
     # four 625-outcome slots at dim 30: growing the stack to 626^3 branches of
-    # 30 x 30 matrices holds two stacks of that size and the slot's operators
-    # and their conjugates, more than the read of the last slot or the weighting
+    # 30 x 30 matrices holds two stacks of that size (the old one, its conjugate
+    # transposes and the new one) and the slot's 625 K_a', more than the read of
+    # the last slot or the weighting
     fam = coherent_projector_family(ComplexLattice.square(3.0, 0.25), 30)
     assert fam.n_outcomes == 625
     sc = Scenario(
@@ -174,7 +176,7 @@ def test_table_size_estimate_raises_before_allocating():
         (np.eye(30),) * 3,
     )
     branches = 626**3
-    peak = 16 * (2 * branches + 2 * 625 + 1) * 30**2
+    peak = 16 * (2 * branches + 625) * 30**2
     assert peak > 10**12
     tracemalloc.start()
     try:
@@ -190,11 +192,13 @@ def test_table_size_estimate_is_the_traced_peak():
     # the read of the last slot dominates: one measured slot, or the last of two
     # behind an evolution; a grid readout of two slots weighs its branches; of
     # three slots, the branch stack grows at two slots, or grows at one and
-    # evolves into the last
+    # evolves into the last; the interferometer shape (3,000 qubit items, three
+    # slots) peaks in its read, as does a read of 301 effects behind an evolution
     rng = np.random.default_rng(16)
     cells = coherent_projector_family(ComplexLattice.square(3.0, 0.25), 30)
     grid = gaussian_x_family(0.8, 12, Grid1D(-9.0, 9.0, 301))
     coarse = gaussian_x_family(0.8, 12, Grid1D(-9.0, 9.0, 41))
+    qubit = random_dichotomic_family(rng, 2)
     cases = [
         ([cells] * 2, 1, (0,)),
         ([cells] * 2, 4, (0,)),
@@ -203,6 +207,8 @@ def test_table_size_estimate_is_the_traced_peak():
         ([coarse] * 3, 4, (0, 1, 2)),
         ([coarse] * 3, 4, (0, 2)),
         ([coarse] * 3, 4, (1, 2)),
+        ([qubit] * 3, 3000, (0, 1, 2)),
+        ([grid] * 2, 40, (1,)),
     ]
     for fams, n, measured in cases:
         dim = fams[0].dim
@@ -268,6 +274,46 @@ def test_one_pass_yields_every_subset_table():
         assert sc.tables.keys() == batch.tables.keys()
         for measured, values in batch.tables.items():
             assert np.array_equal(values[i], sc.tables[measured][0]), measured
+
+
+def test_batch_items_are_their_one_scenario_tables_bit_for_bit():
+    # the dimensions the workloads read (qubits and qutrits in the sweep and the
+    # interferometer, 12 for grid readouts), three dichotomic slots and every
+    # slot subset by its own pass: an item's tables do not depend on N
+    rng = np.random.default_rng(17)
+    subsets = [m for r in range(4) for m in itertools.combinations(range(3), r)]
+    for dim in (2, 3, 12):
+        slots = tuple(Slot(float(k), random_dichotomic_family(rng, dim)) for k in range(3))
+        states = np.stack([random_density(rng, dim).matrix for _ in range(3000)])
+        evos = tuple(np.stack([haar_unitary(rng, dim) for _ in range(3000)]) for _ in range(2))
+        batches = [ScenarioBatch(states[:n], slots, tuple(u[:n] for u in evos)) for n in (1, 2, 7, 3000)]
+        for measured in subsets:
+            # a fresh dict per subset, so that each table comes from its own pass
+            *heads, full = (Tables(b.initial, b.evolutions, slots)[measured] for b in batches)
+            for head in heads:
+                assert np.array_equal(head, full[: len(head)]), (dim, len(head), measured)
+            for i in (0, 1, 6, 2999):
+                one = Scenario(DensityState(states[i]), slots, tuple(u[i] for u in evos))
+                assert np.array_equal(one.tables[measured][0], full[i]), (dim, i, measured)
+
+
+def test_a_state_hermitian_to_1e_11_reads_like_the_oracle():
+    # the pass carries branches as their conjugate transposes, which is exact
+    # for any state the checks accept, not only for an exactly Hermitian one
+    rng = np.random.default_rng(18)
+    dim = 3
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    skew = x - x.conj().T
+    init = DensityState(random_density(rng, dim).matrix + 0.5e-11 * skew / np.abs(skew).max())
+    assert np.abs(init.matrix - init.matrix.conj().T).max() > 0.99e-11
+    fams = [random_full_projective_family(rng, dim), random_dichotomic_family(rng, dim)]
+    slots = (Slot(0.0, fams[0]), Slot(1.0, fams[1]), Slot(2.0, fams[0]))
+    evos = (haar_unitary(rng, dim), haar_unitary(rng, dim))
+    for r in range(1, 4):
+        for measured in itertools.combinations(range(3), r):
+            sc = Scenario(init, slots, evos)
+            gap = np.max(np.abs(sc.tables[measured][0] - brute_force_joint(sc, measured)))
+            assert gap < 1e-13, measured
 
 
 def test_marginalize_consistency():
