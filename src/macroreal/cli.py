@@ -26,8 +26,6 @@ from macroreal.conditions import (
     lgi_012,
     mr012_check,
     nic_012,
-    nsit_leading,
-    nsit_sandwich,
     nsit_two_time,
 )
 from macroreal.mach_zehnder import (
@@ -344,8 +342,7 @@ def cmd_nsit_check(args: argparse.Namespace) -> int:
             reports.append(aot_check(scenario, i, j, threshold=args.tol))
 
     if bundle is not None:
-        reports.append(nsit_sandwich(scenario, threshold=args.tol))
-        reports.append(nsit_leading(scenario, threshold=args.tol))
+        reports.extend(bundle.members[name] for name in ("NSIT_0(1)2", "NSIT_(0)12"))
         # LGI_012 needs +-1 outcomes at all three slots, NIC_0(1)2 only at 0 and 2
         for name, check in (("LGI_012", lgi_012), ("NIC_0(1)2", nic_012)):
             try:
@@ -409,6 +406,10 @@ def _overlap_quadrature(args: argparse.Namespace) -> int:
 
 def _overlap_coherent(args: argparse.Namespace) -> int:
     if args.delta_sq:
+        if args.gamma and len(args.gamma) > 1:
+            raise ValueError(f"--delta-sq takes one --gamma, got {len(args.gamma)}")
+        if args.dim is not None:
+            raise ValueError("--dim is not used with --delta-sq")
         gamma = complex(args.gamma[0]) if args.gamma else 0.0
 
         def point(delta_sq):
@@ -437,6 +438,10 @@ def _overlap_ring(args: argparse.Namespace) -> int:
     fixed = args.gamma
     if mode == "fixed" and not fixed:
         raise ValueError("--gamma-mode fixed needs --gamma")
+    if mode == "fixed" and len(fixed) > 1:
+        raise ValueError(f"--gamma-mode fixed takes one --gamma, got {len(fixed)}")
+    if mode != "fixed" and fixed:
+        raise ValueError(f"--gamma is used only with --gamma-mode fixed, not {mode}")
 
     def point(d):
         if mode == "border":

@@ -16,6 +16,7 @@ commutation from statistical non-invasiveness.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -28,13 +29,16 @@ DEFAULT_THRESHOLD = 1e-9
 PAIRS = ((0, 1), (0, 2), (1, 2))
 FULL = (0, 1, 2)
 MISMATCH = ((0,), (1,), (2,), *PAIRS)
-# (keep, of) of every comparison of tables[keep] with the marginal of tables[of]:
-# the six mismatch subsets against the full joint, then NSIT_(1)2 and AoT_i(j)
-COMPARISONS = (
-    *((keep, FULL) for keep in MISMATCH),
-    ((2,), (1, 2)),
-    *(((i,), (i, j)) for i, j in PAIRS),
-)
+# name -> (keep, of) of every comparison of tables[keep] with the marginal of
+# tables[of]: the six mismatch subsets against the full joint, then NSIT_(1)2
+# and AoT_i(j). Column c of bundle_distances is the c-th comparison.
+COMPARISONS = {
+    **{"P" + "".join(map(str, keep)): (keep, FULL) for keep in MISMATCH},
+    "NSIT_(1)2": ((2,), (1, 2)),
+    **{f"AoT_{i}({j})": ((i,), (i, j)) for i, j in PAIRS},
+}
+_COLUMN = {name: c for c, name in enumerate(COMPARISONS)}
+_AOT = [_COLUMN[f"AoT_{i}({j})"] for i, j in PAIRS]
 
 
 # ---------------------------------------------------------------------------
@@ -76,16 +80,6 @@ def aot_residual(tables, i: int, j: int) -> np.ndarray:
     return _signaling(tables, (i, j), (i,))
 
 
-def sandwich_residual(tables) -> np.ndarray:
-    """NSIT_0(1)2: the middle slot must be ignorable."""
-    return _signaling(_bundle(tables), FULL, (0, 2))
-
-
-def leading_residual(tables) -> np.ndarray:
-    """NSIT_(0)12: the first slot must be ignorable."""
-    return _signaling(_bundle(tables), FULL, (1, 2))
-
-
 def bundle_distances(tables) -> tuple[np.ndarray, np.ndarray]:
     """Sup and total variation of every comparison of COMPARISONS, two (N, 10) arrays.
 
@@ -94,8 +88,9 @@ def bundle_distances(tables) -> tuple[np.ndarray, np.ndarray]:
     array, one segment per comparison.
     """
     tables = _bundle(tables)
-    n = len(tables[FULL])
-    gaps = [(tables[keep] - _marginal(tables, of, keep)).reshape(n, -1) for keep, of in COMPARISONS]
+    gaps = [tables[keep] - _marginal(tables, of, keep) for keep, of in COMPARISONS.values()]
+    # each item's size is read off the shape: reshape(N, -1) cannot infer it at N = 0
+    gaps = [g.reshape(len(g), math.prod(g.shape[1:])) for g in gaps]
     starts = np.cumsum([0] + [g.shape[1] for g in gaps[:-1]])
     gaps = np.abs(np.concatenate(gaps, axis=1))
     return np.maximum.reduceat(gaps, starts, axis=1), 0.5 * np.add.reduceat(gaps, starts, axis=1)
@@ -127,27 +122,22 @@ def nic_values(tables) -> dict:
     return {"residual": np.abs(bare - probed), "C02": bare, "C02_with_middle": probed}
 
 
-def mr012_residuals(tables) -> dict:
-    """The bundle's named conditions, each from its own comparison (the sups
-    mr012_check reads off bundle_distances); AoT is the worst AoT_i(j)."""
-    tables = _bundle(tables)
-    return {
-        "NSIT_(1)2": nsit_residual(tables, 1, 2),
-        "NSIT_0(1)2": sandwich_residual(tables),
-        "NSIT_(0)12": leading_residual(tables),
-        "AoT": np.maximum.reduce([aot_residual(tables, i, j) for i, j in PAIRS]),
-    }
-
-
 def _members(sup: np.ndarray) -> dict:
-    """Named conditions from the sup columns of bundle_distances: NSIT_0(1)2
-    and NSIT_(0)12 are the mismatch of P02 and P12."""
+    """The bundle's named conditions from the sup columns of bundle_distances:
+    NSIT_0(1)2 is the mismatch of P02, NSIT_(0)12 that of P12, and AoT the
+    worst AoT_i(j)."""
     return {
-        "NSIT_(1)2": sup[:, 6],
-        "NSIT_0(1)2": sup[:, 4],
-        "NSIT_(0)12": sup[:, 5],
-        "AoT": sup[:, 7:].max(axis=1),
+        "NSIT_(1)2": sup[:, _COLUMN["NSIT_(1)2"]],
+        "NSIT_0(1)2": sup[:, _COLUMN["P02"]],
+        "NSIT_(0)12": sup[:, _COLUMN["P12"]],
+        "AoT": sup[:, _AOT].max(axis=1),
     }
+
+
+def mr012_residuals(tables) -> dict:
+    """NSIT_(1)2, NSIT_0(1)2, NSIT_(0)12 and AoT: the members mr012_check
+    reports, read off one bundle_distances pass."""
+    return _members(bundle_distances(tables)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +204,12 @@ def nsit_two_time(
 
 def nsit_sandwich(scenario: Scenario, threshold: float = DEFAULT_THRESHOLD) -> ConditionReport:
     """NSIT_0(1)2 on a three-slot scenario: the middle slot must be ignorable."""
-    _require_three_slots(scenario)
-    return _report("NSIT_0(1)2", sandwich_residual(scenario.tables), threshold)
+    return mr012_check(scenario, threshold).members["NSIT_0(1)2"]
 
 
 def nsit_leading(scenario: Scenario, threshold: float = DEFAULT_THRESHOLD) -> ConditionReport:
     """NSIT_(0)12 on a three-slot scenario: the first slot must be ignorable."""
-    _require_three_slots(scenario)
-    return _report("NSIT_(0)12", leading_residual(scenario.tables), threshold)
+    return mr012_check(scenario, threshold).members["NSIT_(0)12"]
 
 
 def aot_check(
@@ -306,15 +294,16 @@ def mr012_check(
     if mismatch_threshold is None:
         mismatch_threshold = threshold
     sup, tv = bundle_distances(scenario.tables)
+    n = len(MISMATCH)
     detail = {
-        "P" + "".join(map(str, keep)): {"sup": float(sup[0, c]), "tv": float(tv[0, c])}
-        for c, keep in enumerate(MISMATCH)
+        name: {"sup": float(sup[0, c]), "tv": float(tv[0, c])}
+        for c, name in enumerate(list(COMPARISONS)[:n])
     }
     members = {name: _report(name, values, threshold) for name, values in _members(sup).items()}
     return MR012Report(
         members=members,
-        mismatch_tv=float(tv[0, : len(MISMATCH)].max()),
-        mismatch_sup=float(sup[0, : len(MISMATCH)].max()),
+        mismatch_tv=float(tv[0, :n].max()),
+        mismatch_sup=float(sup[0, :n].max()),
         mismatch_threshold=mismatch_threshold,
         mismatch_detail=detail,
     )

@@ -15,11 +15,11 @@ import pytest
 import macroreal
 from macroreal import cli
 from macroreal.cli import MZ_FIELDS, _table, main, parse_complex_list, parse_range, write_rows
-from macroreal.conditions import nic_012
+from macroreal.conditions import mr012_check, nic_012
 from macroreal.hilbert import DensityState
 from macroreal.instruments import _UNDERFLOW_EXPONENT, projective_family
 from macroreal.mach_zehnder import CONDITION_NAMES, LatticeReport, MZParams, verify_lattice
-from macroreal.scenario import Scenario, Slot, save_scenario
+from macroreal.scenario import Scenario, Slot, load_scenario, save_scenario
 
 
 def data_file(name):
@@ -213,6 +213,15 @@ def test_nsit_check_out_bodies(tmp_path, fmt):
         assert body["mr012"]["holds"] is False
         assert abs(body["mr012"]["mismatch_tv"] - 0.5) <= 1e-12
     assert [row["name"] for row in rows] == names
+    # the sandwich and leading rows are the bundle's members, not a second computation
+    members = mr012_check(load_scenario(data_file("mz_phi0.json"))).members
+    for name in ("NSIT_0(1)2", "NSIT_(0)12"):
+        (row,) = [row for row in rows if row["name"] == name]
+        report = members[name].to_dict()
+        if fmt == "csv":
+            residual = float(f"{report['residual']:.12g}")
+            report = {"name": name, "residual": residual, "holds": report["holds"]}
+        assert row == report
     assert {row["name"] for row in rows if not row["holds"]} == set(violated)
     for row in rows:
         if row["name"] in violated:
@@ -665,6 +674,24 @@ def test_overlap_coherent_sharp_mode(capsys):
     header, row = out.splitlines()
     assert header == "delta_sq,value,exact,abs_diff"
     assert abs(float(row.split(",")[1]) - 0.98984640) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["overlap", "coherent", "--delta-sq", "0.5", "--gamma", "0,1,2"], "--gamma"),
+        (["overlap", "coherent", "--delta-sq", "0.5", "--dim", "20"], "--dim"),
+        (["overlap", "ring", "--d", "2", "--gamma-mode", "border", "--gamma", "7"], "--gamma"),
+        (["overlap", "ring", "--d", "2", "--gamma-mode", "center", "--gamma", "7"], "--gamma"),
+        (["overlap", "ring", "--d", "2,3", "--gamma-mode", "fixed", "--gamma", "1,2"], "--gamma"),
+    ],
+)
+def test_an_option_the_mode_would_ignore_exits_two(argv, option, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (message,) = captured.err.splitlines()
+    assert message.startswith(" ".join(argv[:2]) + ": ") and option in message
 
 
 def test_overlap_ring_fixed_mode_needs_gamma(capsys):

@@ -24,7 +24,6 @@ from macroreal.conditions import (
     classical_operator,
     commutator_tests,
     correlator,
-    leading_residual,
     lgi_012,
     lgi_values,
     mr012_check,
@@ -37,7 +36,6 @@ from macroreal.conditions import (
     nsit_sandwich,
     nsit_two_time,
     projective_necessity_check,
-    sandwich_residual,
 )
 from macroreal.conditions import _marginal, _signaling
 from macroreal.hilbert import (
@@ -503,10 +501,11 @@ def test_table_functions_on_a_batch_equal_the_single_scenario_reports(dim, dicho
             assert nsit_residual(t, i, j)[n] == nsit_two_time(sc, i, j).residual
             assert aot_residual(t, i, j)[n] == aot_check(sc, i, j).residual
             assert correlator(t, i, j)[n] == correlator(sc.tables, i, j)[0]
-        assert sandwich_residual(t)[n] == nsit_sandwich(sc).residual
-        assert leading_residual(t)[n] == nsit_leading(sc).residual
+        residuals = mr012_residuals(t)
+        assert residuals["NSIT_0(1)2"][n] == nsit_sandwich(sc).residual
+        assert residuals["NSIT_(0)12"][n] == nsit_leading(sc).residual
         members = mr012_check(sc).members
-        assert {k: v[n] for k, v in mr012_residuals(t).items()} == {
+        assert {k: v[n] for k, v in residuals.items()} == {
             k: r.residual for k, r in members.items()
         }
         for values, report in ((lgi_values, lgi_012), (nic_values, nic_012)):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from macroreal.conditions import bundle_distances
 from macroreal.mach_zehnder import (
     CONDITION_NAMES,
     CONVENTIONS,
@@ -151,6 +152,8 @@ def test_an_empty_batch_has_empty_tables():
     for name in CONDITION_NAMES:
         assert isinstance(residuals[name], np.ndarray) and residuals[name].shape == (0,), name
     assert mz_batch([]).tables[(0, 1, 2)].shape == (0, 2, 2, 2)
+    sup, tv = bundle_distances(mz_batch([]).tables)
+    assert sup.shape == tv.shape == (0, 10)
     report = verify_lattice([], convention="crossed-p0")
     assert report.n_points == 0 and report.points == [] and report.ok
     assert report.analytic.shape == report.numeric.shape == (0, len(CONDITION_NAMES))
