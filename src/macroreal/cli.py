@@ -390,7 +390,13 @@ def cmd_nsit_check(args: argparse.Namespace) -> int:
 
 
 def _overlap_quadrature(args: argparse.Namespace) -> int:
-    kwargs = {"delta": args.delta, "kappa": args.kappa, "sigma": args.sigma, "mass": args.mass}
+    kwargs = {"sigma": args.sigma, "mass": args.mass}
+    # a width the case does not read would still move the grid span: refused
+    for name, quadrature in (("delta", "X"), ("kappa", "P")):
+        value = getattr(args, name)
+        if value is not None and quadrature not in args.case:
+            raise ValueError(f"--{name} is not used with --case {args.case}")
+        kwargs[name] = 1.0 if value is None else value
 
     def point(t):
         analytic = quadrature_overlap_analytic(args.case, t=t, **kwargs)
@@ -544,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     quad.set_defaults(run=_overlap_quadrature)
     quad.add_argument("--case", choices=QUADRATURE_CASES, required=True)
-    quad.add_argument("--delta", type=float, default=1.0, help="position smearing width")
-    quad.add_argument("--kappa", type=float, default=1.0, help="momentum smearing width")
+    quad.add_argument("--delta", type=float, help="position smearing width (default 1)")
+    quad.add_argument("--kappa", type=float, help="momentum smearing width (default 1)")
     quad.add_argument("--sigma", type=float, default=1.0, help="initial packet width")
     quad.add_argument("--mass", type=float, default=1.0)
     quad.add_argument("--t", type=parse_range, default=[0.0], help="evolution times")

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from macroreal.hilbert import unitary_from_hamiltonian
+from macroreal.hilbert import operator_norm, unitary_from_hamiltonian
 from macroreal.instruments import KrausFamily, not_projectors
 from macroreal.scenario import Scenario
 
@@ -325,22 +325,6 @@ def _require_dichotomic(scenario: Scenario, slots=None) -> None:
 # Operator-level criteria
 
 
-def _dual_map(family: KrausFamily, effects: np.ndarray) -> np.ndarray:
-    """Phi*(E) = sum_a w_a A_a' E A_a for every E of an (m, d, d) stack."""
-    if family.kind == "diagonal":
-        # real envelopes make every A_a Hermitian, so the dual map is the channel
-        return family.channel(effects)
-    out = np.zeros_like(effects)
-    for w, a in zip(family.weights, family.dense_ops()):
-        out += (w * a.conj().T) @ effects @ a
-    return out
-
-
-def _largest_norm(stack: np.ndarray) -> float:
-    """Largest spectral norm over an (m, d, d) stack."""
-    return float(np.linalg.svd(stack, compute_uv=False).max())
-
-
 def nsit_operator_residual(
     first: KrausFamily, second: KrausFamily, between: np.ndarray | None = None
 ) -> float:
@@ -351,7 +335,8 @@ def nsit_operator_residual(
 
         M_b = sum_a w_a A_a' E_b A_a  -  B_b' (sum_a w_a A_a' A_a) B_b
 
-    with E_b = B_b' B_b conjugated through the interslot unitary when given.
+    with E_b = B_b' B_b conjugated through the interslot unitary when given;
+    the first sum is the channel of first.adjoint(), the dual map.
     Returns the largest spectral norm over b; it upper-bounds the statistical
     NSIT residual for every input state. Both families must be complete
     within 1e-6.
@@ -367,7 +352,7 @@ def nsit_operator_residual(
     if between is not None:
         bb = bb @ between
     bh = bb.conj().swapaxes(-1, -2)
-    return _largest_norm(_dual_map(first, bh @ bb) - bh @ first.completeness_operator() @ bb)
+    return operator_norm(first.adjoint().channel(bh @ bb) - bh @ first.completeness_operator() @ bb)
 
 
 def commutator_tests(first: KrausFamily, second: KrausFamily) -> dict:
@@ -379,9 +364,9 @@ def commutator_tests(first: KrausFamily, second: KrausFamily) -> dict:
     read as Phi*(E_b) - S E_b with S = sum_a w_a A_a' A_a.
     """
     bb = second.dense_ops()
-    pairwise = max(_largest_norm(a @ bb - bb @ a) for a in first.dense_ops())
+    pairwise = max(operator_norm(a @ bb - bb @ a) for a in first.dense_ops())
     e = bb.conj().swapaxes(-1, -2) @ bb
-    sandwich = _largest_norm(_dual_map(first, e) - first.completeness_operator() @ e)
+    sandwich = operator_norm(first.adjoint().channel(e) - first.completeness_operator() @ e)
     return {"pairwise": pairwise, "sandwich": sandwich}
 
 

@@ -236,13 +236,14 @@ def frame_diagonal(frame: np.ndarray, x: np.ndarray | None = None) -> np.ndarray
     """Real diagonal of F' x F for a (d, n) frame F, or of F' F when x is None.
 
     Entry a is <f_a| x |f_a> for the column f_a, so no (n, n) matrix is formed.
+    A (..., d, d) stack x gives one (..., n) diagonal per matrix.
     """
     fx = frame if x is None else x @ frame
-    return np.einsum("ia,ia->a", frame.conj(), fx).real
+    return np.einsum("...ia,...ia->...a", frame.conj(), fx).real
 
 
 def operator_norm(m) -> float:
-    """Spectral norm (largest singular value)."""
+    """Spectral norm (largest singular value) of a matrix, or the largest over a (..., d, d) stack."""
     return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).max())
 
 

@@ -2,15 +2,16 @@
 
 A family holds one Kraus operator per outcome plus a quadrature weight for
 that outcome (1 for discrete outcomes, the cell measure for discretized
-continuous outcomes). Three internal representations keep large families
-affordable:
+continuous outcomes). Three representations, which no other module tells
+apart, keep large families affordable:
 
   dense     explicit (n, d, d) stack
   diagonal  A_a = V diag(env_a) V' with real envelopes env_a
   rank1     A_a = scale_a |left_a><right_a|
 
-The probability density of outcome a on state rho is w_a tr(A_a' A_a rho)
-and the non-selective channel is rho -> sum_a w_a A_a rho A_a'.
+The probability density of outcome a on state rho is w_a tr(A_a' A_a rho),
+the non-selective channel is rho -> sum_a w_a A_a rho A_a', and the channel
+of adjoint(), the family of the A_a', is the dual map E -> sum_a w_a A_a' E A_a.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class KrausFamily:
     @functools.cached_property
     def completeness_defect(self) -> float:
         """Spectral norm of S - I, computed when first read; the largest |S_nn - 1| when S is Fock-diagonal."""
-        if self.kind == "diagonal" and self.basis is None:
+        if self.fock_diagonal:
             return float(np.abs(self.weights @ self.envelopes**2 - 1.0).max())
         return operator_norm(self.completeness_operator() - np.eye(self.dim))
 
@@ -175,21 +176,28 @@ class KrausFamily:
             return self.envelopes.shape[1]
         return self.left.shape[0]
 
-    def op(self, i: int) -> np.ndarray:
-        """Materialize the Kraus operator for outcome index i."""
-        if self.kind == "dense":
-            return self.ops[i]
-        if self.kind == "diagonal":
-            if self.basis is None:
-                return np.diag(self.envelopes[i]).astype(complex)
-            v = self.basis
-            return (v * self.envelopes[i]) @ v.conj().T
-        return self.scale[i] * np.outer(self.left[:, i], self.right[:, i].conj())
+    @property
+    def fock_diagonal(self) -> bool:
+        """Whether every A_a is diagonal in the Fock basis: the diagonal kind without a basis."""
+        return self.kind == "diagonal" and self.basis is None
 
     def dense_ops(self) -> np.ndarray:
+        """The (n, d, d) stack of the Kraus operators A_a."""
         if self.kind == "dense":
             return self.ops
-        return np.stack([self.op(i) for i in range(self.n_outcomes)])
+        if self.kind == "rank1":
+            return self.scale[:, None, None] * (self.left.T[:, :, None] * self.right.T.conj()[:, None, :])
+        if self.basis is None:
+            return self.envelopes[:, :, None] * np.eye(self.dim, dtype=complex)
+        return (self.basis * self.envelopes[:, None, :]) @ self.basis.conj().T
+
+    def adjoint(self) -> "KrausFamily":
+        """The family of the A_a', whose channel is the dual map Phi*(E) = sum_a w_a A_a' E A_a."""
+        if self.kind == "diagonal":  # real envelopes make every A_a Hermitian
+            return self
+        if self.kind == "rank1":
+            return dataclasses.replace(self, left=self.right, right=self.left)
+        return dataclasses.replace(self, ops=self.ops.conj().swapaxes(1, 2))
 
     def completeness_operator(self) -> np.ndarray:
         """S = sum_a w_a A_a' A_a, which should be the identity."""
@@ -206,21 +214,13 @@ class KrausFamily:
 
     def probability_density(self, rho: np.ndarray) -> np.ndarray:
         """Outcome density p_a = w_a tr(A_a' A_a rho)."""
-        if self.kind == "dense":
-            p = (self.ops.conj() * (self.ops @ rho)).real.sum(axis=(1, 2))
-        elif self.kind == "diagonal":
-            if self.basis is None:
-                d = np.diag(rho).real
-            else:
-                d = frame_diagonal(self.basis, rho)
-            p = self.envelopes**2 @ d
-        else:
-            q = frame_diagonal(self.right, rho)
-            p = self.scale**2 * frame_diagonal(self.left) * q
-        return self.weights * p
+        ops = self.dense_ops()
+        return self.weights * (ops.conj() * (ops @ rho)).real.sum(axis=(1, 2))
 
     def channel(self, rho: np.ndarray) -> np.ndarray:
-        """Non-selective update sum_a w_a A_a rho A_a'."""
+        """Non-selective update sum_a w_a A_a rho A_a' of a Hermitian matrix or (m, d, d) stack."""
+        if rho.ndim == 3 and self.kind != "diagonal":  # one matrix at a time holds n d^2 or d n
+            return np.stack([self.channel(r) for r in rho])
         if self.kind == "dense":
             branches = self.weights[:, None, None] * (self.ops @ rho)
             return (branches @ self.ops.conj().swapaxes(1, 2)).sum(axis=0)
@@ -259,12 +259,11 @@ class KrausFamily:
 
     def to_json(self) -> dict:
         """Full serialization including operators (intended for small families)."""
-        ops = self.dense_ops()
         return {
             "label": self.label,
             "outcomes": _array_to_json(self.outcomes),
             "weights": [float(w) for w in self.weights],
-            "ops": [_array_to_json(a) for a in ops],
+            "ops": [_array_to_json(a) for a in self.dense_ops()],
         }
 
     @classmethod
@@ -617,10 +616,7 @@ def symmetrize_completeness(family: KrausFamily) -> KrausFamily:
     s = family.completeness_operator()
     w, v = np.linalg.eigh(s)
     if w.min() <= 1e-12 * w.max():
-        raise ValueError(
-            "completeness operator is numerically singular; the family cannot "
-            "be symmetrized"
-        )
+        raise ValueError("completeness operator is numerically singular; the family cannot be symmetrized")
     inv_sqrt = (v * w**-0.5) @ v.conj().T
     meta = dict(family.meta, symmetrized=True)
     if family.kind == "diagonal":

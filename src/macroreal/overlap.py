@@ -109,7 +109,7 @@ def _state_read(state: np.ndarray):
 
 def _branch_read(psi: np.ndarray, family: KrausFamily):
     """Block read sum_a w_a |<beta| A_a psi>|^2 of a family diagonal in the Fock basis."""
-    if family.kind != "diagonal" or family.basis is not None:
+    if not family.fock_diagonal:
         raise ValueError("branch readout needs a family diagonal in the Fock basis")
     branches = family.envelopes * psi.conj()
 
@@ -164,7 +164,7 @@ def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[Over
     lattice = ComplexLattice.square(radius, step)
     family, cols = readout(lattice, radius, dim)
     state = coherent_state(g, dim)
-    if family.kind == "diagonal" and family.basis is None:
+    if family.fock_diagonal:
         invaded = _branch_read(state.amplitudes, family)
     else:
         invaded = _state_read(family.channel(state.density().matrix))
@@ -426,11 +426,15 @@ def quadrature_overlap_numeric(
     for a P readout. The convolution is summed directly, so every term is
     nonnegative and no FFT roundoff reaches the square root of the
     Bhattacharyya sum. The half-span grows as 1/kappa so the momentum step
-    resolves a narrow P readout. An X readout narrower than 1.5 position
-    steps 2 * halfspan / n raises ValueError: its sampled kernel falls short
-    of the variance delta^2 / 2. Two X readouts at t = 0 are exempt, since
-    they commute and their overlap is 1 on any grid. No Gaussian shortcuts
-    are taken, so this route checks the moment propagation independently.
+    resolves a narrow P readout. ValueError refuses a grid of step
+    dx = 2 * halfspan / n with an X readout below 1.5 dx (its sampled kernel
+    falls short of the variance delta^2 / 2), or with momenta pi / dx short of
+    6 w for exp(-p^2 / w^2) the widest momentum intensity held, past which it
+    aliases: w^2 = 1 / sigma^2, plus 1 / delta^2 for a first X readout's
+    branches, plus kappa^2 for the P readout of XP. Two X readouts at t = 0
+    never leave the position axis, so no X term applies to them. No Gaussian
+    shortcuts are taken, so this route checks the moment propagation
+    independently.
     """
     case = _quadrature_case(case, delta, kappa, sigma, t, mass)
     if n < 2:
@@ -440,10 +444,16 @@ def quadrature_overlap_numeric(
     # and its kernel needs a momentum step pi / halfspan finer than kappa.
     halfspan = 8.0 * max(sigma, 1.0, 1.0 / kappa) + drift + 6.0 * max(delta, kappa)
     xs, dx = np.linspace(-halfspan, halfspan, n, endpoint=False, retstep=True)
-    if "X" in case and delta < 1.5 * dx and not (case == "XX" and t == 0.0):
+    commuting = case == "XX" and t == 0.0
+    if "X" in case and delta < 1.5 * dx and not commuting:
         raise ValueError(
             f"X readout width delta = {delta:g} is below 1.5 position steps of {dx:.3g}; "
             "use more grid points"
+        )
+    width = math.sqrt(sigma**-2 + (case[0] == "X" and not commuting) * delta**-2 + (case == "XP") * kappa**2)
+    if math.pi / dx < 6.0 * width:
+        raise ValueError(
+            f"momentum range pi / dx = {math.pi / dx:.3g} is below 6 widths {width:.3g}; use more grid points"
         )
     ps = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     psi0 = (math.pi * sigma**2) ** -0.25 * np.exp(-(xs**2) / (2.0 * sigma**2))

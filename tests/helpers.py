@@ -13,6 +13,16 @@ def haar_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def kraus_operator(family, i):
+    """A_i of a family, built from its own fields with plain matrix products."""
+    if family.kind == "dense":
+        return family.ops[i]
+    if family.kind == "diagonal":
+        v = np.eye(family.envelopes.shape[1]) if family.basis is None else family.basis
+        return v @ np.diag(family.envelopes[i]) @ v.conj().T
+    return family.scale[i] * np.outer(family.left[:, i], family.right[:, i].conj())
+
+
 def random_density(rng, dim, rank=None):
     if rank is None:
         rank = dim

@@ -662,10 +662,15 @@ def test_overlap_quadrature_grid_is_an_integer(capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--grid", "2.5"])
     assert exc.value.code == 2
-    # a 64-point grid is coarse enough to leave a visible discretization error
-    assert main(argv + ["--grid", "64"]) == 0
+    capsys.readouterr()
+    # a 64-point grid holds momenta to 3.6 branch widths, where it read 1.7e-7
+    # from the closed form; it is refused, and 128 points read roundoff
+    assert main(argv + ["--grid", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "momentum range" in captured.err
+    assert main(argv + ["--grid", "128"]) == 0
     header, row = capsys.readouterr().out.splitlines()
-    assert 1e-9 < float(row.split(",")[3]) < 1e-5
+    assert float(row.split(",")[3]) < 1e-14
 
 
 def test_overlap_coherent_sharp_mode(capsys):
@@ -684,6 +689,8 @@ def test_overlap_coherent_sharp_mode(capsys):
         (["overlap", "ring", "--d", "2", "--gamma-mode", "border", "--gamma", "7"], "--gamma"),
         (["overlap", "ring", "--d", "2", "--gamma-mode", "center", "--gamma", "7"], "--gamma"),
         (["overlap", "ring", "--d", "2,3", "--gamma-mode", "fixed", "--gamma", "1,2"], "--gamma"),
+        (["overlap", "quadrature", "--case", "XX", "--t", "1", "--kappa", "5"], "--kappa"),
+        (["overlap", "quadrature", "--case", "PP", "--t", "1", "--delta", "2"], "--delta"),
     ],
 )
 def test_an_option_the_mode_would_ignore_exits_two(argv, option, capsys):

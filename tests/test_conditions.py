@@ -372,6 +372,27 @@ def test_nsit_operator_residual_matches_einsum_form():
         assert abs(commutator_tests(first, second)["sandwich"] - sandwich) < 1e-14
 
 
+def isometry_family(rng, dim):
+    """A complete random Kraus family: the two blocks of a Haar isometry."""
+    ops = haar_unitary(rng, 2 * dim)[:, :dim].reshape(2, dim, dim)
+    return KrausFamily("isometry", np.arange(2), np.ones(2), ops=ops)
+
+
+def test_operator_criteria_of_a_rank_one_first_family_equal_its_dense_copy():
+    # the dual map of a rank-one family is its adjoint's channel, never densified
+    first = symmetrize_completeness(coherent_projector_family(ComplexLattice.square(5.0, 0.5), 8))
+    dense = KrausFamily("dense_copy", first.outcomes, first.weights, ops=first.dense_ops())
+    rng = np.random.default_rng(22)
+    for second in (gaussian_x_family(0.8, 8), fock_bin_family("2m", 8), isometry_family(rng, 8)):
+        for between in (None, haar_unitary(rng, 8)):
+            residual = nsit_operator_residual(first, second, between)
+            assert residual > 1e-3
+            assert abs(residual - nsit_operator_residual(dense, second, between)) < 1e-12
+        rank_one, copy = commutator_tests(first, second), commutator_tests(dense, second)
+        for key in ("pairwise", "sandwich"):
+            assert abs(rank_one[key] - copy[key]) < 1e-12, key
+
+
 def test_projective_necessity_both_ways():
     rep = projective_necessity_check(sz_projectors(), sz_projectors())
     assert rep["non_invasive"] and rep["commuting"] and rep["equivalent"]

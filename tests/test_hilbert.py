@@ -13,6 +13,7 @@ from macroreal.hilbert import (
     coherent_truncation_loss,
     default_fock_dim,
     fock_projector,
+    frame_diagonal,
     is_hermitian,
     is_positive_semidefinite,
     is_unitary,
@@ -142,6 +143,17 @@ def test_operator_norm_matches_numpy_spectral_norm():
         for _ in range(20):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             assert operator_norm(a) == np.linalg.norm(a, 2)
+
+
+def test_operator_norm_and_frame_diagonal_take_stacks():
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    assert operator_norm(stack) == max(operator_norm(a) for a in stack)
+    frame = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    diagonals = frame_diagonal(frame, stack)
+    assert diagonals.shape == (5, 9)
+    for a, diagonal in zip(stack, diagonals):
+        assert np.max(np.abs(diagonal - frame_diagonal(frame, a))) < 1e-14
 
 
 def test_norm_exceeds_agrees_with_operator_norm():

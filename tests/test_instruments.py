@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_scenario
+from helpers import kraus_operator, random_scenario
 from macroreal.hilbert import coherent_amplitudes, coherent_state, operator_norm
 from macroreal.instruments import (
     ComplexLattice,
@@ -199,6 +199,37 @@ def test_rank1_consistency_with_dense():
     assert np.max(np.abs(fam.probability_density(rho) - dense.probability_density(rho))) < 1e-12
     assert np.max(np.abs(fam.channel(rho) - dense.channel(rho))) < 1e-12
     assert abs(fam.completeness_defect - dense.completeness_defect) < 1e-12
+
+
+FAMILY_KINDS = {
+    # weights other than 1 throughout, and non-Hermitian dense operators
+    "dense": lambda rng: KrausFamily(
+        "random_dense",
+        np.arange(3),
+        rng.uniform(0.5, 2.0, 3),
+        ops=rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8)),
+    ),
+    "fock_diagonal": lambda rng: ring_family(1.0, 8, 4.0),
+    "basis_diagonal": lambda rng: gaussian_x_family(0.8, 8),
+    "rank1": lambda rng: coherent_projector_family(ComplexLattice.square(3.0, 0.5), 8),
+}
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_family_kinds_against_explicit_operators(kind):
+    rng = np.random.default_rng(30)
+    fam = FAMILY_KINDS[kind](rng)
+    ops = np.stack([kraus_operator(fam, i) for i in range(fam.n_outcomes)])
+    assert fam.fock_diagonal == (kind == "fock_diagonal")
+    assert np.max(np.abs(fam.dense_ops() - ops)) < 1e-15
+    stack = rng.standard_normal((4, 8, 8)) + 1j * rng.standard_normal((4, 8, 8))
+    stack += stack.conj().swapaxes(1, 2)  # the channel's inputs are Hermitian
+    channel, dual = fam.channel(stack), fam.adjoint().channel(stack)
+    assert channel.shape == dual.shape == stack.shape
+    for e, out, dual_out in zip(stack, channel, dual):
+        assert np.max(np.abs(out - fam.channel(e))) < 1e-14
+        explicit = sum(w * a.conj().T @ e @ a for w, a in zip(fam.weights, ops))
+        assert np.max(np.abs(dual_out - explicit)) < 1e-13
 
 
 def test_gaussian_x_family_completeness_example():

@@ -307,6 +307,35 @@ def test_quadrature_numeric_x_readout_at_the_resolution_cut():
         assert abs(res.value - res.meta["analytic"]) < tol, delta
 
 
+@pytest.mark.parametrize(
+    "case, kwargs, refused, kept",
+    [
+        # XX at t = 1: half-span 20 and branch momentum width sqrt(2), so the
+        # range pi n / 40 reaches 6 sqrt(2) between 108 and 109 points
+        ("XX", {"t": 1.0}, 108, 109),
+        # XP: the P readout adds kappa^2 = 1, width sqrt(3)
+        ("XP", {"t": 1.0}, 132, 133),
+        # PP: the packet alone, width 1 / sigma = 2, half-span 8 + 9 + 6 = 23
+        ("PP", {"sigma": 0.5, "t": 1.0}, 175, 176),
+    ],
+)
+def test_quadrature_numeric_momentum_range_cut(case, kwargs, refused, kept):
+    with pytest.raises(ValueError, match="momentum range"):
+        quadrature_overlap_numeric(case, n=refused, **kwargs)
+    res = quadrature_overlap_numeric(case, n=kept, **kwargs)
+    assert abs(res.value - res.meta["analytic"]) < 1e-14
+
+
+def test_quadrature_numeric_commuting_xx_keeps_only_the_packet_rule():
+    # at t = 0 the X branches never reach the momentum axis: delta = 0.1 is
+    # accepted on 256 points, while the packet still needs pi / dx >= 6 / sigma
+    res = quadrature_overlap_numeric("XX", delta=0.1, n=256)
+    assert abs(res.value - 1.0) < 1e-14
+    with pytest.raises(ValueError, match="momentum range"):
+        quadrature_overlap_numeric("XX", n=53)
+    assert abs(quadrature_overlap_numeric("XX", n=54).value - 1.0) < 1e-14
+
+
 def test_quadrature_numeric_xp_time_independent():
     values = [quadrature_overlap_numeric("XP", t=t).value for t in (0.0, 1.0, 10.0)]
     assert max(values) - min(values) < 1e-4

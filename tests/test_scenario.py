@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     haar_unitary,
+    kraus_operator,
     random_density,
     random_dichotomic_family,
     random_full_projective_family,
@@ -51,7 +52,7 @@ def brute_force_joint(scenario, measured):
                 u = scenario.evolutions[k - 1]
                 rho = u @ rho @ u.conj().T
             if k in pick:
-                a = fams[measured.index(k)].op(pick[k])
+                a = kraus_operator(fams[measured.index(k)], pick[k])
                 rho = a @ rho @ a.conj().T
                 weight *= fams[measured.index(k)].weights[pick[k]]
         values[combo] = np.trace(rho).real * weight
