@@ -218,7 +218,12 @@ class KrausFamily:
         return self.weights * (ops.conj() * (ops @ rho)).real.sum(axis=(1, 2))
 
     def channel(self, rho: np.ndarray) -> np.ndarray:
-        """Non-selective update sum_a w_a A_a rho A_a' of a Hermitian matrix or (m, d, d) stack."""
+        """Non-selective update sum_a w_a A_a rho A_a' of a matrix, an (m, d, d) stack, or a state vector psi for |psi><psi|."""
+        if rho.ndim == 1 and self.kind == "dense":  # from the (n, d) branch vectors A_a psi: O(n d^2), not O(n d^3)
+            branches = self.ops @ rho
+            return (branches.T * self.weights) @ branches.conj()
+        if rho.ndim == 1:
+            rho = np.outer(rho, rho.conj())
         if rho.ndim == 3 and self.kind != "diagonal":  # one matrix at a time holds n d^2 or d n
             return np.stack([self.channel(r) for r in rho])
         if self.kind == "dense":
@@ -230,7 +235,8 @@ class KrausFamily:
                 return rho * kernel
             v = self.basis
             return v @ ((v.conj().T @ rho @ v) * kernel) @ v.conj().T
-        coef = self.weights * self.scale**2 * frame_diagonal(self.right, rho)
+        # the complex diagonal <right_a| rho |right_a>: frame_diagonal keeps only its real part
+        coef = self.weights * self.scale**2 * np.einsum("ia,ia->a", self.right.conj(), rho @ self.right)
         return (self.left * coef) @ self.left.conj().T
 
     def describe(self) -> dict:
@@ -544,9 +550,7 @@ def coherent_coarse_family(
         ops=ops,
         meta={"lattice": lattice.describe(), "dim": dim},
     )
-    corrected = symmetrize_completeness(fam)
-    corrected.meta["raw_defect"] = float(fam.completeness_defect)
-    return corrected
+    return symmetrize_completeness(fam)
 
 
 def _ring_count(d: float, max_radius: float) -> int:
@@ -611,14 +615,16 @@ def _interval_labels(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def symmetrize_completeness(family: KrausFamily) -> KrausFamily:
     """Restore exact completeness by the polar correction K -> K S^{-1/2}.
 
-    Raises when the smallest eigenvalue of S is at most 1e-12 of the largest.
+    The result's meta["raw_defect"] is the input's completeness defect, read
+    as max |lambda - 1| over the eigenvalues of S. Raises when the smallest
+    eigenvalue of S is at most 1e-12 of the largest.
     """
     s = family.completeness_operator()
     w, v = np.linalg.eigh(s)
     if w.min() <= 1e-12 * w.max():
         raise ValueError("completeness operator is numerically singular; the family cannot be symmetrized")
     inv_sqrt = (v * w**-0.5) @ v.conj().T
-    meta = dict(family.meta, symmetrized=True)
+    meta = dict(family.meta, symmetrized=True, raw_defect=float(np.abs(w - 1.0).max()))
     if family.kind == "diagonal":
         diag = np.diag(s).real if family.basis is None else frame_diagonal(family.basis, s)
         return dataclasses.replace(family, envelopes=family.envelopes * diag**-0.5, meta=meta)

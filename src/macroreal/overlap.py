@@ -82,6 +82,7 @@ def bhattacharyya(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
 
 
 HUSIMI_BLOCK = 2048  # lattice points per readout block; bounds the (rows x block) temporaries and built columns
+QUAD_BLOCK = 8  # first-readout outcomes per grid-engine block; bounds the (block x n) branch arrays
 
 
 def _block_readout(reads, lattice: ComplexLattice, dim: int, cols: np.ndarray | None = None) -> list:
@@ -153,7 +154,8 @@ def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[Over
     family and the lattice's coherent_columns stack, or None if it built none.
     Both readouts are taken in one pass over the column blocks: a family
     diagonal in the Fock basis (Fock bins, rings) through its branches, any
-    other family through the density matrix of its channel.
+    other family through the density matrix family.channel(psi) of the state
+    vector psi.
     """
     g = complex(gamma)
     if dim is None:
@@ -167,7 +169,7 @@ def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[Over
     if family.fock_diagonal:
         invaded = _branch_read(state.amplitudes, family)
     else:
-        invaded = _state_read(family.channel(state.density().matrix))
+        invaded = _state_read(family.channel(state.amplitudes))
     reference, invaded = _block_readout([_state_read(state.amplitudes), invaded], lattice, dim, cols)
     meta = {
         "reference_mass": reference.mass,
@@ -406,6 +408,24 @@ def quadrature_overlap_analytic(
     return math.sqrt(2.0 * math.sqrt(s0 * s1) / (s0 + s1))
 
 
+def _circular_smear(v: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """sum_i kernel[(j - i) mod n] v[i] for every j, summed directly over the kernel's band.
+
+    kernel holds the lags 0, 1, ..., then the negative ones, in fftfreq order,
+    and falls off with |lag|. Its band is the lags where it is at least 2^-60
+    of kernel[0], wrapped circularly and at most the whole circle, each lag
+    once. Convolving v wrapped by `left` and `right` samples with the band in
+    "valid" mode gives sum_k band[k] v[(j + right - k) mod n].
+    """
+    n = v.size
+    reach = int(np.count_nonzero(kernel[: n // 2 + 1] >= 2.0**-60 * kernel[0])) - 1
+    if 2 * reach + 1 < n:  # lags -reach..reach
+        band, left, right = kernel[np.arange(-reach, reach + 1)], reach, reach
+    else:  # the whole circle: lags 0..n-1
+        band, left, right = kernel, n - 1, 0
+    return np.convolve(np.concatenate((v[n - left :], v, v[:right])), band, "valid")
+
+
 def quadrature_overlap_numeric(
     case: str,
     delta: float = 1.0,
@@ -418,14 +438,18 @@ def quadrature_overlap_numeric(
 ) -> OverlapResult:
     """Grid-engine overlap for smeared quadrature pairs.
 
-    The first instrument is applied branch by branch on its outcome grid and
-    each branch evolves freely via FFT. The final smeared readout acts on the
-    summed intensity as one circular convolution with the sampled Gaussian
-    kernel, normalised to unit mass on the axis, on the engine's own periodic
-    axis: the positions xs for an X readout, the FFT momenta in fftfreq order
-    for a P readout. The convolution is summed directly, so every term is
-    nonnegative and no FFT roundoff reaches the square root of the
-    Bhattacharyya sum. The half-span grows as 1/kappa so the momentum step
+    The first instrument is applied branch by branch on its outcome grid,
+    QUAD_BLOCK outcomes at a time, and each branch evolves freely via FFT. The
+    final smeared readout acts on the summed intensity v as one circular
+    convolution with the sampled Gaussian kernel k, normalised to unit mass on
+    the axis, on the engine's own periodic axis: the positions xs for an X
+    readout, the FFT momenta in fftfreq order for a P readout. The convolution
+    is summed directly, so every term is nonnegative and no FFT roundoff
+    reaches the square root of the Bhattacharyya sum. It sums only the
+    kernel's band, the lags where k is at least 2^-60 of its peak k_0, wrapped
+    circularly and at most the whole circle; each dropped term is below
+    2^-60 k_0 v_i, so the cut moves a readout value by less than
+    2^-60 k_0 sum_i v_i. The half-span grows as 1/kappa so the momentum step
     resolves a narrow P readout. ValueError refuses a grid of step
     dx = 2 * halfspan / n with an X readout below 1.5 dx (its sampled kernel
     falls short of the variance delta^2 / 2), or with momenta pi / dx short of
@@ -465,42 +489,49 @@ def quadrature_overlap_numeric(
     spread1 = 6.0 * (sigma if first == "X" else 1.0 / sigma) + 6.0 * width1
     a_step = width1 / 4.0
     agrid = np.arange(-spread1, spread1 + a_step / 2.0, a_step)
-    envelope = (math.pi * width1**2) ** -0.25 * np.exp(
-        -(((xs if first == "X" else ps)[None, :] - agrid[:, None]) ** 2) / (2.0 * width1**2)
-    )
 
     # Branches and reference after the free flight, as FFT coefficients; a
-    # momentum filter commutes with the free-flight phase.
+    # momentum filter commutes with the free-flight phase. The branches are
+    # built, evolved and read QUAD_BLOCK outcomes at a time, with the envelope
+    # arithmetic in place, and only their summed intensity is kept.
     phase = np.exp(-1j * ps**2 * t / (2.0 * mass))
     ref_k = np.fft.fft(psi0) * phase
-    if first == "X":
-        branches_k = np.fft.fft(psi0 * envelope, axis=1) * phase
-    else:
-        branches_k = ref_k * envelope
+    summed = np.zeros(n)
+    for lo in range(0, agrid.size, QUAD_BLOCK):
+        env = np.subtract.outer(agrid[lo : lo + QUAD_BLOCK], xs if first == "X" else ps)
+        np.square(env, out=env)
+        env /= -2.0 * width1**2
+        np.exp(env, out=env)
+        env *= (math.pi * width1**2) ** -0.25
+        if first == "X":
+            env *= psi0
+            branches_k = np.fft.fft(env, axis=1)
+            branches_k *= phase
+        else:
+            branches_k = ref_k * env
+        amp = np.abs(np.fft.ifft(branches_k, axis=1) if second == "X" else branches_k)
+        np.square(amp, out=amp)
+        summed += amp.sum(axis=0)
 
     # Intensities as probabilities per axis sample; by Parseval a momentum
     # sample carries |fft|^2 dx / n.
     if second == "X":
-        intensity = a_step * dx * (np.abs(np.fft.ifft(branches_k, axis=1)) ** 2).sum(axis=0)
+        intensity = a_step * dx * summed
         ref_intensity = dx * np.abs(np.fft.ifft(ref_k)) ** 2
         axis, daxis = xs, dx
     else:
-        intensity = a_step * dx / n * (np.abs(branches_k) ** 2).sum(axis=0)
+        intensity = a_step * dx / n * summed
         ref_intensity = dx / n * np.abs(ref_k) ** 2
         axis, daxis = ps, ps[1]
 
     # Circular kernel indexed by the lag (j - i) mod n: lags 0, daxis, ...,
-    # then the negative ones, in fftfreq order. Convolving the wrapped copy
-    # v[1:], v with it in "valid" mode gives sum_i k[(j - i) mod n] v[i].
+    # then the negative ones, in fftfreq order.
     width2 = delta if second == "X" else kappa
     lags = n * daxis * np.fft.fftfreq(n)
     kernel = np.exp(-(lags**2) / width2**2)
     kernel /= kernel.sum() * daxis
     inv, refd = (
-        OutcomeDistribution(
-            axis, np.full(n, daxis), np.convolve(np.concatenate((v[1:], v)), kernel, "valid")
-        )
-        for v in (intensity, ref_intensity)
+        OutcomeDistribution(axis, np.full(n, daxis), _circular_smear(v, kernel)) for v in (intensity, ref_intensity)
     )
     value = bhattacharyya(refd, inv)
     return OverlapResult(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import kraus_operator, random_scenario
+from macroreal import instruments
 from macroreal.hilbert import coherent_amplitudes, coherent_state, operator_norm
 from macroreal.instruments import (
     ComplexLattice,
@@ -230,6 +231,43 @@ def test_family_kinds_against_explicit_operators(kind):
         assert np.max(np.abs(out - fam.channel(e))) < 1e-14
         explicit = sum(w * a.conj().T @ e @ a for w, a in zip(fam.weights, ops))
         assert np.max(np.abs(dual_out - explicit)) < 1e-13
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_channel_of_a_non_hermitian_matrix_and_of_a_state_vector(kind):
+    rng = np.random.default_rng(31)
+    fam = FAMILY_KINDS[kind](rng)
+    ops = np.stack([kraus_operator(fam, i) for i in range(fam.n_outcomes)])
+    e = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    explicit = sum(w * a @ e @ a.conj().T for w, a in zip(fam.weights, ops))
+    dual = sum(w * a.conj().T @ e @ a for w, a in zip(fam.weights, ops))
+    assert np.max(np.abs(fam.channel(e) - explicit)) < 1e-13
+    assert np.max(np.abs(fam.adjoint().channel(e) - dual)) < 1e-13
+    # a state vector psi reads as |psi><psi|; the random dense operators give
+    # entries near 10, so the bound is taken relative to the largest
+    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    psi /= np.linalg.norm(psi)
+    for f in (fam, fam.adjoint()):
+        expected = f.channel(np.outer(psi, psi.conj()))
+        assert np.max(np.abs(f.channel(psi) - expected)) <= 1e-15 * max(1.0, np.abs(expected).max())
+
+
+def test_coherent_coarse_raw_defect_is_the_unsymmetrized_defect(monkeypatch):
+    # the raw defect comes from the eigenvalues of S that the symmetrization
+    # computes; the family it symmetrizes is caught on its way in
+    seen = []
+
+    def spy(family):
+        seen.append(family)
+        return symmetrize_completeness(family)
+
+    monkeypatch.setattr(instruments, "symmetrize_completeness", spy)
+    lat = ComplexLattice.square(6.0, 0.25)
+    for side in (1.0, 2.0):
+        labels, n_cells = cell_labels(lat.points, side, 6.5)
+        fam = coherent_coarse_family(labels, n_cells, lat, 24)
+        assert fam.meta["symmetrized"] and seen[-1].meta.get("symmetrized") is None
+        assert abs(fam.meta["raw_defect"] - seen[-1].completeness_defect) <= 1e-15
 
 
 def test_gaussian_x_family_completeness_example():

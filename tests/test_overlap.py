@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from macroreal import overlap
 from macroreal.hilbert import coherent_state, default_fock_dim
 from macroreal.instruments import (
     ComplexLattice,
@@ -19,6 +20,7 @@ from macroreal.instruments import (
 )
 from macroreal.overlap import (
     HUSIMI_BLOCK,
+    QUADRATURE_CASES,
     OutcomeDistribution,
     bhattacharyya,
     branch_husimi,
@@ -339,6 +341,73 @@ def test_quadrature_numeric_commuting_xx_keeps_only_the_packet_rule():
 def test_quadrature_numeric_xp_time_independent():
     values = [quadrature_overlap_numeric("XP", t=t).value for t in (0.0, 1.0, 10.0)]
     assert max(values) - min(values) < 1e-4
+
+
+def full_circle_smear(v, kernel):
+    """The full-circle readout sum_i kernel[(j - i) mod n] v[i], every lag once."""
+    return np.convolve(np.concatenate((v[1:], v)), kernel, "valid")
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("width", [0.4, 0.5, 1.0])
+def test_circular_smear_band_against_the_full_circle(n, width):
+    # exp(-lag^2 / width^2) >= 2^-60 up to lag 6.45 width: at width 1.0 the
+    # band covers the circle, and on 8 points reads the lag 4 = -4 once; at
+    # 0.5 it stops at lag 3, at 0.4 at lag 2
+    v = np.random.default_rng(27).uniform(0.0, 1.0, n)
+    kernel = np.exp(-((n * np.fft.fftfreq(n)) ** 2) / width**2)
+    expected = full_circle_smear(v, kernel)
+    if width == 1.0:
+        assert np.array_equal(overlap._circular_smear(v, kernel), expected)
+    else:
+        # the cut terms, plus roundoff from the band's other summation order
+        bound = 2.0**-60 * v.sum() + 2.0 * np.finfo(float).eps * expected.max()
+        assert np.max(np.abs(overlap._circular_smear(v, kernel) - expected)) <= bound
+
+
+def test_quadrature_band_cut_against_the_full_circle(monkeypatch):
+    covered, compared = [], 0
+    for case in QUADRATURE_CASES:
+        for t in (0.0, 1.0, 4.75):
+            for n in (54, 256, 4096):
+                try:
+                    banded = quadrature_overlap_numeric(case, t=t, n=n)
+                except ValueError:  # a grid the engine refuses
+                    continue
+                kernels = []
+
+                def oracle(v, kernel):
+                    kernels.append(kernel)
+                    return full_circle_smear(v, kernel)
+
+                with monkeypatch.context() as m:
+                    m.setattr(overlap, "_circular_smear", oracle)
+                    full = quadrature_overlap_numeric(case, t=t, n=n)
+                pairs = [(banded.value, full.value)] + [
+                    (banded.meta[key], full.meta[key]) for key in ("invaded_mass", "reference_mass")
+                ]
+                assert max(abs(a - b) for a, b in pairs) <= 1e-15, (case, t, n)
+                if all(k.min() >= 2.0**-60 * k[0] for k in kernels):
+                    assert all(a == b for a, b in pairs), (case, t, n)
+                    covered.append((case, t, n))
+                compared += 1
+    # PP at t = 0 on 54 points reads momentum lags that cover the circle
+    assert compared == 26 and covered == [("PP", 0.0, 54)]
+
+
+def test_quadrature_memory_does_not_scale_with_the_outcome_grid():
+    # delta = 0.25 gives the first X readout 241 outcomes against 97 at
+    # delta = 1; the branches are read QUAD_BLOCK outcomes at a time
+    peaks = []
+    for delta in (1.0, 0.25):
+        tracemalloc.start()
+        try:
+            quadrature_overlap_numeric("XX", delta=delta, t=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_fock_overlap_vacuum_inside_first_bin():
