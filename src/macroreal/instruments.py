@@ -73,8 +73,13 @@ class ComplexLattice:
     step: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.re_lo, self.re_hi, self.im_lo, self.im_hi, self.step))):
+            raise ValueError(f"lattice bounds and step must be finite, got {self.describe()}")
         if not self.step > 0:
             raise ValueError(f"lattice step must be positive, got {self.step}")
+        side = min(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
+        if self.step > side:
+            raise ValueError(f"lattice step {self.step:g} exceeds the side {side:g}; an axis needs two points")
 
     @classmethod
     def square(cls, radius: float, step: float, center: complex = 0j) -> "ComplexLattice":
@@ -134,18 +139,20 @@ class KrausFamily:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.outcomes.shape[0],):
             raise ValueError("weights must match outcomes one to one")
-        if np.any(self.weights <= 0):
-            raise ValueError("outcome weights must be positive")
-        if self.kind == "dense":
-            self.ops = np.asarray(self.ops, dtype=complex)
-            if self.ops.ndim != 3 or self.ops.shape[0] != self.n_outcomes:
-                raise ValueError("dense family needs an (n, d, d) operator stack")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise ValueError("outcome weights must be finite and positive")
+        if self.kind == "dense":  # as_operator_stack refuses non-finite entries
+            self.ops = as_operator_stack(self.ops)
+            if self.ops.shape[0] != self.n_outcomes:
+                raise ValueError("dense family needs one (d, d) operator per outcome")
+            arrays = ()
         elif self.kind == "diagonal":
             self.envelopes = np.asarray(self.envelopes, dtype=float)
             if self.envelopes.ndim != 2 or self.envelopes.shape[0] != self.n_outcomes:
                 raise ValueError("diagonal family needs (n, d) envelopes")
             if self.basis is not None:
                 self.basis = as_operator(self.basis)
+            arrays = (self.envelopes,)
         elif self.kind == "rank1":
             self.left = np.asarray(self.left, dtype=complex)
             self.right = np.asarray(self.right, dtype=complex)
@@ -154,8 +161,11 @@ class KrausFamily:
                 raise ValueError("rank1 family needs matching (d, n) column stacks")
             if self.scale.shape != (self.n_outcomes,):
                 raise ValueError("rank1 scale must match outcomes")
+            arrays = (self.left, self.right, self.scale)
         else:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError(f"{self.kind} family holds non-finite entries")
 
     @functools.cached_property
     def completeness_defect(self) -> float:
@@ -222,6 +232,10 @@ class KrausFamily:
         if rho.ndim == 1 and self.kind == "dense":  # from the (n, d) branch vectors A_a psi: O(n d^2), not O(n d^3)
             branches = self.ops @ rho
             return (branches.T * self.weights) @ branches.conj()
+        if rho.ndim == 1 and self.kind == "rank1":  # <right_a| psi><psi |right_a> = |right_a' psi|^2: O(d n)
+            amps = np.einsum("ia,i->a", self.right, rho.conj())  # conjugated, which |.|^2 does not see
+            coef = self.weights * self.scale**2 * (amps.real**2 + amps.imag**2)
+            return (self.left * coef) @ self.left.conj().T
         if rho.ndim == 1:
             rho = np.outer(rho, rho.conj())
         if rho.ndim == 3 and self.kind != "diagonal":  # one matrix at a time holds n d^2 or d n
@@ -311,7 +325,8 @@ def not_projectors(ops: np.ndarray) -> np.ndarray:
 
 def projective_family(projectors, outcomes, label: str = "projective") -> KrausFamily:
     """Lueders instrument from a complete orthogonal projector list."""
-    ops = as_operator_stack(projectors)
+    fam = KrausFamily(label=label, outcomes=outcomes, weights=np.ones(len(outcomes)), kind="dense", ops=projectors)
+    ops = fam.ops
     n, d = ops.shape[:2]
     k = np.arange(n)
     i, j = np.nonzero(k[:, None] < k)  # pairs i < j in row-major order
@@ -326,13 +341,7 @@ def projective_family(projectors, outcomes, label: str = "projective") -> KrausF
         raise ValueError(f"projectors {i[k]} and {j[k]} overlap")
     if bad[-1]:
         raise ValueError("projectors do not sum to the identity")
-    return KrausFamily(
-        label=label,
-        outcomes=np.asarray(outcomes),
-        weights=np.ones(n),
-        kind="dense",
-        ops=ops,
-    )
+    return fam
 
 
 def single_kraus_family(op, label: str = "single") -> KrausFamily:
@@ -513,7 +522,6 @@ def coherent_coarse_family(
     dim: int,
     *,
     label: str = "coherent_coarse",
-    cols: np.ndarray | None = None,
 ) -> KrausFamily:
     """Coarse-grained phase-space readout from one outcome label per lattice point.
 
@@ -521,21 +529,18 @@ def coherent_coarse_family(
     pi^{-1} sum_{j: labels_j = a} w_j |alpha_j><alpha_j|, so each point enters
     one moment; the Kraus operator is its positive square root, and a final
     completeness correction K -> K S^{-1/2} absorbs the lattice discretization
-    error. Pass cols, the coherent_columns(lattice.points, dim) stack, when
-    the caller holds it.
+    error.
     """
     pts = lattice.points
     labels = np.asarray(labels)
     if labels.shape != pts.shape or np.any((labels < 0) | (labels >= n_outcomes)):
         raise ValueError(f"every lattice point needs a label in range({n_outcomes})")
-    if cols is None:
-        cols = coherent_columns(pts, dim)
     # the root of the moment B_a B_a', one column sqrt(w_j / pi) |alpha_j> of B_a
     # per point, is U s U' from the SVD B_a = U s V': exact to roundoff, where
     # eigh of B_a B_a' leaves ~sqrt(eps) in the null space of a small cell
     counts = np.bincount(labels, minlength=n_outcomes)
     starts = np.cumsum(counts) - counts
-    cols = (cols * np.sqrt(lattice.weights / math.pi))[:, np.argsort(labels, kind="stable")]
+    cols = (coherent_columns(pts, dim) * np.sqrt(lattice.weights / math.pi))[:, np.argsort(labels, kind="stable")]
     ops = np.zeros((n_outcomes, dim, dim), dtype=complex)
     for c in np.unique(counts[counts > 0]):  # one batched SVD per point count
         group = np.flatnonzero(counts == c)

@@ -85,17 +85,16 @@ HUSIMI_BLOCK = 2048  # lattice points per readout block; bounds the (rows x bloc
 QUAD_BLOCK = 8  # first-readout outcomes per grid-engine block; bounds the (block x n) branch arrays
 
 
-def _block_readout(reads, lattice: ComplexLattice, dim: int, cols: np.ndarray | None = None) -> list:
+def _block_readout(reads, lattice: ComplexLattice, dim: int) -> list:
     """Readout densities pi^{-1} read(block), one per read, over HUSIMI_BLOCK lattice points at a time.
 
-    Each block is built once: a slice of cols, the lattice's coherent_columns
-    stack, when the caller holds it, else coherent_columns of its points alone.
+    Each block, the coherent_columns of its points, is built once for all reads.
     """
     pts = lattice.points
     vals = np.empty((len(reads), pts.size))
     for lo in range(0, pts.size, HUSIMI_BLOCK):
         hi = lo + HUSIMI_BLOCK
-        block = coherent_columns(pts[lo:hi], dim) if cols is None else cols[:, lo:hi]
+        block = coherent_columns(pts[lo:hi], dim)
         for out, read in zip(vals, reads):
             out[lo:hi] = read(block)
     return [OutcomeDistribution(pts, lattice.weights, v / math.pi) for v in vals]
@@ -121,29 +120,25 @@ def _branch_read(psi: np.ndarray, family: KrausFamily):
     return read
 
 
-def husimi(state: np.ndarray, lattice: ComplexLattice, cols: np.ndarray | None = None) -> OutcomeDistribution:
+def husimi(state: np.ndarray, lattice: ComplexLattice) -> OutcomeDistribution:
     """Husimi readout density pi^{-1} <beta| rho |beta> on the lattice.
 
     state is a density matrix rho, or a state vector psi for rho = |psi><psi|,
-    which reads |<beta|psi>|^2 at O(d) per point instead of O(d^2). cols is
-    coherent_columns(lattice.points, d) when the caller holds it; without it
-    the columns are built one HUSIMI_BLOCK block at a time.
+    which reads |<beta|psi>|^2 at O(d) per point instead of O(d^2).
     """
-    return _block_readout([_state_read(state)], lattice, state.shape[0], cols)[0]
+    return _block_readout([_state_read(state)], lattice, state.shape[0])[0]
 
 
-def branch_husimi(
-    psi: np.ndarray, family: KrausFamily, lattice: ComplexLattice, cols: np.ndarray | None = None
-) -> OutcomeDistribution:
+def branch_husimi(psi: np.ndarray, family: KrausFamily, lattice: ComplexLattice) -> OutcomeDistribution:
     """Husimi readout of the pure state psi after the nonselective family.
 
     family is diagonal in the Fock basis, A_a = diag(e_a), so the invaded
     readout is the branch sum pi^{-1} sum_a w_a |<beta| A_a psi>|^2, that is
-    sum_a w_a |(e_a * conj(psi)) C|^2 / pi for C = cols. That costs
-    O(n_a d) per point against O(d^2) for the density matrix
-    family.channel(|psi><psi|), which is never built. cols is as in husimi.
+    sum_a w_a |(e_a * conj(psi)) C|^2 / pi for the coherent_columns C. That
+    costs O(n_a d) per point against O(d^2) for the density matrix
+    family.channel(|psi><psi|), which is never built.
     """
-    return _block_readout([_branch_read(psi, family)], lattice, psi.size, cols)[0]
+    return _block_readout([_branch_read(psi, family)], lattice, psi.size)[0]
 
 
 def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[OverlapResult, KrausFamily]:
@@ -151,8 +146,7 @@ def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[Over
 
     The readout lattice is the square [-R, R]^2 with R = |gamma| + 5, and dim
     defaults to default_fock_dim(gamma). readout(lattice, R, dim) returns the
-    family and the lattice's coherent_columns stack, or None if it built none.
-    Both readouts are taken in one pass over the column blocks: a family
+    family. Both readouts are taken in one pass over the column blocks: a family
     diagonal in the Fock basis (Fock bins, rings) through its branches, any
     other family through the density matrix family.channel(psi) of the state
     vector psi.
@@ -164,13 +158,13 @@ def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[Over
         raise ValueError(f"the Fock cutoff must be at least 1, got {dim}")
     radius = abs(g) + 5.0
     lattice = ComplexLattice.square(radius, step)
-    family, cols = readout(lattice, radius, dim)
+    family = readout(lattice, radius, dim)
     state = coherent_state(g, dim)
     if family.fock_diagonal:
         invaded = _branch_read(state.amplitudes, family)
     else:
         invaded = _state_read(family.channel(state.amplitudes))
-    reference, invaded = _block_readout([_state_read(state.amplitudes), invaded], lattice, dim, cols)
+    reference, invaded = _block_readout([_state_read(state.amplitudes), invaded], lattice, dim)
     meta = {
         "reference_mass": reference.mass,
         "invaded_mass": invaded.mass,
@@ -190,9 +184,7 @@ def coherent_delta_overlap(gamma, *, dim: int | None = None, step: float = 0.25)
     """
 
     def readout(lattice, radius, dim):
-        # the family's bra side, right, is the raw coherent_columns stack of the lattice
-        fam = coherent_projector_family(lattice, dim)
-        return fam, fam.right
+        return coherent_projector_family(lattice, dim)
 
     result, _ = _readout_overlap(gamma, dim, step, readout)
     result.meta["ideal"] = 2.0 * math.sqrt(2.0) / 3.0
@@ -207,7 +199,7 @@ def ring_overlap(d: float, gamma, *, dim: int | None = None, step: float = 0.25)
     """
 
     def readout(lattice, radius, dim):
-        return ring_family(d, dim, math.hypot(radius, radius) + 2.0 * step), None
+        return ring_family(d, dim, math.hypot(radius, radius) + 2.0 * step)
 
     result, fam = _readout_overlap(gamma, dim, step, readout)
     result.meta.update({"d": float(d), "raw_defect": fam.completeness_defect})
@@ -223,11 +215,7 @@ def cell_overlap(side: float, gamma, *, dim: int | None = None, step: float = 0.
 
     def readout(lattice, radius, dim):
         labels, n_cells = cell_labels(lattice.points, side, radius + 2.0 * step)
-        cols = coherent_columns(lattice.points, dim)
-        fam = coherent_coarse_family(
-            labels, n_cells, lattice, dim, label=f"cells(side={side:g})", cols=cols
-        )
-        return fam, cols
+        return coherent_coarse_family(labels, n_cells, lattice, dim, label=f"cells(side={side:g})")
 
     result, _ = _readout_overlap(gamma, dim, step, readout)
     result.meta["side"] = float(side)
@@ -243,7 +231,7 @@ def fock_overlap(border, gamma, *, dim: int | None = None, step: float = 0.25) -
     """
 
     def readout(lattice, radius, dim):
-        return fock_bin_family(border, dim), None
+        return fock_bin_family(border, dim)
 
     result, fam = _readout_overlap(gamma, dim, step, readout)
     result.meta["n_bins"] = int(fam.n_outcomes)

@@ -165,6 +165,8 @@ def _check_layout(dim: int, slots: tuple, evolutions) -> None:
             where = "" if u.shape[0] == 1 else f" (batch item {int(bad.argmax())})"
             raise ValueError(f"evolution {k}{where} is not unitary within 1e-10")
     times = [s.time for s in slots]
+    if not np.isfinite(times).all():
+        raise ValueError(f"slot times must be finite, got {times}")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("slot times must be strictly increasing")
 

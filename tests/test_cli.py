@@ -155,9 +155,34 @@ def test_nsit_check_runs_nic_without_a_dichotomic_middle_slot(tmp_path, capsys):
     assert "LGI_012 skipped" in captured.err and "NIC_0(1)2 skipped" not in captured.err
 
 
-def test_nsit_check_rejects_bad_schema(tmp_path, capsys):
+def _nan_at(*keys):
+    """The packaged mz_phi0 scenario with NaN at data[k0][k1]...; none gives a loadable scenario."""
+
+    def edit(data):
+        for k in keys[:-1]:
+            data = data[k]
+        data[keys[-1]] = math.nan
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(None, id="schema"),
+        pytest.param(_nan_at("slots", 1, "instrument", "ops", 0, "re", 0, 0), id="nan_op"),
+        pytest.param(_nan_at("slots", 1, "instrument", "weights", 0), id="nan_weight"),
+        pytest.param(_nan_at("slots", 1, "time"), id="nan_time"),
+    ],
+)
+def test_nsit_check_rejects_bad_schema(edit, tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text('{"initial": "nope"}')
+    if edit is None:
+        path.write_text('{"initial": "nope"}')
+    else:
+        data = json.loads(Path(data_file("mz_phi0.json")).read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
     code = main(["nsit-check", str(path)])
     assert code == 2
     assert "cannot load" in capsys.readouterr().err
@@ -630,6 +655,11 @@ def test_scipy_users_give_the_same_values_from_a_cold_start(tmp_path):
         ["overlap", "ring", "--d", "6", "--dim", "0"],
         ["overlap", "coherent", "--gamma", "1", "--dim", "0"],
         ["overlap", "fock", "--g", "m", "--gamma", "1", "--dim", "-3"],
+        # a non-finite lattice step, or one longer than the lattice side
+        ["overlap", "fock", "--g", "m", "--gamma", "1", "--grid", "inf"],
+        ["overlap", "coherent", "--gamma", "1", "--grid", "nan"],
+        ["overlap", "fock", "--g", "m", "--gamma", "1", "--grid", "100"],
+        ["overlap", "ring", "--d", "1", "--grid", "1e9"],
     ],
 )
 def test_bad_option_values_exit_two(argv, capsys):

@@ -96,7 +96,6 @@ def test_husimi_blocks_and_pure_state_match_einsum_form():
     dephased = fock_bin_family("2m", dim).channel(np.outer(psi, psi.conj()))
     for state, rho in ((psi, np.outer(psi, psi.conj())), (dephased, dephased)):
         einsum_form = np.einsum("im,ij,jm->m", cols.conj(), rho, cols, optimize=True).real / math.pi
-        assert np.max(np.abs(husimi(state, lattice, cols).values - einsum_form)) < 1e-15
         assert np.max(np.abs(husimi(state, lattice).values - einsum_form)) < 1e-15
 
 
@@ -129,10 +128,9 @@ def test_branch_readout_equals_the_readout_of_the_channel(name):
             envelopes=np.sqrt(share / weights[:, None]),
         )
         assert fam.completeness_defect < 1e-14
-    cols = coherent_columns(lattice.points, dim)
     psi = coherent_state(gamma, dim).amplitudes
-    branches = branch_husimi(psi, fam, lattice, cols)
-    mixed = husimi(fam.channel(np.outer(psi, psi.conj())), lattice, cols)
+    branches = branch_husimi(psi, fam, lattice)
+    mixed = husimi(fam.channel(np.outer(psi, psi.conj())), lattice)
     assert np.max(np.abs(branches.values - mixed.values)) < 1e-14
 
 
@@ -145,24 +143,31 @@ def test_branch_readout_equals_the_readout_of_the_channel(name):
     ],
 )
 def test_blocked_reads_equal_the_full_stack_reads(lattice):
-    # without cols each HUSIMI_BLOCK block of columns is built on its own;
-    # the recurrence is elementwise per point, so every value is the same
+    # each HUSIMI_BLOCK block of columns is built on its own; the recurrence is
+    # elementwise per point, so every block is its slice of the full stack and
+    # each read of the blocks gives the bits of the same read of those slices
     gamma = 2.0 - 1.0j
     dim = default_fock_dim(gamma)
-    cols = coherent_columns(lattice.points, dim)
+    pts = lattice.points
+    cols = coherent_columns(pts, dim)
+    blocks = [slice(lo, lo + HUSIMI_BLOCK) for lo in range(0, pts.size, HUSIMI_BLOCK)]
+    assert all(np.array_equal(coherent_columns(pts[b], dim), cols[:, b]) for b in blocks)
+
+    def sliced(read):
+        return np.concatenate([read(cols[:, b]) for b in blocks]) / math.pi
+
     psi = coherent_state(gamma, dim).amplitudes
     blocked = husimi(psi, lattice).values
-    assert np.array_equal(blocked, husimi(psi, lattice, cols).values)
+    assert np.array_equal(blocked, sliced(overlap._state_read(psi)))
     # a threaded BLAS splits one product over the whole stack among its threads
     # by the column count and may sum a point at the split in another order;
     # |psi| = 1 and |<n|beta>| <= 1 bound the gap
     full = np.abs(psi.conj() @ cols) ** 2 / math.pi
     assert np.max(np.abs(blocked - full)) <= 2.0 * dim * np.finfo(float).eps / math.pi
     dephased = fock_bin_family("2m", dim).channel(np.outer(psi, psi.conj()))
-    assert np.array_equal(husimi(dephased, lattice).values, husimi(dephased, lattice, cols).values)
+    assert np.array_equal(husimi(dephased, lattice).values, sliced(overlap._state_read(dephased)))
     for fam in (*(fock_bin_family(rule, dim) for rule in ("m", "2m^2", "100m^2")), ring_family(2.0, dim, 12.0)):
-        blocked = branch_husimi(psi, fam, lattice).values
-        assert np.array_equal(blocked, branch_husimi(psi, fam, lattice, cols).values)
+        assert np.array_equal(branch_husimi(psi, fam, lattice).values, sliced(overlap._branch_read(psi, fam)))
 
 
 @pytest.mark.parametrize(
@@ -192,7 +197,7 @@ def test_branch_readout_refuses_families_off_the_fock_basis():
     fam = coherent_projector_family(lattice, 10)
     psi = coherent_state(0.5, 10).amplitudes
     with pytest.raises(ValueError):
-        branch_husimi(psi, fam, lattice, coherent_columns(lattice.points, 10))
+        branch_husimi(psi, fam, lattice)
 
 
 def test_coherent_delta_overlap_near_ideal():
@@ -447,17 +452,16 @@ def test_exact_rings_agree_with_the_lattice_ring_route(d, gamma):
     radius = gamma + 5.0
     lattice = ComplexLattice.square(radius, 0.25)
     max_radius = math.hypot(radius, radius) + 0.5
-    cols = coherent_columns(lattice.points, dim)
     psi = coherent_state(gamma, dim).amplitudes
-    reference = husimi(psi, lattice, cols)
+    reference = husimi(psi, lattice)
     labels, n_rings = ring_labels(lattice.points, d, max_radius)
     rho = np.outer(psi, psi.conj())
     rings = ring_family(d, dim, max_radius)
     # ring_overlap reads the exact annuli through their branches
-    exact = bhattacharyya(reference, branch_husimi(psi, rings, lattice, cols))
+    exact = bhattacharyya(reference, branch_husimi(psi, rings, lattice))
     exact_mixed, lattice_route = (
-        bhattacharyya(reference, husimi(fam.channel(rho), lattice, cols))
-        for fam in (rings, coherent_coarse_family(labels, n_rings, lattice, dim, cols=cols))
+        bhattacharyya(reference, husimi(fam.channel(rho), lattice))
+        for fam in (rings, coherent_coarse_family(labels, n_rings, lattice, dim))
     )
     assert exact == ring_overlap(d, gamma).value
     assert abs(exact - exact_mixed) <= 1e-14
