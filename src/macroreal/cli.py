@@ -286,6 +286,11 @@ def _mz_csv(report, fields):
 def cmd_mz_scan(args: argparse.Namespace) -> int:
     if args.random_points < 0:
         raise ValueError(f"--random-points must be non-negative, got {args.random_points}")
+    # an unseeded draw would break byte-identical bodies; a seed without draws is unused
+    if args.random_points and args.seed is None:
+        raise ValueError("--random-points needs --seed, so that the points repeat")
+    if not args.random_points and args.seed is not None:
+        raise ValueError("--seed is used only with --random-points")
     states = _state_list(args)
     extra = _random_points(np.random.default_rng(args.seed), args.random_points)
     report = verify_lattice(
@@ -333,7 +338,6 @@ def cmd_nsit_check(args: argparse.Namespace) -> int:
         _note(f"nsit-check: cannot load scenario {path!r}: {exc}")
         return EXIT_USAGE
 
-    # the bundle reads the full joint first, whose one pass fills every table
     bundle = mr012_check(scenario, threshold=args.tol) if scenario.n_slots == 3 else None
     reports = []
     for i in range(scenario.n_slots):

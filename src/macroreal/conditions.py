@@ -59,17 +59,6 @@ def _signaling(tables, of: tuple, keep: tuple) -> np.ndarray:
     return _sup(tables[keep], _marginal(tables, of, keep))
 
 
-def _bundle(tables):
-    """The tables of a three-slot bundle with the full joint read first.
-
-    Its one kernel pass also stores the six smaller experiments, so every
-    bundle condition costs one pass on a fresh table dict and reads tables
-    that all come from the same pass.
-    """
-    tables[FULL]
-    return tables
-
-
 def nsit_residual(tables, i: int, j: int) -> np.ndarray:
     """NSIT_(i)j: measuring slot i must not shift the statistics at slot j."""
     return _signaling(tables, (i, j), (j,))
@@ -87,7 +76,6 @@ def bundle_distances(tables) -> tuple[np.ndarray, np.ndarray]:
     c-th (keep, of); all ten differences are reduced from one concatenated
     array, one segment per comparison.
     """
-    tables = _bundle(tables)
     gaps = [tables[keep] - _marginal(tables, of, keep) for keep, of in COMPARISONS.values()]
     # each item's size is read off the shape: reshape(N, -1) cannot infer it at N = 0
     gaps = [g.reshape(len(g), math.prod(g.shape[1:])) for g in gaps]
@@ -108,7 +96,6 @@ def correlator(tables, i: int, j: int, of: tuple | None = None) -> np.ndarray:
 def lgi_values(tables) -> dict:
     """C01 + C12 - C02 <= 1: each correlator from its own two-slot experiment,
     K the left side and residual the amount by which K exceeds 1."""
-    tables = _bundle(tables)
     c01, c12, c02 = correlator(tables, 0, 1), correlator(tables, 1, 2), correlator(tables, 0, 2)
     k = c01 + c12 - c02
     return {"residual": np.maximum(k - 1.0, 0.0), "K": k, "C01": c01, "C12": c12, "C02": c02}
@@ -116,7 +103,6 @@ def lgi_values(tables) -> dict:
 
 def nic_values(tables) -> dict:
     """NIC_0(1)2: C02 with and without the middle measurement, and their distance."""
-    tables = _bundle(tables)
     bare = correlator(tables, 0, 2)
     probed = correlator(tables, 0, 2, of=FULL)
     return {"residual": np.abs(bare - probed), "C02": bare, "C02_with_middle": probed}

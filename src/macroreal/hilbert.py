@@ -9,10 +9,21 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 
 DEFAULT_ATOL = 1e-10
+PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def require_bytes(nbytes: int, what: str) -> None:
+    """Raise ValueError, before anything is allocated, when what needs more than physical memory."""
+    if nbytes > PHYSICAL_MEMORY_BYTES:
+        raise ValueError(
+            f"{what} need {nbytes:,} bytes at their peak, more than the "
+            f"{PHYSICAL_MEMORY_BYTES:,} bytes of physical memory"
+        )
 
 
 def as_operator(m) -> np.ndarray:

@@ -31,6 +31,7 @@ from macroreal.hilbert import (
     norm_exceeds,
     operator_norm,
     quadrature_operators,
+    require_bytes,
 )
 
 
@@ -583,6 +584,9 @@ def ring_family(d: float, dim: int, max_radius: float) -> KrausFamily:
     from scipy.special import gammaincc
 
     count = _ring_count(d, max_radius)
+    # four (count, dim) arrays at once: tail, its differences, the effects and
+    # their square roots; three of count: the arguments, outcomes and weights
+    require_bytes(8 * count * (4 * dim + 3), f"{count:,} ring envelopes")
     tail = gammaincc(np.arange(dim) + 1.0, (d * np.arange(count)[:, None]) ** 2)
     effects = np.concatenate([tail[:-1] - tail[1:], tail[-1:]])
     return KrausFamily(

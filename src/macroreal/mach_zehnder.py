@@ -204,10 +204,9 @@ def batch_numeric_residuals(points, convention: str = "crossed-p0") -> dict:
     """numeric_residuals of many settings at once: condition name -> (N,) array.
 
     All seven conditions are read off the batch's seven experiment tables (one
-    per nonempty slot subset) by the functions of conditions.py. The bundle
-    reads the full joint first, so one kernel pass computes every table for
-    the whole batch. Each pairwise table is its own experiment, not a
-    marginal of the full joint.
+    per nonempty slot subset, all from one kernel pass for the whole batch) by
+    the functions of conditions.py. Each pairwise table is its own experiment,
+    not a marginal of the full joint.
     """
     return _table_residuals(mz_batch(points, convention).tables)
 

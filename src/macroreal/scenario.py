@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import os
 
 import numpy as np
 
@@ -21,11 +20,10 @@ from macroreal.hilbert import (
     as_operator,
     as_operator_stack,
     check_density_stack,
+    require_bytes,
     unitary_error,
 )
 from macroreal.instruments import KrausFamily
-
-PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,15 +102,11 @@ class Tables(dict):
     """The experiment tables of N scenarios with shared slots.
 
     The key is the sorted tuple of measured slots, the value the read-only
-    (N, n_a, n_b, ...) array of their outcome tables. A missing table is
-    computed by one kernel pass that also yields every experiment measuring a
-    subset of its slots; the pass stores each of those not stored yet, so a
-    reader that asks for its largest experiment first pays one pass, and
-    every condition read off one scenario shares the same arrays. A table
-    stored by a larger experiment's pass and one computed by its own pass
-    agree to roundoff, not bit for bit, so stored values can depend on the
-    order of the requests; the three-slot bundle conditions always read the
-    full joint first.
+    (N, n_a, n_b, ...) array of their outcome tables. The first lookup runs
+    one kernel pass over every slot and stores all 2^n experiments, each read
+    off that pass with the other slots unmeasured, so every condition read
+    off one scenario shares the same arrays, whatever it reads first. A key
+    that is not a sorted tuple of distinct slots raises.
     """
 
     def __init__(self, initial: np.ndarray, evolutions, slots: tuple):
@@ -125,24 +119,23 @@ class Tables(dict):
         key = _measured_slots(len(self.slots), measured)
         if key != measured:
             raise KeyError(f"tables are keyed by the sorted tuple of measured slots, {key}")
-        every = _tables(self.initial, self.evolutions, self.slots, key)
-        weights = [self.slots[k].instrument.weights for k in key]
+        every = _tables(self.initial, self.evolutions, self.slots)
+        weights = [s.instrument.weights for s in self.slots]
         if any((w != 1.0).any() for w in weights):
             # index 0 leaves a slot unmeasured and has weight 1, 1 + a is outcome a
             wgrid = np.ones(())
             for w in weights:
                 wgrid = np.multiply.outer(wgrid, np.append(1.0, w))
             every = every * wgrid
-        n = self.initial.shape[0]
-        for r in range(len(key) + 1):
-            for sub in itertools.combinations(key, r):
-                if sub not in self:
-                    pick = tuple(slice(1, None) if k in sub else 0 for k in key)
-                    shape = [self.slots[k].instrument.n_outcomes for k in sub] or [1]
-                    # a contiguous copy: sums over a strided view take about twice as long
-                    table = every[(slice(None), *pick)].reshape(n, *shape).copy()
-                    table.flags.writeable = False
-                    self[sub] = table
+        n, indices = self.initial.shape[0], range(len(self.slots))
+        for r in range(len(indices) + 1):
+            for sub in itertools.combinations(indices, r):
+                pick = tuple(slice(1, None) if k in sub else 0 for k in indices)
+                shape = [self.slots[k].instrument.n_outcomes for k in sub] or [1]
+                # a contiguous copy: sums over a strided view take about twice as long
+                table = every[(slice(None), *pick)].reshape(n, *shape).copy()
+                table.flags.writeable = False
+                self[sub] = table
         return self[key]
 
 
@@ -218,63 +211,55 @@ def _measured_slots(n_slots: int, measured) -> tuple[int, ...]:
     return measured
 
 
-def _peak_bytes(n: int, d: int, slots, measured) -> int:
-    """Bytes that the table pass for measured holds at its peak, N = n.
+def _peak_bytes(n: int, d: int, slots) -> int:
+    """Bytes that the table pass holds at its peak, N = n.
 
-    One term per step in d x d complex matrices, b the branches per item after
-    it and o the outcomes of the last grown slot (its K_a' stay). Evolving holds
-    the stack, its copy in item order, a product and U'; growing both stacks,
-    the conjugate transposes and K_a'; reading m outcomes the stack, operators,
-    effects, U' and F (1 + m) read matrices (F = N behind an evolution, else
-    1), then two products of min(d, m) effects or the complex probabilities;
-    weighting the complex probabilities, weight grid and weighted tables.
+    One term per step in d x d complex matrices, b the branches after the
+    slots before the last and o the outcomes of the one before it (its K_a'
+    stay). Growing holds both stacks, the conjugate transposes and K_a' (the
+    evolution before a growth holds less); reading m outcomes the stack,
+    operators, effects, U' and F (1 + m) read matrices (F = N behind an
+    evolution, else 1), then two products of min(d, m) effects or the complex
+    probabilities; weighting the complex probabilities, weight grid and
+    weighted tables (storing the tables holds no more: the complex
+    probabilities and the subset tables, 8 N b (1 + m) bytes in all).
     """
-    *prefix, last = measured
-    m, f = slots[last].instrument.n_outcomes, n if last > 0 else 1
-    b, o, steps = 1, 0, [0]
-    for k in range(last):
-        steps.append(3 * b * n + n + o if k > 0 else 0)
-        if k in prefix:
-            o = slots[k].instrument.n_outcomes
-            b *= 1 + o
-            steps.append(2 * b * n + o)
+    *prefix, last = slots
+    m, f = last.instrument.n_outcomes, n if prefix else 1
+    b, o, grow = 1, 0, 0
+    for slot in prefix:
+        o = slot.instrument.n_outcomes
+        b *= 1 + o
+        grow = max(grow, 2 * b * n + o)
     entries = b * (1 + m)
     read = 16 * (b * n + 2 * m + o + f * (2 + m)) * d * d + max(32 * f * min(d, m) * d * d, 16 * n * entries)
-    return max(16 * max(steps) * d * d, read, 24 * n * entries + 16 * entries)
+    return max(16 * grow * d * d, read, 24 * n * entries + 8 * entries)
 
 
-def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
-    """Unweighted tables of every experiment on a subset of the measured slots.
+def _tables(initial: np.ndarray, evolutions, slots) -> np.ndarray:
+    """Unweighted tables of every experiment on a subset of the slots.
 
-    Returns the (N, 1 + n_a, 1 + n_b, ...) array over the measured slots a,
-    b, ...: index 0 leaves that slot unmeasured and 1 + i reads its outcome
-    i, so the table of a subset is the view with index 0 on the other slots;
-    (N,) with nothing measured. Branches are one (B, N, d, d) stack, newest
-    outcome slowest. At each measured slot before the last every branch is
-    carried on unmeasured and under each Kraus operator K_a, shared by all
-    items: rho K_a' in products whose rows run over (branch, item, row), a
-    conjugating transpose, and (rho K_a')' K_a' = K_a rho' K_a'. A branch may
-    be carried as its conjugate transpose: every map of the pass commutes
-    with ' and a table keeps only Re tr(E rho), E Hermitian. An evolution is
-    two products per item over all its branches. The last measured slot is
-    read in the Heisenberg picture, tr(rho E) for E in [I, U' K_i' K_i U] in
-    one product per item; later evolutions are skipped. Shared factors meet N
-    only in the rows and per-item products have fixed shapes, so a batch
-    item's tables are bit for bit its one-scenario tables. Up to d = 12 the
-    BLAS thread count does not move them either (checked for 1 and 2).
+    Returns the (N, 1 + n_0, 1 + n_1, ...) array over the slots: index 0
+    leaves that slot unmeasured and 1 + i reads its outcome i, so the table of
+    a subset is the view with index 0 on the other slots. Branches are one
+    (B, N, d, d) stack, newest outcome slowest. At each slot before the last
+    every branch is carried on unmeasured and under each Kraus operator K_a,
+    shared by all items: rho K_a' in products whose rows run over (branch,
+    item, row), a conjugating transpose, and (rho K_a')' K_a' = K_a rho' K_a'.
+    A branch may be carried as its conjugate transpose: every map of the pass
+    commutes with ' and a table keeps only Re tr(E rho), E Hermitian. An
+    evolution is two products per item over all its branches. The last slot
+    is read in the Heisenberg picture, tr(rho E) for E in [I, U' K_i' K_i U]
+    in one product per item. Shared factors meet N only in the rows and
+    per-item products have fixed shapes, so a batch item's tables are bit for
+    bit its one-scenario tables. Up to d = 12 the BLAS thread count does not
+    move them either (checked for 1 and 2).
     """
     n, d = initial.shape[0], initial.shape[-1]
-    if not measured:
-        return np.trace(initial, axis1=1, axis2=2).real
-    peak = _peak_bytes(n, d, slots, measured)
-    if peak > PHYSICAL_MEMORY_BYTES:
-        raise ValueError(
-            f"outcome tables need {peak:,} bytes at their peak, more than the "
-            f"{PHYSICAL_MEMORY_BYTES:,} bytes of physical memory"
-        )
-    *prefix, last = measured
+    require_bytes(_peak_bytes(n, d, slots), "outcome tables")
+    *prefix, last = slots
     branches = initial[None].copy()
-    for k in range(last):
+    for k, slot in enumerate(prefix):
         b = len(branches)
         if k > 0:  # U times each item's (d, b d) view, then times U' as its (d b, d) view
             u = evolutions[k - 1]
@@ -282,17 +267,17 @@ def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
                 (u @ branches.transpose(1, 2, 0, 3).reshape(n, d, b * d)).reshape(n, d * b, d)
                 @ u.conj().swapaxes(-1, -2)
             ).reshape(n, d, b, d).transpose(2, 0, 1, 3)
-        if k in prefix:  # rho K_a' into grown[1 + a], then (rho K_a')' K_a' in its place
-            kh = slots[k].instrument.dense_ops().conj().swapaxes(-1, -2)
-            grown = np.empty((1 + len(kh), b, n, d, d), dtype=complex)
-            grown[0] = branches
-            rk = np.matmul(branches.reshape(-1, d), kh, out=grown[1:].reshape(len(kh), -1, d))
-            np.matmul(np.conj(rk.reshape(-1, d, d).swapaxes(1, 2), order="C").reshape(rk.shape), kh, out=rk)
-            branches = grown.reshape((1 + len(kh)) * b, n, d, d)
-    ops = slots[last].instrument.dense_ops()
+        # rho K_a' into grown[1 + a], then (rho K_a')' K_a' in its place
+        kh = slot.instrument.dense_ops().conj().swapaxes(-1, -2)
+        grown = np.empty((1 + len(kh), b, n, d, d), dtype=complex)
+        grown[0] = branches
+        rk = np.matmul(branches.reshape(-1, d), kh, out=grown[1:].reshape(len(kh), -1, d))
+        np.matmul(np.conj(rk.reshape(-1, d, d).swapaxes(1, 2), order="C").reshape(rk.shape), kh, out=rk)
+        branches = grown.reshape((1 + len(kh)) * b, n, d, d)
+    ops = last.instrument.dense_ops()
     # E_a = K_a' K_a side by side; row 1 + a of read is the transpose of U' E_a U
     effects = (ops.conj().swapaxes(-1, -2) @ ops).transpose(1, 0, 2).reshape(d, -1)
-    u = evolutions[last - 1] if last > 0 else np.eye(d)[None]
+    u = evolutions[-1] if prefix else np.eye(d)[None]
     uh = u.conj().swapaxes(-1, -2).reshape(-1, d)
     read = np.empty((len(u), 1 + len(ops), d, d), dtype=complex)
     read[:, 0] = np.eye(d)
@@ -303,7 +288,7 @@ def _tables(initial: np.ndarray, evolutions, slots, measured) -> np.ndarray:
         ).reshape(len(u), d, w, d).transpose(0, 2, 3, 1)
     rows = read.reshape(len(u), 1 + len(ops), d * d).swapaxes(1, 2)
     probs = branches.reshape(len(branches), n, d * d).swapaxes(0, 1) @ rows
-    dims = [1 + slots[k].instrument.n_outcomes for k in measured]
+    dims = [1 + slot.instrument.n_outcomes for slot in slots]
     # the branch axis runs over the prefix slots newest first
     return probs.real.reshape(n, *dims[-2::-1], dims[-1]).transpose(0, *range(len(prefix), 0, -1), -1)
 

@@ -660,6 +660,8 @@ def test_scipy_users_give_the_same_values_from_a_cold_start(tmp_path):
         ["overlap", "coherent", "--gamma", "1", "--grid", "nan"],
         ["overlap", "fock", "--g", "m", "--gamma", "1", "--grid", "100"],
         ["overlap", "ring", "--d", "1", "--grid", "1e9"],
+        # rings whose envelopes would exceed physical memory, refused before allocating
+        ["overlap", "ring", "--d", "1e-9"],
     ],
 )
 def test_bad_option_values_exit_two(argv, capsys):
@@ -721,6 +723,11 @@ def test_overlap_coherent_sharp_mode(capsys):
         (["overlap", "ring", "--d", "2,3", "--gamma-mode", "fixed", "--gamma", "1,2"], "--gamma"),
         (["overlap", "quadrature", "--case", "XX", "--t", "1", "--kappa", "5"], "--kappa"),
         (["overlap", "quadrature", "--case", "PP", "--t", "1", "--delta", "2"], "--delta"),
+        # unseeded random points would not repeat; a seed without them is unused
+        (["mz-scan", "--r1", "0.5", "--r2", "0.5", "--phi", "0", "--state", "mix", "--q", "0.5",
+          "--random-points", "2"], "--seed"),
+        (["mz-scan", "--r1", "0.5", "--r2", "0.5", "--phi", "0", "--state", "mix", "--q", "0.5",
+          "--seed", "7"], "--seed"),
     ],
 )
 def test_an_option_the_mode_would_ignore_exits_two(argv, option, capsys):
@@ -728,7 +735,8 @@ def test_an_option_the_mode_would_ignore_exits_two(argv, option, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     (message,) = captured.err.splitlines()
-    assert message.startswith(" ".join(argv[:2]) + ": ") and option in message
+    command = " ".join(argv[:2]) if argv[0] == "overlap" else argv[0]
+    assert message.startswith(f"{command}: ") and option in message
 
 
 def test_overlap_ring_fixed_mode_needs_gamma(capsys):

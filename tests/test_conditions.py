@@ -1,3 +1,4 @@
+import itertools
 import math
 from importlib import resources
 
@@ -437,9 +438,9 @@ def test_each_experiment_table_is_computed_once(monkeypatch, capsys, tmp_path):
     kernel = scenario_module._tables
     store = scenario_module.Tables.__setitem__
 
-    def counted(initial, evolutions, slots, measured):
-        passes.append(measured)
-        return kernel(initial, evolutions, slots, measured)
+    def counted(initial, evolutions, slots):
+        passes.append(len(slots))
+        return kernel(initial, evolutions, slots)
 
     def recorded(tables, key, values):
         stored.append(key)
@@ -450,7 +451,7 @@ def test_each_experiment_table_is_computed_once(monkeypatch, capsys, tmp_path):
     every = [(), (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
     assert main(["nsit-check", str(resources.files("macroreal") / "data" / "mz_phi0.json")]) == 1
     capsys.readouterr()
-    assert passes == [(0, 1, 2)]
+    assert passes == [3]
     assert sorted(stored) == every
 
     passes.clear()
@@ -459,7 +460,7 @@ def test_each_experiment_table_is_computed_once(monkeypatch, capsys, tmp_path):
     bundle = mr012_check(sc).to_dict()
     lgi_012(sc)
     nic_012(sc)
-    assert passes == [(0, 1, 2)]
+    assert passes == [3]
     assert sorted(stored) == every
     assert not any(values.flags.writeable for values in sc.tables.values())
     with pytest.raises(ValueError):
@@ -469,30 +470,29 @@ def test_each_experiment_table_is_computed_once(monkeypatch, capsys, tmp_path):
     assert mr012_check(sc).to_dict() == bundle
     assert len(passes) == 1 and len(stored) == 8
 
-    # each bundle condition alone reads the full joint first
+    # each bundle condition alone
     rng = np.random.default_rng(33)
     for check in (lgi_012, nic_012, nsit_sandwich, nsit_leading):
         passes.clear()
         check(random_scenario(rng))
-        assert passes == [(0, 1, 2)], check.__name__
+        assert passes == [3], check.__name__
 
-    # four slots: no bundle, so no pass measures more than a slot pair
+    # four slots: no bundle, and the pairs read off one pass
     passes.clear()
+    stored.clear()
     sc = random_scenario(rng)
-    path = tmp_path / "four_slot.json"
-    save_scenario(
-        Scenario(
-            sc.initial,
-            (*sc.slots, Slot(3.0, sc.slots[0].instrument)),
-            (*sc.evolutions, haar_unitary(rng, 2)),
-        ),
-        path,
+    four = Scenario(
+        sc.initial,
+        (*sc.slots, Slot(3.0, sc.slots[0].instrument)),
+        (*sc.evolutions, haar_unitary(rng, 2)),
     )
+    path = tmp_path / "four_slot.json"
+    save_scenario(four, path)
     main(["nsit-check", str(path)])
     captured = capsys.readouterr()
     assert "bundle skipped" in captured.err
     assert len(captured.out.splitlines()) == 12
-    assert max(len(measured) for measured in passes) == 2
+    assert passes == [4] and len(stored) == 16
 
     passes.clear()
     stored.clear()
@@ -500,8 +500,28 @@ def test_each_experiment_table_is_computed_once(monkeypatch, capsys, tmp_path):
     points = [MZParams(rng.random(), rng.random(), 2.0 * math.pi * rng.random()) for _ in range(5)]
     for batch in (points[:1], points):
         batch_numeric_residuals(batch)
-    assert passes == [(0, 1, 2)] * 2
+    assert passes == [3] * 2
     assert sorted(stored) == sorted(every * 2)
+
+    # whichever key is read first: one pass that stores every experiment, each
+    # table equal bit for bit to the one read after the full joint
+    batch = mz_batch(points)
+    for fresh in (
+        lambda: random_scenario(np.random.default_rng(34)),
+        lambda: Scenario(four.initial, four.slots, four.evolutions),
+        lambda: ScenarioBatch(batch.initial, batch.slots, batch.evolutions),
+    ):
+        reference = fresh().tables
+        n_slots = len(reference.slots)
+        reference[tuple(range(n_slots))]
+        for r in range(n_slots + 1):
+            for first in itertools.combinations(range(n_slots), r):
+                passes.clear()
+                tables = fresh().tables
+                tables[first]
+                assert passes == [n_slots] and tables.keys() == reference.keys()
+                for key, values in reference.items():
+                    assert np.array_equal(tables[key], values), (first, key)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

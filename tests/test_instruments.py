@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import kraus_operator, random_scenario
-from macroreal import instruments
+from macroreal import hilbert, instruments
 from macroreal.hilbert import coherent_amplitudes, coherent_state, operator_norm
 from macroreal.instruments import (
     ComplexLattice,
@@ -361,6 +362,33 @@ def test_ring_family_is_an_exact_diagonal_partition():
     assert abs(fam.envelopes[0, 0] ** 2 - (1.0 - math.exp(-2.25))) < 1e-15
     with pytest.raises(ValueError, match="ring width must be positive"):
         ring_family(0.0, 10, 6.0)
+
+
+def test_ring_family_size_estimate_is_its_traced_peak_and_a_ceiling(monkeypatch):
+    # count rings at dim levels peak at 8 count (4 dim + 3) bytes, within 10%
+    ring_family(1.0, 10, 5.0)  # scipy.special is imported before tracing
+    for d, dim, max_radius in ((0.5, 21, 10.0), (0.02, 100, 20.0), (1.0, 260, 30.0), (0.001, 5, 30.0)):
+        estimate = 8 * ring_labels(np.zeros(1), d, max_radius)[1] * (4 * dim + 3)
+        tracemalloc.start()
+        try:
+            ring_family(d, dim, max_radius)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.9 * estimate < peak < 1.1 * estimate, (d, dim, peak, estimate)
+    # a family over the ceiling is refused before any array is built
+    estimate = 8 * 21 * (4 * 21 + 3)
+    monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate)
+    assert ring_family(0.5, 21, 10.0).n_outcomes == 21
+    monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"21 ring envelopes need {estimate:,} bytes"):
+            ring_family(0.5, 21, 10.0)
+        _, allocated = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert allocated < 10_000
 
 
 def test_parse_bin_border():

@@ -108,8 +108,8 @@ def test_batched_residuals_equal_the_single_point_path():
 
 
 def test_lattice_items_are_their_one_scenario_tables_bit_for_bit():
-    # the argument-free mz-scan lattice as one batch, the full joint read first
-    # as the conditions read it: a sample of its items, one scenario at a time
+    # the argument-free mz-scan lattice as one batch against a sample of its
+    # items, one scenario at a time; one read fills every table
     points = verify_lattice().points
     batch = mz_batch(points)
     batch.tables[(0, 1, 2)]

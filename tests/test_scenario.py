@@ -190,38 +190,60 @@ def test_table_size_estimate_raises_before_allocating():
 
 
 def test_table_size_estimate_is_the_traced_peak():
-    # the read of the last slot dominates: one measured slot, or the last of two
-    # behind an evolution; a grid readout of two slots weighs its branches; of
-    # three slots, the branch stack grows at two slots, or grows at one and
-    # evolves into the last; the interferometer shape (3,000 qubit items, three
-    # slots) peaks in its read, as does a read of 301 effects behind an evolution
+    # each case names the term of _peak_bytes that peaks there, and each term
+    # peaks in at least one: the growth of the branch stack, the read's
+    # products or its complex probabilities, and the weighting of the tables
     rng = np.random.default_rng(16)
     cells = coherent_projector_family(ComplexLattice.square(3.0, 0.25), 30)
     grid = gaussian_x_family(0.8, 12, Grid1D(-9.0, 9.0, 301))
     coarse = gaussian_x_family(0.8, 12, Grid1D(-9.0, 9.0, 41))
+    fine = gaussian_x_family(0.8, 6, Grid1D(-9.0, 9.0, 301))
     qubit = random_dichotomic_family(rng, 2)
     cases = [
-        ([cells] * 2, 1, (0,)),
-        ([cells] * 2, 4, (0,)),
-        ([cells] * 2, 4, (1,)),
-        ([grid] * 2, 4, (0, 1)),
-        ([coarse] * 3, 4, (0, 1, 2)),
-        ([coarse] * 3, 4, (0, 2)),
-        ([coarse] * 3, 4, (1, 2)),
-        ([qubit] * 3, 3000, (0, 1, 2)),
-        ([grid] * 2, 40, (1,)),
+        ([cells], 1, "products"),
+        ([cells], 4, "products"),
+        ([grid], 40, "probabilities"),
+        ([grid] * 2, 4, "probabilities"),
+        ([coarse, grid], 40, "probabilities"),
+        ([qubit] * 3, 3000, "probabilities"),
+        ([coarse] * 2, 4, "products"),
+        ([coarse] * 3, 4, "growth"),
+        ([fine] * 2, 4, "weighting"),
     ]
-    for fams, n, measured in cases:
+    assert {step for *_, step in cases} == {"growth", "products", "probabilities", "weighting"}
+    for fams, n, step in cases:
         dim = fams[0].dim
         batch = _random_batch(rng, dim, fams, n)[0]
-        estimate = _peak_bytes(n, dim, batch.slots, measured)
+        estimate = _peak_bytes(n, dim, batch.slots)
+        assert _peak_step(n, dim, batch.slots) == step, (n, len(fams), step)
         tracemalloc.start()
         try:
-            batch.tables[measured]
+            batch.tables[()]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 0.98 * estimate < peak < 1.02 * estimate, (n, measured, peak, estimate)
+        assert 0.98 * estimate < peak < 1.02 * estimate, (n, len(fams), peak, estimate)
+
+
+def _peak_step(n, d, slots):
+    """Which term of _peak_bytes is the largest, its terms written out once more."""
+    *prefix, last = slots
+    m, f = last.instrument.n_outcomes, n if prefix else 1
+    b, o, grow = 1, 0, 0
+    for slot in prefix:
+        o = slot.instrument.n_outcomes
+        b *= 1 + o
+        grow = max(grow, 2 * b * n + o)
+    entries = b * (1 + m)
+    held = 16 * (b * n + 2 * m + o + f * (2 + m)) * d * d
+    terms = {
+        "growth": 16 * grow * d * d,
+        "products": held + 32 * f * min(d, m) * d * d,
+        "probabilities": held + 16 * n * entries,
+        "weighting": 24 * n * entries + 8 * entries,
+    }
+    assert max(terms.values()) == _peak_bytes(n, d, slots)
+    return max(terms, key=terms.get)
 
 
 def _random_batch(rng, dim, fams, n):
@@ -264,11 +286,12 @@ def test_one_pass_yields_every_subset_table():
         assert stacked.shape == (5, *([3] * len(measured) or [1]))
         for sc in singles:
             sc.tables[measured]
-    # a table read before the full joint comes from its own pass, equal to roundoff
+    # a table read before the full joint comes from the same one pass
     sc = singles[0]
-    fresh = Scenario(sc.initial, sc.slots, sc.evolutions)
     for measured in [(0,), (1,), (0, 2)]:
-        assert np.max(np.abs(fresh.tables[measured] - sc.tables[measured])) < 1e-15
+        fresh = Scenario(sc.initial, sc.slots, sc.evolutions)
+        assert np.array_equal(fresh.tables[measured], sc.tables[measured])
+        assert fresh.tables.keys() == sc.tables.keys()
     for i, sc in enumerate(singles):
         for measured in [(), (0,)]:
             assert np.max(np.abs(batch.tables[measured][i] - brute_force_joint(sc, measured))) < 1e-13
@@ -280,7 +303,7 @@ def test_one_pass_yields_every_subset_table():
 def test_batch_items_are_their_one_scenario_tables_bit_for_bit():
     # the dimensions the workloads read (qubits and qutrits in the sweep and the
     # interferometer, 12 for grid readouts), three dichotomic slots and every
-    # slot subset by its own pass: an item's tables do not depend on N
+    # slot subset: an item's tables do not depend on N
     rng = np.random.default_rng(17)
     subsets = [m for r in range(4) for m in itertools.combinations(range(3), r)]
     for dim in (2, 3, 12):
@@ -288,14 +311,14 @@ def test_batch_items_are_their_one_scenario_tables_bit_for_bit():
         states = np.stack([random_density(rng, dim).matrix for _ in range(3000)])
         evos = tuple(np.stack([haar_unitary(rng, dim) for _ in range(3000)]) for _ in range(2))
         batches = [ScenarioBatch(states[:n], slots, tuple(u[:n] for u in evos)) for n in (1, 2, 7, 3000)]
+        *heads, full = (Tables(b.initial, b.evolutions, slots) for b in batches)
+        ones = [Scenario(DensityState(states[i]), slots, tuple(u[i] for u in evos)) for i in (0, 1, 6, 2999)]
         for measured in subsets:
-            # a fresh dict per subset, so that each table comes from its own pass
-            *heads, full = (Tables(b.initial, b.evolutions, slots)[measured] for b in batches)
             for head in heads:
-                assert np.array_equal(head, full[: len(head)]), (dim, len(head), measured)
-            for i in (0, 1, 6, 2999):
-                one = Scenario(DensityState(states[i]), slots, tuple(u[i] for u in evos))
-                assert np.array_equal(one.tables[measured][0], full[i]), (dim, i, measured)
+                n = len(head.initial)
+                assert np.array_equal(head[measured], full[measured][:n]), (dim, n, measured)
+            for i, one in zip((0, 1, 6, 2999), ones):
+                assert np.array_equal(one.tables[measured][0], full[measured][i]), (dim, i, measured)
 
 
 def test_a_state_hermitian_to_1e_11_reads_like_the_oracle():
