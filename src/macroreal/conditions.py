@@ -16,13 +16,14 @@ commutation from statistical non-invasiveness.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
 from macroreal.hilbert import operator_norm, unitary_from_hamiltonian
 from macroreal.instruments import KrausFamily, not_projectors
-from macroreal.scenario import Scenario
+from macroreal.scenario import Scenario, table_key
 
 DEFAULT_THRESHOLD = 1e-9
 
@@ -37,26 +38,83 @@ COMPARISONS = {
     "NSIT_(1)2": ((2,), (1, 2)),
     **{f"AoT_{i}({j})": ((i,), (i, j)) for i, j in PAIRS},
 }
+_BUNDLE = tuple(COMPARISONS.values())
 _COLUMN = {name: c for c, name in enumerate(COMPARISONS)}
 _AOT = [_COLUMN[f"AoT_{i}({j})"] for i, j in PAIRS]
 
 
 # ---------------------------------------------------------------------------
-# Conditions as functions of a table dict; each returns an (N,) array.
+# Conditions as functions of a Tables; each returns an (N,) array.
+#
+# Every condition is read off the flat (N, prod(1 + n_k)) view of tables.every
+# through index arrays compiled once per table shape: a gather, one segment
+# sum and a per-segment reduction, with no product over the item axis, so a
+# batch item reads exactly its one-scenario value.
 
 
-def _marginal(tables, of: tuple, keep: tuple) -> np.ndarray:
-    """Marginal on the slots keep of the experiment that measures the slots of."""
-    return tables[of].sum(axis=tuple(1 + a for a, s in enumerate(of) if s not in keep))
+def _flat(tables) -> np.ndarray:
+    every = tables.every
+    # each item's size is read off the shape: reshape(N, -1) cannot infer it at N = 0
+    return every.reshape(len(every), math.prod(every.shape[1:]))
 
 
-def _sup(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(a - b).max(axis=tuple(range(1, a.ndim)))
+def _entries(shape: tuple, measured: tuple) -> np.ndarray:
+    """Indices into the flat full table of shape (1 + n_0, 1 + n_1, ...) of
+    the entries of tables[measured], as an (n_a, n_b, ...) array."""
+    measured = table_key(len(shape), measured)
+    strides = np.cumprod((1, *shape[:0:-1]))[::-1]
+    index = np.zeros((), dtype=np.intp)
+    for k in measured:
+        index = np.add.outer(index, strides[k] * np.arange(1, shape[k]))
+    return index
+
+
+def _frozen(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _starts(sizes) -> np.ndarray:
+    return np.cumsum(sizes) - sizes
+
+
+@functools.lru_cache(maxsize=128)
+def _comparison_map(shape: tuple, comparisons: tuple) -> tuple:
+    """Index arrays of the (keep, of) comparisons over the flat full table.
+
+    keep lists the entries of each tables[keep] in turn, and summands the
+    entries of tables[of] that their marginals sum, those of keep entry e from
+    starts[e] on; comparison c covers the keep entries from bounds[c] on.
+    """
+    keep, summands = [], []
+    for kept, of in comparisons:
+        keep.append(_entries(shape, kept).ravel())
+        grid = _entries(shape, of)
+        if not set(kept) <= set(of):
+            raise ValueError(f"slots {kept} are not all measured in the experiment {of}")
+        axes = [of.index(s) for s in kept] + [a for a, s in enumerate(of) if s not in kept]
+        summands.append(grid.transpose(axes).reshape(keep[-1].size, -1))
+    lengths = np.concatenate([np.full(len(group), group.shape[1]) for group in summands])
+    return _frozen(
+        np.concatenate(keep),
+        np.concatenate([group.ravel() for group in summands]),
+        _starts(lengths),
+        _starts([k.size for k in keep]),
+    )
+
+
+def _gaps(tables, comparisons: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """|tables[keep] - marginal of tables[of]| of every comparison, entry by
+    entry in one (N, entries) array, and the column where each comparison starts."""
+    flat = _flat(tables)
+    keep, summands, starts, bounds = _comparison_map(tables.every.shape[1:], comparisons)
+    return np.abs(flat[:, keep] - np.add.reduceat(flat[:, summands], starts, axis=1)), bounds
 
 
 def _signaling(tables, of: tuple, keep: tuple) -> np.ndarray:
     """Largest shift of the keep-slot statistics when the slots of are measured too."""
-    return _sup(tables[keep], _marginal(tables, of, keep))
+    return _gaps(tables, ((keep, of),))[0].max(axis=1)
 
 
 def nsit_residual(tables, i: int, j: int) -> np.ndarray:
@@ -73,38 +131,63 @@ def bundle_distances(tables) -> tuple[np.ndarray, np.ndarray]:
     """Sup and total variation of every comparison of COMPARISONS, two (N, 10) arrays.
 
     Column c compares tables[keep] with the marginal of tables[of] for the
-    c-th (keep, of); all ten differences are reduced from one concatenated
-    array, one segment per comparison.
+    c-th (keep, of); all ten are reduced from one gap array, one segment per
+    comparison.
     """
-    gaps = [tables[keep] - _marginal(tables, of, keep) for keep, of in COMPARISONS.values()]
-    # each item's size is read off the shape: reshape(N, -1) cannot infer it at N = 0
-    gaps = [g.reshape(len(g), math.prod(g.shape[1:])) for g in gaps]
-    starts = np.cumsum([0] + [g.shape[1] for g in gaps[:-1]])
-    gaps = np.abs(np.concatenate(gaps, axis=1))
-    return np.maximum.reduceat(gaps, starts, axis=1), 0.5 * np.add.reduceat(gaps, starts, axis=1)
+    gaps, bounds = _gaps(tables, _BUNDLE)
+    return np.maximum.reduceat(gaps, bounds, axis=1), 0.5 * np.add.reduceat(gaps, bounds, axis=1)
+
+
+@functools.lru_cache(maxsize=128)
+def _correlator_map(shape: tuple, pairs: tuple, labels: tuple) -> tuple:
+    """Index, coefficient and start arrays of the (i, j, of) correlators.
+
+    Correlator c sums entry index[e] of the flat full table times coef[e] =
+    q_i q_j over the entries of tables[of] from starts[c] on; labels[k] are
+    the outcome labels of slot k, None where no pair reads them.
+    """
+    index, coef = [], []
+    for i, j, of in pairs:
+        table_key(len(shape), (i, j))
+        if not {i, j} <= set(of):
+            raise ValueError(f"slots {(i, j)} are not all measured in the experiment {of}")
+        grid, q = _entries(shape, of), np.ones(())
+        for s in of:
+            q = np.multiply.outer(q, labels[s] if s in (i, j) else np.ones(shape[s] - 1))
+        index.append(grid.ravel())
+        coef.append(q.ravel())
+    return _frozen(np.concatenate(index), np.concatenate(coef), _starts([x.size for x in index]))
+
+
+def _correlators(tables, pairs: tuple) -> np.ndarray:
+    """<q_i q_j> in the experiment measuring the slots of, for each (i, j, of)
+    of pairs: an (N, len(pairs)) array."""
+    used = {k for i, j, _ in pairs for k in (i, j)}
+    labels = tuple(
+        tuple(np.asarray(s.instrument.outcomes, dtype=float).tolist()) if k in used else None
+        for k, s in enumerate(tables.slots)
+    )
+    index, coef, starts = _correlator_map(tables.every.shape[1:], pairs, labels)
+    return np.add.reduceat(_flat(tables)[:, index] * coef, starts, axis=1)
 
 
 def correlator(tables, i: int, j: int, of: tuple | None = None) -> np.ndarray:
     """<q_i q_j> for numeric outcome labels, in the experiment measuring the
     slots of (by default just i and j)."""
-    values = tables[(i, j)] if of is None else _marginal(tables, of, (i, j))
-    oi = np.asarray(tables.slots[i].instrument.outcomes, dtype=float)
-    oj = np.asarray(tables.slots[j].instrument.outcomes, dtype=float)
-    return (oi[:, None] * values * oj).sum(-1).sum(-1)
+    return _correlators(tables, ((i, j, (i, j) if of is None else of),))[:, 0]
 
 
 def lgi_values(tables) -> dict:
     """C01 + C12 - C02 <= 1: each correlator from its own two-slot experiment,
     K the left side and residual the amount by which K exceeds 1."""
-    c01, c12, c02 = correlator(tables, 0, 1), correlator(tables, 1, 2), correlator(tables, 0, 2)
+    c01, c12, c02 = _correlators(tables, ((0, 1, (0, 1)), (1, 2, (1, 2)), (0, 2, (0, 2)))).T
     k = c01 + c12 - c02
     return {"residual": np.maximum(k - 1.0, 0.0), "K": k, "C01": c01, "C12": c12, "C02": c02}
 
 
 def nic_values(tables) -> dict:
     """NIC_0(1)2: C02 with and without the middle measurement, and their distance."""
-    bare = correlator(tables, 0, 2)
-    probed = correlator(tables, 0, 2, of=FULL)
+    bare, probed = _correlators(tables, ((0, 2, (0, 2)), (0, 2, FULL))).T
     return {"residual": np.abs(bare - probed), "C02": bare, "C02_with_middle": probed}
 
 
@@ -280,16 +363,13 @@ def mr012_check(
     if mismatch_threshold is None:
         mismatch_threshold = threshold
     sup, tv = bundle_distances(scenario.tables)
-    n = len(MISMATCH)
-    detail = {
-        name: {"sup": float(sup[0, c]), "tv": float(tv[0, c])}
-        for c, name in enumerate(list(COMPARISONS)[:n])
-    }
+    sups, tvs = sup[0, : len(MISMATCH)].tolist(), tv[0, : len(MISMATCH)].tolist()
+    detail = {name: {"sup": s, "tv": t} for name, s, t in zip(COMPARISONS, sups, tvs)}
     members = {name: _report(name, values, threshold) for name, values in _members(sup).items()}
     return MR012Report(
         members=members,
-        mismatch_tv=float(tv[0, :n].max()),
-        mismatch_sup=float(sup[0, :n].max()),
+        mismatch_tv=max(tvs),
+        mismatch_sup=max(sups),
         mismatch_threshold=mismatch_threshold,
         mismatch_detail=detail,
     )

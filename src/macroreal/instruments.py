@@ -106,8 +106,13 @@ class ComplexLattice:
         return (re[:, None] + 1j * im[None, :]).ravel()
 
     @property
+    def size(self) -> int:
+        """The number of points, counted without building them."""
+        return self.re_axis.size * self.im_axis.size
+
+    @property
     def weights(self) -> np.ndarray:
-        return np.full(self.re_axis.size * self.im_axis.size, self.step**2)
+        return np.full(self.size, self.step**2)
 
     def describe(self) -> dict:
         return {
@@ -463,6 +468,12 @@ def coherent_projector_family(
     the cutoff (level n sits at radius ~ sqrt(n)); pass defect_ceiling to
     enforce a bound, or inspect completeness_defect afterwards.
     """
+    n = lattice.size
+    # two (dim, n) complex stacks, the columns and the kets, the finite-entry
+    # mask of one and five complex n-vectors; reading the defect for
+    # defect_ceiling copies the columns twice more
+    stacks = 2 if defect_ceiling is None else 4
+    require_bytes(n * (16 * stacks * dim + dim + 80), f"coherent projectors on {n:,} lattice points")
     pts = lattice.points
     cols = coherent_columns(pts, dim)
     norms = np.sqrt(frame_diagonal(cols))
@@ -536,6 +547,13 @@ def coherent_coarse_family(
     labels = np.asarray(labels)
     if labels.shape != pts.shape or np.any((labels < 0) | (labels >= n_outcomes)):
         raise ValueError(f"every lattice point needs a label in range({n_outcomes})")
+    # five (dim, n) complex stacks at most: the columns and their sorted scaled
+    # copy, then the sorted columns and a group's point block, singular
+    # vectors and their two products; three (n_outcomes, dim, dim) ones, the
+    # ops and the two copies completeness_operator makes in
+    # symmetrize_completeness, and the ops' finite-entry mask
+    n, ops_size = pts.size, n_outcomes * dim * dim
+    require_bytes(16 * n * (5 * dim + 3) + 49 * ops_size, f"{n_outcomes:,} coarse cells on {n:,} lattice points")
     # the root of the moment B_a B_a', one column sqrt(w_j / pi) |alpha_j> of B_a
     # per point, is U s U' from the SVD B_a = U s V': exact to roundoff, where
     # eigh of B_a B_a' leaves ~sqrt(eps) in the null space of a small cell

@@ -88,7 +88,8 @@ QUAD_BLOCK = 8  # first-readout outcomes per grid-engine block; bounds the (bloc
 def _block_readout(reads, lattice: ComplexLattice, dim: int) -> list:
     """Readout densities pi^{-1} read(block), one per read, over HUSIMI_BLOCK lattice points at a time.
 
-    Each block, the coherent_columns of its points, is built once for all reads.
+    Each block, the coherent_columns of its points, is built once for all reads
+    and released before the next is built, so one block is held at a time.
     """
     pts = lattice.points
     vals = np.empty((len(reads), pts.size))
@@ -97,6 +98,7 @@ def _block_readout(reads, lattice: ComplexLattice, dim: int) -> list:
         block = coherent_columns(pts[lo:hi], dim)
         for out, read in zip(vals, reads):
             out[lo:hi] = read(block)
+        del block
     return [OutcomeDistribution(pts, lattice.weights, v / math.pi) for v in vals]
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 
 import numpy as np
@@ -101,12 +100,14 @@ class ScenarioBatch:
 class Tables(dict):
     """The experiment tables of N scenarios with shared slots.
 
-    The key is the sorted tuple of measured slots, the value the read-only
-    (N, n_a, n_b, ...) array of their outcome tables. The first lookup runs
-    one kernel pass over every slot and stores all 2^n experiments, each read
-    off that pass with the other slots unmeasured, so every condition read
-    off one scenario shares the same arrays, whatever it reads first. A key
-    that is not a sorted tuple of distinct slots raises.
+    every is the read-only (N, 1 + n_0, 1 + n_1, ...) array of one kernel pass
+    over every slot, weighted and run when first read: index 0 leaves a slot
+    unmeasured and 1 + a reads its outcome a, so the table of any experiment
+    is a slice of it. The key is the sorted tuple of measured slots, the value
+    the read-only (N, n_a, n_b, ...) contiguous copy of that slice, made when
+    the key is first looked up. Every table read off one scenario thus comes
+    from the same pass, whatever is read first. A key that is not a sorted
+    tuple of distinct slots raises (table_key).
     """
 
     def __init__(self, initial: np.ndarray, evolutions, slots: tuple):
@@ -115,10 +116,8 @@ class Tables(dict):
         self.evolutions = evolutions
         self.slots = slots
 
-    def __missing__(self, measured):
-        key = _measured_slots(len(self.slots), measured)
-        if key != measured:
-            raise KeyError(f"tables are keyed by the sorted tuple of measured slots, {key}")
+    @functools.cached_property
+    def every(self) -> np.ndarray:
         every = _tables(self.initial, self.evolutions, self.slots)
         weights = [s.instrument.weights for s in self.slots]
         if any((w != 1.0).any() for w in weights):
@@ -126,17 +125,31 @@ class Tables(dict):
             wgrid = np.ones(())
             for w in weights:
                 wgrid = np.multiply.outer(wgrid, np.append(1.0, w))
-            every = every * wgrid
-        n, indices = self.initial.shape[0], range(len(self.slots))
-        for r in range(len(indices) + 1):
-            for sub in itertools.combinations(indices, r):
-                pick = tuple(slice(1, None) if k in sub else 0 for k in indices)
-                shape = [self.slots[k].instrument.n_outcomes for k in sub] or [1]
-                # a contiguous copy: sums over a strided view take about twice as long
-                table = every[(slice(None), *pick)].reshape(n, *shape).copy()
-                table.flags.writeable = False
-                self[sub] = table
-        return self[key]
+            every = np.multiply(every, wgrid, order="C")
+        else:
+            every = np.ascontiguousarray(every)
+        every.flags.writeable = False
+        return every
+
+    def __missing__(self, measured):
+        key = table_key(len(self.slots), measured)
+        pick = tuple(slice(1, None) if k in key else 0 for k in range(len(self.slots)))
+        shape = [self.slots[k].instrument.n_outcomes for k in key] or [1]
+        # a contiguous copy: sums over a strided view take about twice as long
+        table = self.every[(slice(None), *pick)].reshape(len(self.every), *shape).copy()
+        table.flags.writeable = False
+        self[key] = table
+        return table
+
+
+def table_key(n_slots: int, measured: tuple) -> tuple[int, ...]:
+    """measured itself when it is a valid table key: a sorted tuple of distinct
+    slots. Raises ValueError for a slot out of range or repeated, KeyError
+    naming the sorted key for one out of order."""
+    key = _measured_slots(n_slots, measured)
+    if key != tuple(measured):
+        raise KeyError(f"tables are keyed by the sorted tuple of measured slots, {key}")
+    return key
 
 
 def _check_layout(dim: int, slots: tuple, evolutions) -> None:
@@ -221,8 +234,8 @@ def _peak_bytes(n: int, d: int, slots) -> int:
     operators, effects, U' and F (1 + m) read matrices (F = N behind an
     evolution, else 1), then two products of min(d, m) effects or the complex
     probabilities; weighting the complex probabilities, weight grid and
-    weighted tables (storing the tables holds no more: the complex
-    probabilities and the subset tables, 8 N b (1 + m) bytes in all).
+    weighted tables (the contiguous copy of unweighted tables holds no more:
+    the complex probabilities and 8 N b (1 + m) bytes).
     """
     *prefix, last = slots
     m, f = last.instrument.n_outcomes, n if prefix else 1

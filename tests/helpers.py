@@ -23,6 +23,17 @@ def kraus_operator(family, i):
     return family.scale[i] * np.outer(family.left[:, i], family.right[:, i].conj())
 
 
+def assert_tables_are_slices_of_one_pass(tables):
+    """Every table read so far is the read-only slice of tables.every with
+    index 0 on the unmeasured slots, bit for bit."""
+    assert not tables.every.flags.writeable
+    for key, values in tables.items():
+        pick = tuple(slice(1, None) if k in key else 0 for k in range(len(tables.slots)))
+        part = tables.every[(slice(None), *pick)]
+        assert values.tobytes() == np.ascontiguousarray(part).tobytes(), key
+        assert values.size == part.size and not values.flags.writeable, key
+
+
 def random_density(rng, dim, rank=None):
     if rank is None:
         rank = dim

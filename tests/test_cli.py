@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import macroreal
-from macroreal import cli
+from macroreal import cli, hilbert
 from macroreal.cli import MZ_FIELDS, _table, main, parse_complex_list, parse_range, write_rows
 from macroreal.conditions import mr012_check, nic_012
 from macroreal.hilbert import DensityState
@@ -672,6 +672,17 @@ def test_bad_option_values_exit_two(argv, capsys):
     message = captured.err.splitlines()
     assert len(message) == 1 and message[0].startswith(f"{command}: ")
     assert "Traceback" not in captured.err
+
+
+def test_coherent_projectors_over_physical_memory_exit_two(monkeypatch, capsys):
+    # the projectors of |1> on the default lattice, 2,401 points, need about
+    # 2.5 MB: with 1 MB of memory they are refused before a column is built
+    monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", 1_000_000)
+    assert main(["overlap", "coherent", "--gamma", "1"]) == 2
+    captured = capsys.readouterr()
+    message = captured.err.splitlines()
+    assert captured.out == "" and len(message) == 1
+    assert message[0].startswith("overlap coherent: coherent projectors on 2,401 lattice points need ")
 
 
 def test_overlap_quadrature_stdout(capsys):

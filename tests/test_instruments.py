@@ -391,6 +391,54 @@ def test_ring_family_size_estimate_is_its_traced_peak_and_a_ceiling(monkeypatch)
     assert allocated < 10_000
 
 
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_coarse_family_size_estimates_bound_their_traced_peaks(monkeypatch):
+    # coherent projectors on n points at dim d peak at n (16 k d + d + 80)
+    # bytes within 10%, k = 2 stacks, or 4 when the defect is read; coarse
+    # cells at n (16 (5 d + 3)) + 49 m d^2 bytes for m cells, at least the
+    # traced peak and at most 2.5 times it: the point blocks and singular
+    # vectors of the SVD groups stay below the five column stacks counted
+    for radius, step, dim in ((6.0, 0.25, 29), (6.0, 0.125, 20), (7.0, 0.25, 45)):
+        lattice = ComplexLattice.square(radius, step)
+        n = lattice.size
+        assert n == lattice.points.size
+        for stacks, ceiling in ((2, None), (4, 2.0)):
+            estimate = n * (16 * stacks * dim + dim + 80)
+            peak = _traced_peak(lambda: coherent_projector_family(lattice, dim, defect_ceiling=ceiling))
+            assert 0.9 * estimate < peak < 1.1 * estimate, (n, dim, stacks, peak / estimate)
+        for side in (0.75, 1.0, 2.0, 4.0):
+            labels, m = cell_labels(lattice.points, side, radius + 2.0 * step)
+            labels = np.where(labels < 0, 0, labels)
+            estimate = 16 * n * (5 * dim + 3) + 49 * m * dim * dim
+            peak = _traced_peak(lambda: coherent_coarse_family(labels, m, lattice, dim))
+            assert peak <= estimate < 2.5 * peak, (n, dim, side, estimate / peak)
+
+    # the side-0.75 cells of cell_overlap at |gamma| = 1: 324 cells at dim 29,
+    # refused before any column is built
+    lattice = ComplexLattice.square(6.0, 0.25)
+    labels, m = cell_labels(lattice.points, 0.75, 6.5)
+    assert m == 324
+    estimate = 16 * lattice.size * (5 * 29 + 3) + 49 * m * 29 * 29
+    monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate - 1)
+    with pytest.raises(ValueError, match=f"324 coarse cells on 2,401 lattice points need {estimate:,} bytes"):
+        coherent_coarse_family(np.where(labels < 0, 0, labels), m, lattice, 29)
+    estimate = lattice.size * (16 * 2 * 29 + 29 + 80)
+    monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate - 1)
+    allocated = _traced_peak(lambda: pytest.raises(ValueError, coherent_projector_family, lattice, 29))
+    assert allocated < 10_000
+    monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate)
+    assert coherent_projector_family(lattice, 29).n_outcomes == 2401
+
+
 def test_parse_bin_border():
     assert parse_bin_border("m")(3) == 3
     assert parse_bin_border("2m^2")(3) == 18

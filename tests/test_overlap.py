@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from macroreal import overlap
+from macroreal import hilbert, overlap
 from macroreal.hilbert import coherent_state, default_fock_dim
 from macroreal.instruments import (
     ComplexLattice,
@@ -190,6 +190,30 @@ def test_fock_diagonal_overlap_memory_does_not_scale_with_the_lattice(read):
     stack = default_fock_dim(6.0) * ComplexLattice.square(11.0, 0.125).points.size * 16
     assert peaks[1] < stack / 4, (peaks, stack)
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_block_readout_holds_one_block_at_a_time():
+    # eight blocks of 2,048 points at dim 100: each block is released before
+    # the next is built, so the traced peak stays near one block's bytes
+    lattice = ComplexLattice(-7.9375, 7.9375, -7.9375, 7.9375, 0.125)
+    assert lattice.points.size == 8 * HUSIMI_BLOCK
+    dim = 100
+    psi = coherent_state(2.0, dim).amplitudes
+    tracemalloc.start()
+    try:
+        overlap._block_readout([overlap._state_read(psi)], lattice, dim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 16 * dim * HUSIMI_BLOCK
+    assert peak < 1.5 * block, peak / block
+
+
+def test_cell_overlap_refuses_cells_over_physical_memory(monkeypatch):
+    # the side-0.75 cells at |gamma| = 1 are estimated at about 19 MB
+    monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", 1_000_000)
+    with pytest.raises(ValueError, match="^324 coarse cells on 2,401 lattice points need "):
+        cell_overlap(0.75, 1.0)
 
 
 def test_branch_readout_refuses_families_off_the_fock_basis():
