@@ -297,7 +297,8 @@ def lgi_012(scenario: Scenario, threshold: float = DEFAULT_THRESHOLD) -> Conditi
     """Three-time Leggett-Garg inequality C01 + C12 - C02 <= 1.
 
     Each correlator comes from its own two-slot experiment; outcomes must be
-    labeled +-1. The residual is the amount by which the bound is exceeded.
+    labeled +-1, repeated labels allowed. The residual is the amount by
+    which the bound is exceeded.
     """
     _require_three_slots(scenario)
     _require_dichotomic(scenario)
@@ -381,10 +382,14 @@ def _require_three_slots(scenario: Scenario) -> None:
 
 
 def _require_dichotomic(scenario: Scenario, slots=None) -> None:
+    """Raise unless every outcome of the slots is labelled +1 or -1.
+
+    Labels may repeat, as for the N level projectors of a dichotomic observable.
+    """
     for k in slots if slots is not None else range(scenario.n_slots):
         out = scenario.slots[k].instrument.outcomes
-        if out.shape != (2,) or set(out.astype(float).tolist()) != {1.0, -1.0}:
-            raise ValueError(f"slot {k} must have outcomes +1 and -1")
+        if out.ndim != 1 or not np.all((out == 1) | (out == -1)):
+            raise ValueError(f"slot {k} must have outcomes labelled +1 or -1")
 
 
 # ---------------------------------------------------------------------------

@@ -547,13 +547,14 @@ def coherent_coarse_family(
     labels = np.asarray(labels)
     if labels.shape != pts.shape or np.any((labels < 0) | (labels >= n_outcomes)):
         raise ValueError(f"every lattice point needs a label in range({n_outcomes})")
-    # five (dim, n) complex stacks at most: the columns and their sorted scaled
-    # copy, then the sorted columns and a group's point block, singular
-    # vectors and their two products; three (n_outcomes, dim, dim) ones, the
-    # ops and the two copies completeness_operator makes in
-    # symmetrize_completeness, and the ops' finite-entry mask
+    # three (dim, n) complex stacks at most while the roots are taken: the
+    # scaled columns and their sorted copy, then the sorted columns, a group's
+    # point block and its left singular vectors; three (n_outcomes, dim, dim)
+    # ones once the columns are released, the ops and the two copies
+    # completeness_operator makes in symmetrize_completeness, and the ops'
+    # finite-entry mask
     n, ops_size = pts.size, n_outcomes * dim * dim
-    require_bytes(16 * n * (5 * dim + 3) + 49 * ops_size, f"{n_outcomes:,} coarse cells on {n:,} lattice points")
+    require_bytes(16 * n * (3 * dim + 3) + 49 * ops_size, f"{n_outcomes:,} coarse cells on {n:,} lattice points")
     # the root of the moment B_a B_a', one column sqrt(w_j / pi) |alpha_j> of B_a
     # per point, is U s U' from the SVD B_a = U s V': exact to roundoff, where
     # eigh of B_a B_a' leaves ~sqrt(eps) in the null space of a small cell
@@ -564,8 +565,11 @@ def coherent_coarse_family(
     for c in np.unique(counts[counts > 0]):  # one batched SVD per point count
         group = np.flatnonzero(counts == c)
         block = cols[:, starts[group, None] + np.arange(c)].swapaxes(0, 1)
-        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        u, s = np.linalg.svd(block, full_matrices=False)[:2]
         ops[group] = (u * s[:, None, :]) @ u.conj().swapaxes(1, 2)
+    # the completeness correction peaks on its own copies of the ops, so the
+    # columns and the last group's arrays are released before it runs
+    del cols, block, u, s
     fam = KrausFamily(
         label=label,
         outcomes=np.arange(n_outcomes),

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from macroreal.hilbert import coherent_state, default_fock_dim, frame_diagonal
+from macroreal.hilbert import coherent_state, default_fock_dim
 from macroreal.instruments import (
     ComplexLattice,
     KrausFamily,
@@ -69,13 +69,15 @@ class OverlapResult:
 
 
 def bhattacharyya(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
-    """Overlap sum w sqrt(p q) of two distributions on the same outcome grid."""
-    if p.outcomes.shape != q.outcomes.shape or not np.allclose(
-        p.outcomes, q.outcomes
-    ):
-        raise ValueError("distributions live on different outcome grids")
-    if not np.allclose(p.weights, q.weights):
-        raise ValueError("distributions carry different quadrature weights")
+    """Overlap sum w sqrt(p q) of two distributions on the same outcome grid.
+
+    The grids are compared only when the two hold different outcome or weight arrays.
+    """
+    if p.outcomes is not q.outcomes or p.weights is not q.weights:
+        if p.outcomes.shape != q.outcomes.shape or not np.allclose(p.outcomes, q.outcomes):
+            raise ValueError("distributions live on different outcome grids")
+        if not np.allclose(p.weights, q.weights):
+            raise ValueError("distributions carry different quadrature weights")
     pv = np.clip(p.values, 0.0, None)
     qv = np.clip(q.values, 0.0, None)
     return float(np.dot(p.weights, np.sqrt(pv * qv)))
@@ -85,41 +87,104 @@ HUSIMI_BLOCK = 2048  # lattice points per readout block; bounds the (rows x bloc
 QUAD_BLOCK = 8  # first-readout outcomes per grid-engine block; bounds the (block x n) branch arrays
 
 
-def _block_readout(reads, lattice: ComplexLattice, dim: int) -> list:
-    """Readout densities pi^{-1} read(block), one per read, over HUSIMI_BLOCK lattice points at a time.
+def _block_readout(read, lattice: ComplexLattice, dim: int) -> list:
+    """Readout densities pi^{-1} read(block) over HUSIMI_BLOCK lattice points at a time.
 
-    Each block, the coherent_columns of its points, is built once for all reads
-    and released before the next is built, so one block is held at a time.
+    read returns one density row per block, or a (k, block) stack of k rows,
+    and the list holds one distribution per row. Each block, the
+    coherent_columns of its points, is built once and released before the
+    next is built, so one block is held at a time.
     """
-    pts = lattice.points
-    vals = np.empty((len(reads), pts.size))
+    pts, weights = lattice.points, lattice.weights
+    parts = []
     for lo in range(0, pts.size, HUSIMI_BLOCK):
-        hi = lo + HUSIMI_BLOCK
-        block = coherent_columns(pts[lo:hi], dim)
-        for out, read in zip(vals, reads):
-            out[lo:hi] = read(block)
+        block = coherent_columns(pts[lo : lo + HUSIMI_BLOCK], dim)
+        parts.append(np.atleast_2d(read(block)))
         del block
-    return [OutcomeDistribution(pts, lattice.weights, v / math.pi) for v in vals]
+    return [OutcomeDistribution(pts, weights, v / math.pi) for v in np.hstack(parts)]
+
+
+def _real_diagonal(frame: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """Re sum_i conj(frame[i, a]) image[i, a] for every column a.
+
+    Summed over the interleaved real and imaginary parts of both, so no
+    conjugate copy of the frame is made.
+    """
+    sums = np.einsum("ia,ia->a", frame.view(float), image.view(float))
+    return sums[0::2] + sums[1::2]
 
 
 def _state_read(state: np.ndarray):
     """Block read <beta| rho |beta> of a density matrix, or |<beta|psi>|^2 of a state vector."""
     if state.ndim == 2:
-        return lambda block: frame_diagonal(block, state)
+        return lambda block: _real_diagonal(block, state @ block)
     return lambda block: np.abs(state.conj() @ block) ** 2
+
+
+def _level_runs(family: KrausFamily) -> np.ndarray | None:
+    """First levels of the bins of a Fock-bin partition, or None for any other family.
+
+    A partition is Fock-diagonal with unit weights and 0/1 envelopes that put
+    each level in one bin, the levels of each bin in one contiguous run.
+    """
+    if not family.fock_diagonal or np.any(family.weights != 1.0):
+        return None
+    env = family.envelopes
+    owner = env.argmax(axis=0)
+    if not np.array_equal(env, owner == np.arange(env.shape[0])[:, None]):
+        return None
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    return starts if starts.size == np.unique(owner).size else None
+
+
+def _pair_read(psi: np.ndarray, family: KrausFamily):
+    """Block read of the stack (|<beta|psi>|^2, invaded readout) of psi and the nonselective family.
+
+    Each block is read once for both rows. A Fock-bin partition sums psi*
+    times the columns over each bin's run of levels, a_b = psi*[b] . C[b], at
+    O(d) per point: the invaded readout is sum_b |a_b|^2, the untouched one
+    |sum_b a_b|^2. Any other family diagonal in the Fock basis stacks psi* on
+    top of its branch rows e_a * psi*, and any other family on top of the
+    density matrix family.channel(psi), read as Re <beta| rho |beta>; either
+    stack is one product with the block.
+    """
+    conj = psi.conj()
+    starts = _level_runs(family)
+    if starts is not None:
+        runs = list(zip(starts, [*starts[1:], psi.size]))
+
+        def read(block):
+            amps = np.empty((len(runs), block.shape[1]), dtype=complex)
+            for out, (lo, hi) in zip(amps, runs):
+                np.dot(conj[lo:hi], block[lo:hi], out=out)
+            total = amps.sum(axis=0)
+            return np.stack([total.real**2 + total.imag**2, _real_diagonal(amps, amps)])
+
+        return read
+    if family.fock_diagonal:
+        stack = np.vstack([conj, family.envelopes * conj])
+
+        def read(block):
+            amps = stack @ block
+            power = amps.real**2 + amps.imag**2
+            return np.stack([power[0], family.weights @ power[1:]])
+
+        return read
+    stack = np.vstack([conj, family.channel(psi)])
+
+    def read(block):
+        prod = stack @ block
+        return np.stack([prod[0].real**2 + prod[0].imag**2, _real_diagonal(block, prod[1:])])
+
+    return read
 
 
 def _branch_read(psi: np.ndarray, family: KrausFamily):
     """Block read sum_a w_a |<beta| A_a psi>|^2 of a family diagonal in the Fock basis."""
     if not family.fock_diagonal:
         raise ValueError("branch readout needs a family diagonal in the Fock basis")
-    branches = family.envelopes * psi.conj()
-
-    def read(block):
-        amps = branches @ block
-        return family.weights @ (amps.real**2 + amps.imag**2)
-
-    return read
+    pair = _pair_read(psi, family)
+    return lambda block: pair(block)[1]
 
 
 def husimi(state: np.ndarray, lattice: ComplexLattice) -> OutcomeDistribution:
@@ -128,7 +193,7 @@ def husimi(state: np.ndarray, lattice: ComplexLattice) -> OutcomeDistribution:
     state is a density matrix rho, or a state vector psi for rho = |psi><psi|,
     which reads |<beta|psi>|^2 at O(d) per point instead of O(d^2).
     """
-    return _block_readout([_state_read(state)], lattice, state.shape[0])[0]
+    return _block_readout(_state_read(state), lattice, state.shape[0])[0]
 
 
 def branch_husimi(psi: np.ndarray, family: KrausFamily, lattice: ComplexLattice) -> OutcomeDistribution:
@@ -137,10 +202,10 @@ def branch_husimi(psi: np.ndarray, family: KrausFamily, lattice: ComplexLattice)
     family is diagonal in the Fock basis, A_a = diag(e_a), so the invaded
     readout is the branch sum pi^{-1} sum_a w_a |<beta| A_a psi>|^2, that is
     sum_a w_a |(e_a * conj(psi)) C|^2 / pi for the coherent_columns C. That
-    costs O(n_a d) per point against O(d^2) for the density matrix
-    family.channel(|psi><psi|), which is never built.
+    costs O(n_a d) per point, O(d) for a Fock-bin partition, against O(d^2)
+    for the density matrix family.channel(|psi><psi|), which is never built.
     """
-    return _block_readout([_branch_read(psi, family)], lattice, psi.size)[0]
+    return _block_readout(_branch_read(psi, family), lattice, psi.size)[0]
 
 
 def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[OverlapResult, KrausFamily]:
@@ -148,10 +213,11 @@ def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[Over
 
     The readout lattice is the square [-R, R]^2 with R = |gamma| + 5, and dim
     defaults to default_fock_dim(gamma). readout(lattice, R, dim) returns the
-    family. Both readouts are taken in one pass over the column blocks: a family
-    diagonal in the Fock basis (Fock bins, rings) through its branches, any
-    other family through the density matrix family.channel(psi) of the state
-    vector psi.
+    family. Both readouts are taken from one read of each column block
+    (_pair_read): a Fock-bin partition through its runs of levels, any other
+    family diagonal in the Fock basis (rings) through its branches, any other
+    family through the density matrix family.channel(psi) of the state vector
+    psi.
     """
     g = complex(gamma)
     if dim is None:
@@ -161,12 +227,8 @@ def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[Over
     radius = abs(g) + 5.0
     lattice = ComplexLattice.square(radius, step)
     family = readout(lattice, radius, dim)
-    state = coherent_state(g, dim)
-    if family.fock_diagonal:
-        invaded = _branch_read(state.amplitudes, family)
-    else:
-        invaded = _state_read(family.channel(state.amplitudes))
-    reference, invaded = _block_readout([_state_read(state.amplitudes), invaded], lattice, dim)
+    psi = coherent_state(g, dim).amplitudes
+    reference, invaded = _block_readout(_pair_read(psi, family), lattice, dim)
     meta = {
         "reference_mass": reference.mass,
         "invaded_mass": invaded.mass,
@@ -296,30 +358,36 @@ def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> Ove
         gax = np.exp(-((xs[:, None] - agrid[block][None, :]) ** 2) / (2.0 * delta_sq))
         first += gax @ ga0[block]
     first *= (math.pi * delta_sq) ** -0.5 * da
-    # the symmetric Toeplitz kernel embedded in a circulant at a fast FFT length
-    # L >= 2n - 1, transformed once: kernel @ v is ifft(kernel_hat fft(v, L))[:n]
-    length = scipy.fft.next_fast_len(2 * n - 1)
-    embedded = np.zeros(length)
-    embedded[:n] = first
-    embedded[length - n + 1 :] = first[:0:-1]
-    kernel_hat = scipy.fft.fft(embedded)[:, None]
 
     psi = _coherent_wavefunction(xs, g)
-    pts = lattice.points
+    pts, weights = lattice.points, lattice.weights
     re, im = lattice.re_axis, lattice.im_axis
-    q0 = np.zeros((re.size, im.size))
-    q1 = np.zeros((re.size, im.size))
-    # <x|beta>* has the (x, Im beta) phase e^{-i sqrt2 x Im beta} in every row of the lattice
-    chirp = np.exp(-1j * math.sqrt(2.0) * np.outer(xs, im))
-    for i, br in enumerate(re):
-        # <x|beta>* psi(x) dx for every beta in this row of the lattice
-        envelope = math.pi**-0.25 * np.exp(-0.5 * (xs - math.sqrt(2.0) * br) ** 2) * psi * dx
-        w = envelope[:, None] * chirp * np.exp(1j * br * im)
-        q0[i] = np.abs(w.sum(axis=0)) ** 2 / math.pi
-        kw = scipy.fft.ifft(kernel_hat * scipy.fft.fft(w, length, axis=0), axis=0)[:n]
-        q1[i] = np.einsum("xb,xb->b", w.conj(), kw).real / math.pi
-    p_ref = OutcomeDistribution(pts, lattice.weights, q0.ravel())
-    p_inv = OutcomeDistribution(pts, lattice.weights, np.clip(q1.ravel(), 0.0, None))
+    # <x|beta>* psi(x) dx = e_r(x) e^{-i omega x} up to a phase of beta, with the
+    # row envelope e_r(x) for Re beta = re[r] and omega = sqrt2 Im beta
+    rows = math.pi**-0.25 * np.exp(-0.5 * (xs - math.sqrt(2.0) * re[:, None]) ** 2) * psi * dx
+    omega = math.sqrt(2.0) * im
+    # q0 = |sum_x e_r(x) e^{-i omega x}|^2 / pi
+    amps = np.einsum("rx,bx->rb", rows, np.exp(-1j * np.outer(omega, xs)))
+    q0 = (amps.real**2 + amps.imag**2) / math.pi
+    # The invaded double sum sum_{x,x'} w(x)* k(x' - x) w(x') over w = e_r e^{-i omega x},
+    # regrouped by the lag tau = x' - x, is sum_tau k(tau) R_r(tau) e^{-i omega tau dx}
+    # with the row autocorrelation R_r(tau) = sum_l e_r(l + tau) e_r(l)*. Since
+    # R_r(-tau) = R_r(tau)* and k is even, its real part sums tau >= 0 with
+    # weight 1 at tau = 0 and 2 beyond. R_r is ifft(|fft(e_r, L)|^2) at a fast
+    # length L >= 2n - 1, where no lag wraps around.
+    length = scipy.fft.next_fast_len(2 * n - 1)
+    spectra = scipy.fft.fft(rows, length, axis=1)
+    autocorr = scipy.fft.ifft(spectra.real**2 + spectra.imag**2, axis=1)[:, :n]
+    first[1:] *= 2.0  # c_tau k(tau)
+    weighted = autocorr * first
+    phases = np.outer(omega, dx * np.arange(n))
+    # Re(R e^{-i phi}) = Re R cos(phi) + Im R sin(phi); einsum sums in its own
+    # loops, not BLAS, so no thread count moves a bit
+    q1 = np.einsum("rt,bt->rb", weighted.real, np.cos(phases))
+    q1 += np.einsum("rt,bt->rb", weighted.imag, np.sin(phases))
+    q1 /= math.pi
+    p_ref = OutcomeDistribution(pts, weights, q0.ravel())
+    p_inv = OutcomeDistribution(pts, weights, np.clip(q1.ravel(), 0.0, None))
     value = bhattacharyya(p_ref, p_inv)
     return OverlapResult(
         value=value,

@@ -1,9 +1,13 @@
-"""Shared generators for randomized scenario sweeps."""
+"""Shared generators for randomized scenario sweeps, and reference routes."""
+
+import math
 
 import numpy as np
+import scipy.fft
 
 from macroreal.hilbert import DensityState
-from macroreal.instruments import projective_family
+from macroreal.instruments import ComplexLattice, projective_family
+from macroreal.overlap import HUSIMI_BLOCK, OutcomeDistribution, _coherent_wavefunction, bhattacharyya
 from macroreal.scenario import Scenario, Slot
 
 
@@ -100,3 +104,51 @@ def _random_permutation_phase(rng, dim):
     u = np.zeros((dim, dim), dtype=complex)
     u[perm, np.arange(dim)] = phases
     return u
+
+
+def per_row_coherent_x_overlap(delta_sq, gamma=0.0, step=0.25):
+    """(value, reference mass, invaded mass) of coherent_x_overlap, one lattice row at a time.
+
+    The route the overlap took before its row autocorrelations: on the same
+    lattice, position grid and kernel row, each row of the lattice applies the
+    Toeplitz kernel to its (x, Im beta) array by a circulant FFT product.
+    """
+    delta = math.sqrt(delta_sq)
+    g = complex(gamma)
+    lattice = ComplexLattice.square(6.0, step, center=g)
+    x_halfspan = abs(g) * math.sqrt(2.0) + 9.0
+    dx = min(delta / 2.0, 0.05)
+    n = int(math.ceil(2.0 * x_halfspan / dx)) + 1
+    xs = np.linspace(-x_halfspan, x_halfspan, n)
+    dx = xs[1] - xs[0]
+    da = dx / 2.0
+    pad = 6.0 * delta
+    agrid = np.arange(-x_halfspan - pad, x_halfspan + pad + da / 2.0, da)
+    ga0 = np.exp(-((xs[0] - agrid) ** 2) / (2.0 * delta_sq))
+    near = np.flatnonzero(ga0)
+    first = np.zeros(n)
+    for lo in range(0, near.size, HUSIMI_BLOCK):
+        block = near[lo : lo + HUSIMI_BLOCK]
+        gax = np.exp(-((xs[:, None] - agrid[block][None, :]) ** 2) / (2.0 * delta_sq))
+        first += gax @ ga0[block]
+    first *= (math.pi * delta_sq) ** -0.5 * da
+    length = scipy.fft.next_fast_len(2 * n - 1)
+    embedded = np.zeros(length)
+    embedded[:n] = first
+    embedded[length - n + 1 :] = first[:0:-1]
+    kernel_hat = scipy.fft.fft(embedded)[:, None]
+
+    psi = _coherent_wavefunction(xs, g)
+    re, im = lattice.re_axis, lattice.im_axis
+    q0 = np.zeros((re.size, im.size))
+    q1 = np.zeros((re.size, im.size))
+    chirp = np.exp(-1j * math.sqrt(2.0) * np.outer(xs, im))
+    for i, br in enumerate(re):
+        envelope = math.pi**-0.25 * np.exp(-0.5 * (xs - math.sqrt(2.0) * br) ** 2) * psi * dx
+        w = envelope[:, None] * chirp * np.exp(1j * br * im)
+        q0[i] = np.abs(w.sum(axis=0)) ** 2 / math.pi
+        kw = scipy.fft.ifft(kernel_hat * scipy.fft.fft(w, length, axis=0), axis=0)[:n]
+        q1[i] = np.einsum("xb,xb->b", w.conj(), kw).real / math.pi
+    p_ref = OutcomeDistribution(lattice.points, lattice.weights, q0.ravel())
+    p_inv = OutcomeDistribution(lattice.points, lattice.weights, np.clip(q1.ravel(), 0.0, None))
+    return bhattacharyya(p_ref, p_inv), p_ref.mass, p_inv.mass

@@ -142,6 +142,54 @@ def test_lgi_requires_dichotomic():
         lgi_012(sc)
 
 
+def _dichotomic_qutrit_readouts(rng):
+    """A qutrit observable with eigenvalues (1, 1, -1) in a random basis, as
+    the von Neumann readout of its three level projectors labelled (1, 1, -1)
+    and as the Lueders readout of its two eigenprojectors."""
+    u = haar_unitary(rng, 3)
+    levels = [np.outer(u[:, k], u[:, k].conj()) for k in range(3)]
+    von_neumann = projective_family(levels, [1, 1, -1])
+    lueders = projective_family([levels[0] + levels[1], levels[2]], [1, -1])
+    return von_neumann, lueders
+
+
+def test_repeated_plus_minus_labels_read_the_hand_correlators():
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        fams = [_dichotomic_qutrit_readouts(rng)[0] for _ in range(3)]
+        sc = Scenario(
+            random_density(rng, 3),
+            tuple(Slot(float(k), fams[k]) for k in range(3)),
+            (haar_unitary(rng, 3), haar_unitary(rng, 3)),
+        )
+        q = np.array([1.0, 1.0, -1.0])
+        tables = sc.tables
+        hand = {
+            "C01": q @ tables[(0, 1)][0] @ q,
+            "C12": q @ tables[(1, 2)][0] @ q,
+            "C02": q @ tables[(0, 2)][0] @ q,
+            "C02_with_middle": q @ tables[(0, 1, 2)][0].sum(axis=1) @ q,
+        }
+        lgi, nic = lgi_012(sc).context, nic_012(sc).context
+        for name in ("C01", "C12", "C02"):
+            assert abs(lgi[name] - hand[name]) <= 1e-15, name
+        assert abs(nic["C02"] - hand["C02"]) <= 1e-15
+        assert abs(nic["C02_with_middle"] - hand["C02_with_middle"]) <= 1e-15
+        assert abs(lgi["K"] - (hand["C01"] + hand["C12"] - hand["C02"])) <= 1e-15
+
+
+def test_lueders_readouts_of_a_dichotomic_qutrit_keep_the_lueders_bound():
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        fam = _dichotomic_qutrit_readouts(rng)[1]
+        sc = Scenario(
+            random_density(rng, 3, rank=1),
+            tuple(Slot(float(k), fam) for k in range(3)),
+            (haar_unitary(rng, 3), haar_unitary(rng, 3)),
+        )
+        assert lgi_012(sc).context["K"] <= 1.5 + 1e-12
+
+
 def test_nic_bounded_by_sandwich():
     rng = np.random.default_rng(23)
     for _ in range(40):

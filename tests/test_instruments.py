@@ -404,9 +404,10 @@ def _traced_peak(build):
 def test_coarse_family_size_estimates_bound_their_traced_peaks(monkeypatch):
     # coherent projectors on n points at dim d peak at n (16 k d + d + 80)
     # bytes within 10%, k = 2 stacks, or 4 when the defect is read; coarse
-    # cells at n (16 (5 d + 3)) + 49 m d^2 bytes for m cells, at least the
+    # cells at n (16 (3 d + 3)) + 49 m d^2 bytes for m cells, at least the
     # traced peak and at most 2.5 times it: the point blocks and singular
-    # vectors of the SVD groups stay below the five column stacks counted
+    # vectors of the SVD groups stay below the three column stacks counted,
+    # and the columns are released before the ops are copied
     for radius, step, dim in ((6.0, 0.25, 29), (6.0, 0.125, 20), (7.0, 0.25, 45)):
         lattice = ComplexLattice.square(radius, step)
         n = lattice.size
@@ -418,7 +419,7 @@ def test_coarse_family_size_estimates_bound_their_traced_peaks(monkeypatch):
         for side in (0.75, 1.0, 2.0, 4.0):
             labels, m = cell_labels(lattice.points, side, radius + 2.0 * step)
             labels = np.where(labels < 0, 0, labels)
-            estimate = 16 * n * (5 * dim + 3) + 49 * m * dim * dim
+            estimate = 16 * n * (3 * dim + 3) + 49 * m * dim * dim
             peak = _traced_peak(lambda: coherent_coarse_family(labels, m, lattice, dim))
             assert peak <= estimate < 2.5 * peak, (n, dim, side, estimate / peak)
 
@@ -427,7 +428,7 @@ def test_coarse_family_size_estimates_bound_their_traced_peaks(monkeypatch):
     lattice = ComplexLattice.square(6.0, 0.25)
     labels, m = cell_labels(lattice.points, 0.75, 6.5)
     assert m == 324
-    estimate = 16 * lattice.size * (5 * 29 + 3) + 49 * m * 29 * 29
+    estimate = 16 * lattice.size * (3 * 29 + 3) + 49 * m * 29 * 29
     monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate - 1)
     with pytest.raises(ValueError, match=f"324 coarse cells on 2,401 lattice points need {estimate:,} bytes"):
         coherent_coarse_family(np.where(labels < 0, 0, labels), m, lattice, 29)

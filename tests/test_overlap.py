@@ -3,9 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import per_row_coherent_x_overlap
 
 from macroreal import hilbert, overlap
-from macroreal.hilbert import coherent_state, default_fock_dim
+from macroreal.hilbert import coherent_state, default_fock_dim, frame_diagonal
 from macroreal.instruments import (
     ComplexLattice,
     Grid1D,
@@ -43,6 +44,23 @@ def gaussian_distribution(mean, var, grid):
     xs = grid.points
     vals = np.exp(-((xs - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
     return OutcomeDistribution(xs, grid.weights, vals)
+
+
+def _fock_diagonal_family(name, dim):
+    """A Fock-diagonal family that is not a partition into runs of levels."""
+    if name == "weighted":
+        # three overlapping outcomes with weights 0.5, 2 and 1.25 whose
+        # effects sum to the identity
+        weights = np.array([0.5, 2.0, 1.25])
+        share = np.random.default_rng(7).dirichlet(np.ones(3), size=dim).T
+        envelopes = np.sqrt(share / weights[:, None])
+    else:
+        # 0/1 envelopes whose two bins interleave: even and odd levels
+        weights = np.ones(2)
+        envelopes = (np.arange(dim) % 2 == np.arange(2)[:, None]).astype(float)
+    return KrausFamily(
+        label=name, outcomes=np.arange(weights.size), weights=weights, kind="diagonal", envelopes=envelopes
+    )
 
 
 def test_bhattacharyya_identical_and_disjoint():
@@ -115,18 +133,7 @@ def test_branch_readout_equals_the_readout_of_the_channel(name):
     elif name == "rings(d=2)":
         fam = ring_family(2.0, dim, 12.0)
     else:
-        # three overlapping outcomes with weights 0.5, 2 and 1.25 whose
-        # effects sum to the identity
-        rng = np.random.default_rng(7)
-        weights = np.array([0.5, 2.0, 1.25])
-        share = rng.dirichlet(np.ones(3), size=dim).T
-        fam = KrausFamily(
-            label="weighted",
-            outcomes=np.arange(3),
-            weights=weights,
-            kind="diagonal",
-            envelopes=np.sqrt(share / weights[:, None]),
-        )
+        fam = _fock_diagonal_family(name, dim)
         assert fam.completeness_defect < 1e-14
     psi = coherent_state(gamma, dim).amplitudes
     branches = branch_husimi(psi, fam, lattice)
@@ -170,6 +177,62 @@ def test_blocked_reads_equal_the_full_stack_reads(lattice):
         assert np.array_equal(branch_husimi(psi, fam, lattice).values, sliced(overlap._branch_read(psi, fam)))
 
 
+def _first_block(gamma, dim):
+    lattice = ComplexLattice.square(abs(gamma) + 5.0, 0.25)
+    return coherent_columns(lattice.points[:HUSIMI_BLOCK], dim)
+
+
+def _assert_pair_read_is_the_dense_branch_read(psi, fam, block):
+    # the dense-envelope branch product, the reads' route before the runs of
+    # levels and the stacked untouched row
+    amps = (fam.envelopes * psi.conj()) @ block
+    invaded = fam.weights @ (amps.real**2 + amps.imag**2)
+    reference = np.abs(psi.conj() @ block) ** 2
+    pair = overlap._pair_read(psi, fam)(block)
+    assert pair.shape == (2, block.shape[1])
+    assert np.max(np.abs(pair[0] - reference)) <= 1e-13
+    assert np.max(np.abs(pair[1] - invaded)) <= 1e-13
+    assert np.max(np.abs(overlap._branch_read(psi, fam)(block) - invaded)) <= 1e-13
+
+
+@pytest.mark.parametrize("modulus", [0.5, 1.25, 2.0, 2.75, 3.5, 4.25, 5.0, 6.0])
+def test_fock_bin_runs_read_the_dense_branch_product(modulus):
+    gamma = modulus * np.exp(0.7j * modulus)
+    dim = default_fock_dim(gamma)
+    block = _first_block(gamma, dim)
+    psi = coherent_state(gamma, dim).amplitudes
+    for rule in ("m", "2m", "m^2", "2m^2", "10m^2", "100m^2"):
+        fam = fock_bin_family(rule, dim)
+        assert overlap._level_runs(fam) is not None, rule
+        _assert_pair_read_is_the_dense_branch_read(psi, fam, block)
+
+
+@pytest.mark.parametrize("name", ["rings(d=2)", "weighted", "interleaved"])
+def test_other_fock_diagonal_reads_are_the_dense_branch_product(name):
+    gamma = 2.5 - 1.5j
+    dim = default_fock_dim(gamma)
+    fam = ring_family(2.0, dim, 12.0) if name == "rings(d=2)" else _fock_diagonal_family(name, dim)
+    assert overlap._level_runs(fam) is None
+    _assert_pair_read_is_the_dense_branch_read(coherent_state(gamma, dim).amplitudes, fam, _first_block(gamma, dim))
+
+
+@pytest.mark.parametrize("kind", ["cells", "points"])
+def test_channel_pair_read_is_the_frame_diagonal_of_the_channel(kind):
+    gamma = 1.0 + 0.5j
+    dim = default_fock_dim(gamma)
+    lattice = ComplexLattice.square(abs(gamma) + 5.0, 0.5)
+    if kind == "cells":
+        labels, n_cells = cell_labels(lattice.points, 1.0, lattice.re_hi + 1.0)
+        fam = coherent_coarse_family(labels, n_cells, lattice, dim)
+    else:
+        fam = coherent_projector_family(lattice, dim)
+    psi = coherent_state(gamma, dim).amplitudes
+    block = _first_block(gamma, dim)
+    pair = overlap._pair_read(psi, fam)(block)
+    assert np.max(np.abs(pair[0] - np.abs(psi.conj() @ block) ** 2)) <= 1e-13
+    assert np.max(np.abs(pair[1] - frame_diagonal(block, fam.channel(psi)))) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "read",
     [lambda step: ring_overlap(4.0, 6.0, step=step), lambda step: fock_overlap("m", 6.0, step=step)],
@@ -201,7 +264,7 @@ def test_block_readout_holds_one_block_at_a_time():
     psi = coherent_state(2.0, dim).amplitudes
     tracemalloc.start()
     try:
-        overlap._block_readout([overlap._state_read(psi)], lattice, dim)
+        overlap._block_readout(overlap._state_read(psi), lattice, dim)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -210,7 +273,7 @@ def test_block_readout_holds_one_block_at_a_time():
 
 
 def test_cell_overlap_refuses_cells_over_physical_memory(monkeypatch):
-    # the side-0.75 cells at |gamma| = 1 are estimated at about 19 MB
+    # the side-0.75 cells at |gamma| = 1 are estimated at about 16.8 MB
     monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", 1_000_000)
     with pytest.raises(ValueError, match="^324 coarse cells on 2,401 lattice points need "):
         cell_overlap(0.75, 1.0)
@@ -264,6 +327,16 @@ def test_coherent_x_numeric_wide_readout_matches_exact():
 def test_coherent_x_numeric_translation_covariant():
     res = coherent_x_overlap(0.25, gamma=1.5 + 0.5j)
     assert abs(res.value - coherent_x_exact(0.25)) < 1e-6
+
+
+@pytest.mark.parametrize("delta_sq", [0.03, 0.2, 0.65, 1.0])
+def test_coherent_x_lag_sums_match_the_per_row_route(delta_sq):
+    for gamma in (0.0, 1.0, 1.5 + 0.5j):
+        res = coherent_x_overlap(delta_sq, gamma)
+        value, reference_mass, invaded_mass = per_row_coherent_x_overlap(delta_sq, gamma)
+        assert abs(res.value - value) <= 1e-13
+        assert abs(res.meta["reference_mass"] - reference_mass) <= 1e-13
+        assert abs(res.meta["invaded_mass"] - invaded_mass) <= 1e-13
 
 
 def test_quadrature_analytic_endpoints():
@@ -481,13 +554,15 @@ def test_exact_rings_agree_with_the_lattice_ring_route(d, gamma):
     labels, n_rings = ring_labels(lattice.points, d, max_radius)
     rho = np.outer(psi, psi.conj())
     rings = ring_family(d, dim, max_radius)
-    # ring_overlap reads the exact annuli through their branches
+    # ring_overlap reads the exact annuli through their branches, in one
+    # product with the untouched row, which sums <beta|psi> in another order
+    # than the product husimi takes
     exact = bhattacharyya(reference, branch_husimi(psi, rings, lattice))
     exact_mixed, lattice_route = (
         bhattacharyya(reference, husimi(fam.channel(rho), lattice))
         for fam in (rings, coherent_coarse_family(labels, n_rings, lattice, dim))
     )
-    assert exact == ring_overlap(d, gamma).value
+    assert abs(exact - ring_overlap(d, gamma).value) <= 1e-15
     assert abs(exact - exact_mixed) <= 1e-14
     assert abs(exact - lattice_route) < 1e-4
 
