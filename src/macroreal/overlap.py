@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from macroreal.hilbert import coherent_state, default_fock_dim
+from macroreal.hilbert import coherent_state, default_fock_dim, frame_diagonal
 from macroreal.instruments import (
     ComplexLattice,
     KrausFamily,
@@ -104,20 +104,10 @@ def _block_readout(read, lattice: ComplexLattice, dim: int) -> list:
     return [OutcomeDistribution(pts, weights, v / math.pi) for v in np.hstack(parts)]
 
 
-def _real_diagonal(frame: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """Re sum_i conj(frame[i, a]) image[i, a] for every column a.
-
-    Summed over the interleaved real and imaginary parts of both, so no
-    conjugate copy of the frame is made.
-    """
-    sums = np.einsum("ia,ia->a", frame.view(float), image.view(float))
-    return sums[0::2] + sums[1::2]
-
-
 def _state_read(state: np.ndarray):
     """Block read <beta| rho |beta> of a density matrix, or |<beta|psi>|^2 of a state vector."""
     if state.ndim == 2:
-        return lambda block: _real_diagonal(block, state @ block)
+        return lambda block: frame_diagonal(block, state)
     return lambda block: np.abs(state.conj() @ block) ** 2
 
 
@@ -158,7 +148,7 @@ def _pair_read(psi: np.ndarray, family: KrausFamily):
             for out, (lo, hi) in zip(amps, runs):
                 np.dot(conj[lo:hi], block[lo:hi], out=out)
             total = amps.sum(axis=0)
-            return np.stack([total.real**2 + total.imag**2, _real_diagonal(amps, amps)])
+            return np.stack([total.real**2 + total.imag**2, (amps.real**2 + amps.imag**2).sum(axis=0)])
 
         return read
     if family.fock_diagonal:
@@ -174,17 +164,9 @@ def _pair_read(psi: np.ndarray, family: KrausFamily):
 
     def read(block):
         prod = stack @ block
-        return np.stack([prod[0].real**2 + prod[0].imag**2, _real_diagonal(block, prod[1:])])
+        return np.stack([prod[0].real**2 + prod[0].imag**2, frame_diagonal(block, image=prod[1:])])
 
     return read
-
-
-def _branch_read(psi: np.ndarray, family: KrausFamily):
-    """Block read sum_a w_a |<beta| A_a psi>|^2 of a family diagonal in the Fock basis."""
-    if not family.fock_diagonal:
-        raise ValueError("branch readout needs a family diagonal in the Fock basis")
-    pair = _pair_read(psi, family)
-    return lambda block: pair(block)[1]
 
 
 def husimi(state: np.ndarray, lattice: ComplexLattice) -> OutcomeDistribution:
@@ -205,7 +187,9 @@ def branch_husimi(psi: np.ndarray, family: KrausFamily, lattice: ComplexLattice)
     costs O(n_a d) per point, O(d) for a Fock-bin partition, against O(d^2)
     for the density matrix family.channel(|psi><psi|), which is never built.
     """
-    return _block_readout(_branch_read(psi, family), lattice, psi.size)[0]
+    if not family.fock_diagonal:
+        raise ValueError("branch readout needs a family diagonal in the Fock basis")
+    return _block_readout(_pair_read(psi, family), lattice, psi.size)[1]
 
 
 def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[OverlapResult, KrausFamily]:

@@ -174,7 +174,8 @@ def test_blocked_reads_equal_the_full_stack_reads(lattice):
     dephased = fock_bin_family("2m", dim).channel(np.outer(psi, psi.conj()))
     assert np.array_equal(husimi(dephased, lattice).values, sliced(overlap._state_read(dephased)))
     for fam in (*(fock_bin_family(rule, dim) for rule in ("m", "2m^2", "100m^2")), ring_family(2.0, dim, 12.0)):
-        assert np.array_equal(branch_husimi(psi, fam, lattice).values, sliced(overlap._branch_read(psi, fam)))
+        invaded = sliced(lambda block: overlap._pair_read(psi, fam)(block)[1])
+        assert np.array_equal(branch_husimi(psi, fam, lattice).values, invaded)
 
 
 def _first_block(gamma, dim):
@@ -192,7 +193,6 @@ def _assert_pair_read_is_the_dense_branch_read(psi, fam, block):
     assert pair.shape == (2, block.shape[1])
     assert np.max(np.abs(pair[0] - reference)) <= 1e-13
     assert np.max(np.abs(pair[1] - invaded)) <= 1e-13
-    assert np.max(np.abs(overlap._branch_read(psi, fam)(block) - invaded)) <= 1e-13
 
 
 @pytest.mark.parametrize("modulus", [0.5, 1.25, 2.0, 2.75, 3.5, 4.25, 5.0, 6.0])
@@ -550,19 +550,18 @@ def test_exact_rings_agree_with_the_lattice_ring_route(d, gamma):
     lattice = ComplexLattice.square(radius, 0.25)
     max_radius = math.hypot(radius, radius) + 0.5
     psi = coherent_state(gamma, dim).amplitudes
-    reference = husimi(psi, lattice)
     labels, n_rings = ring_labels(lattice.points, d, max_radius)
     rho = np.outer(psi, psi.conj())
     rings = ring_family(d, dim, max_radius)
     # ring_overlap reads the exact annuli through their branches, in one
-    # product with the untouched row, which sums <beta|psi> in another order
-    # than the product husimi takes
-    exact = bhattacharyya(reference, branch_husimi(psi, rings, lattice))
+    # product with the untouched row
+    reference, invaded = overlap._block_readout(overlap._pair_read(psi, rings), lattice, dim)
+    exact = bhattacharyya(reference, invaded)
     exact_mixed, lattice_route = (
-        bhattacharyya(reference, husimi(fam.channel(rho), lattice))
+        bhattacharyya(husimi(psi, lattice), husimi(fam.channel(rho), lattice))
         for fam in (rings, coherent_coarse_family(labels, n_rings, lattice, dim))
     )
-    assert abs(exact - ring_overlap(d, gamma).value) <= 1e-15
+    assert exact == ring_overlap(d, gamma).value
     assert abs(exact - exact_mixed) <= 1e-14
     assert abs(exact - lattice_route) < 1e-4
 
