@@ -388,7 +388,7 @@ def _require_dichotomic(scenario: Scenario, slots=None) -> None:
     """
     for k in slots if slots is not None else range(scenario.n_slots):
         out = scenario.slots[k].instrument.outcomes
-        if out.ndim != 1 or not np.all((out == 1) | (out == -1)):
+        if out.ndim != 1 or not set(out.tolist()) <= {1, -1}:
             raise ValueError(f"slot {k} must have outcomes labelled +1 or -1")
 
 
