@@ -136,6 +136,11 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _json_text(obj) -> str:
+    """The JSON body format: indent 2, sorted keys, numpy values through _json_default, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+
+
 def _table(rows):
     """write_rows' body of row tuples (read once): a CSV line per row, every
     value through _format_cell, or the JSON list of row objects."""
@@ -144,7 +149,7 @@ def _table(rows):
         if fmt == "csv":
             return ["".join(",".join(map(_format_cell, row)) + "\n" for row in [fieldnames, *rows])]
         records = [dict(zip(fieldnames, row)) for row in rows]
-        return [json.dumps(records, indent=2, sort_keys=True, default=_json_default) + "\n"]
+        return [_json_text(records)]
 
     return body
 
@@ -310,8 +315,7 @@ def cmd_mz_scan(args: argparse.Namespace) -> int:
     summary = report.to_dict()
     if args.out:
         with open(args.out + ".summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+            fh.write(_json_text(summary))
         print(
             f"mz-scan: {len(report.mismatches)} mismatches over {report.n_points} "
             f"points ({report.n_comparisons} comparisons, "
@@ -383,9 +387,7 @@ def cmd_nsit_check(args: argparse.Namespace) -> int:
             body = {"reports": rows}
             if bundle is not None:
                 body["mr012"] = bundle.to_dict()
-            with open(args.out, "w") as fh:
-                json.dump(body, fh, indent=2, sort_keys=True, default=_json_default)
-                fh.write("\n")
+            write_rows(lambda *_: [_json_text(body)], REPORT_FIELDS, args)
     return EXIT_VIOLATION if violated else EXIT_OK
 
 

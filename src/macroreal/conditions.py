@@ -232,22 +232,8 @@ class ConditionReport:
             "residual": float(self.residual),
             "threshold": float(self.threshold),
             "holds": bool(self.holds),
-            "context": _json_safe(self.context),
+            "context": dict(self.context),
         }
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def _report(name: str, values, threshold: float) -> ConditionReport:
@@ -318,7 +304,8 @@ class MR012Report:
 
     members holds the named condition reports; the marginal mismatch compares
     each of the six partial experiments against the corresponding marginal of
-    the full three-slot joint (total variation and sup norm).
+    the full three-slot joint (total variation and sup norm), and
+    mismatch_detail maps each comparison name to its {"sup", "tv"} dict.
     """
 
     members: dict
@@ -343,7 +330,7 @@ class MR012Report:
             "mismatch_tv": float(self.mismatch_tv),
             "mismatch_sup": float(self.mismatch_sup),
             "mismatch_threshold": float(self.mismatch_threshold),
-            "mismatch_detail": _json_safe(self.mismatch_detail),
+            "mismatch_detail": {name: dict(d) for name, d in self.mismatch_detail.items()},
             "holds": bool(self.holds),
         }
 

@@ -228,11 +228,6 @@ class KrausFamily:
         coef = self.weights * self.scale**2 * frame_diagonal(self.left)
         return (self.right * coef) @ self.right.conj().T
 
-    def probability_density(self, rho: np.ndarray) -> np.ndarray:
-        """Outcome density p_a = w_a tr(A_a' A_a rho)."""
-        ops = self.dense_ops()
-        return self.weights * (ops.conj() * (ops @ rho)).real.sum(axis=(1, 2))
-
     def channel(self, rho: np.ndarray) -> np.ndarray:
         """Non-selective update sum_a w_a A_a rho A_a' of a matrix, an (m, d, d) stack, or a state vector psi for |psi><psi|."""
         if rho.ndim == 1 and self.kind == "dense":  # from the (n, d) branch vectors A_a psi: O(n d^2), not O(n d^3)
@@ -581,20 +576,8 @@ def coherent_coarse_family(
     return symmetrize_completeness(fam)
 
 
-def _ring_count(d: float, max_radius: float) -> int:
-    if d <= 0:
-        raise ValueError("ring width must be positive")
-    return int(math.ceil(max_radius / d)) + 1
-
-
-def ring_labels(points, d: float, max_radius: float) -> tuple[np.ndarray, int]:
-    """(labels, count): ring m of each point, m d <= |a| < (m + 1) d, or -1 past max_radius's rings."""
-    count = _ring_count(d, max_radius)
-    return _interval_labels(np.abs(points), d * np.arange(count + 1)), count
-
-
 def ring_family(d: float, dim: int, max_radius: float) -> KrausFamily:
-    """Exact radial binning into the annuli of ring_labels(points, d, max_radius).
+    """Exact radial binning into ceil(max_radius / d) + 1 annuli m d <= |a| < (m + 1) d.
 
     The annulus effect pi^{-1} int_{lo <= |a| < hi} |a><a| d^2a is diagonal in
     the Fock basis, with weight Q(n+1, lo^2) - Q(n+1, hi^2) on level n, where
@@ -605,7 +588,9 @@ def ring_family(d: float, dim: int, max_radius: float) -> KrausFamily:
     # imported here: importing the package loads numpy only, scipy on first call
     from scipy.special import gammaincc
 
-    count = _ring_count(d, max_radius)
+    if d <= 0:
+        raise ValueError("ring width must be positive")
+    count = int(math.ceil(max_radius / d)) + 1
     # four (count, dim) arrays at once: tail, its differences, the effects and
     # their square roots; three of count: the arguments, outcomes and weights
     require_bytes(8 * count * (4 * dim + 3), f"{count:,} ring envelopes")

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from macroreal.hilbert import coherent_state, default_fock_dim, frame_diagonal
+from macroreal.hilbert import coherent_state, default_fock_dim, frame_diagonal, require_bytes
 from macroreal.instruments import (
     ComplexLattice,
     KrausFamily,
@@ -104,13 +104,6 @@ def _block_readout(read, lattice: ComplexLattice, dim: int) -> list:
     return [OutcomeDistribution(pts, weights, v / math.pi) for v in np.hstack(parts)]
 
 
-def _state_read(state: np.ndarray):
-    """Block read <beta| rho |beta> of a density matrix, or |<beta|psi>|^2 of a state vector."""
-    if state.ndim == 2:
-        return lambda block: frame_diagonal(block, state)
-    return lambda block: np.abs(state.conj() @ block) ** 2
-
-
 def _level_runs(family: KrausFamily) -> np.ndarray | None:
     """First levels of the bins of a Fock-bin partition, or None for any other family.
 
@@ -175,21 +168,9 @@ def husimi(state: np.ndarray, lattice: ComplexLattice) -> OutcomeDistribution:
     state is a density matrix rho, or a state vector psi for rho = |psi><psi|,
     which reads |<beta|psi>|^2 at O(d) per point instead of O(d^2).
     """
-    return _block_readout(_state_read(state), lattice, state.shape[0])[0]
-
-
-def branch_husimi(psi: np.ndarray, family: KrausFamily, lattice: ComplexLattice) -> OutcomeDistribution:
-    """Husimi readout of the pure state psi after the nonselective family.
-
-    family is diagonal in the Fock basis, A_a = diag(e_a), so the invaded
-    readout is the branch sum pi^{-1} sum_a w_a |<beta| A_a psi>|^2, that is
-    sum_a w_a |(e_a * conj(psi)) C|^2 / pi for the coherent_columns C. That
-    costs O(n_a d) per point, O(d) for a Fock-bin partition, against O(d^2)
-    for the density matrix family.channel(|psi><psi|), which is never built.
-    """
-    if not family.fock_diagonal:
-        raise ValueError("branch readout needs a family diagonal in the Fock basis")
-    return _block_readout(_pair_read(psi, family), lattice, psi.size)[1]
+    if state.ndim == 2:
+        return _block_readout(lambda block: frame_diagonal(block, state), lattice, state.shape[0])[0]
+    return _block_readout(lambda block: np.abs(state.conj() @ block) ** 2, lattice, state.size)[0]
 
 
 def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[OverlapResult, KrausFamily]:
@@ -323,6 +304,11 @@ def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> Ove
     x_halfspan = abs(g) * math.sqrt(2.0) + 9.0
     dx = min(delta / 2.0, 0.05)
     n = int(math.ceil(2.0 * x_halfspan / dx)) + 1
+    # two (n x cols) kernel temporaries, cols the outcomes from 6 delta below
+    # xs[0] to 38.6 delta above it, where the envelope underflows; then about
+    # 128 bytes a position point for each lattice row's arrays and spectra
+    cols = min(HUSIMI_BLOCK, math.ceil(45.0 * delta * (n - 1) / x_halfspan))
+    require_bytes(n * (16 * cols + 128 * lattice.re_axis.size), f"{n:,} position points of the sharp readout")
     xs = np.linspace(-x_halfspan, x_halfspan, n)
     dx = xs[1] - xs[0]
 
@@ -339,8 +325,7 @@ def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> Ove
     first = np.zeros(n)
     for lo in range(0, near.size, HUSIMI_BLOCK):
         block = near[lo : lo + HUSIMI_BLOCK]
-        gax = np.exp(-((xs[:, None] - agrid[block][None, :]) ** 2) / (2.0 * delta_sq))
-        first += gax @ ga0[block]
+        first += np.exp(-((xs[:, None] - agrid[block][None, :]) ** 2) / (2.0 * delta_sq)) @ ga0[block]
     first *= (math.pi * delta_sq) ** -0.5 * da
 
     psi = _coherent_wavefunction(xs, g)
@@ -505,6 +490,10 @@ def quadrature_overlap_numeric(
     case = _quadrature_case(case, delta, kappa, sigma, t, mass)
     if n < 2:
         raise ValueError(f"position grid needs at least 2 points, got {n}")
+    # traced peaks run from 450 to 770 bytes a point (the axes, packet and phases,
+    # and QUAD_BLOCK rows of envelopes, branch spectra, FFT copies and
+    # intensities), plus under 64 KiB of small arrays on the coarsest grids
+    require_bytes(736 * n + 65536, f"{n:,} grid points of the quadrature engine")
     drift = abs(t / mass) * 3.0 * (1.0 / sigma + (1.0 / delta if case[0] == "X" else kappa))
     # A P readout of width kappa leaves branches about 1/kappa wide in position,
     # and its kernel needs a momentum step pi / halfspan finer than kappa.

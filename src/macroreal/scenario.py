@@ -135,7 +135,9 @@ class Tables(dict):
         key = table_key(len(self.slots), measured)
         pick = tuple(slice(1, None) if k in key else 0 for k in range(len(self.slots)))
         shape = [self.slots[k].instrument.n_outcomes for k in key] or [1]
-        # a contiguous copy: sums over a strided view take about twice as long
+        # a contiguous copy: joint_distribution hands it out, and a sum over a
+        # strided view of every can round differently from the same sum over a
+        # C-ordered table (marginalize); the conditions read every itself
         table = self.every[(slice(None), *pick)].reshape(len(self.every), *shape).copy()
         table.flags.writeable = False
         self[key] = table

@@ -1,6 +1,7 @@
 """Shared generators for randomized scenario sweeps, and reference routes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import scipy.fft
@@ -25,6 +26,37 @@ def kraus_operator(family, i):
         v = np.eye(family.envelopes.shape[1]) if family.basis is None else family.basis
         return v @ np.diag(family.envelopes[i]) @ v.conj().T
     return family.scale[i] * np.outer(family.left[:, i], family.right[:, i].conj())
+
+
+def born_probabilities(family, rho):
+    """Outcome probabilities w_a tr(A_a' A_a rho), from kraus_operator one outcome at a time."""
+    ops = [kraus_operator(family, a) for a in range(family.n_outcomes)]
+    return np.array([w * np.trace(op.conj().T @ op @ rho).real for w, op in zip(family.weights, ops)])
+
+
+def single_slot_table(family, rho):
+    """The table pass's outcome probabilities of one slot reading family on rho."""
+    return Scenario(DensityState(rho), (Slot(0.0, family),), ()).tables[(0,)][0]
+
+
+def ring_labels(points, d, max_radius):
+    """(labels, count): ring m of each point, m d <= |a| < (m + 1) d, for the
+    ceil(max_radius / d) + 1 rings, and -1 past the last ring's outer edge."""
+    count = math.ceil(max_radius / d) + 1
+    edges = d * np.arange(count + 1)
+    k = np.searchsorted(edges, np.hypot(points.real, points.imag), side="right") - 1
+    return np.where(k < count, k, -1), count
+
+
+def traced_peak(build):
+    """The tracemalloc peak, in bytes, of the call build()."""
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def assert_tables_are_slices_of_one_pass(tables):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from importlib import resources
 
@@ -63,7 +64,7 @@ from macroreal.instruments import (
     symmetrize_completeness,
 )
 from macroreal.mach_zehnder import MZParams, batch_numeric_residuals, mz_batch, verify_lattice
-from macroreal.scenario import Scenario, ScenarioBatch, Slot, joint_distribution, save_scenario
+from macroreal.scenario import Scenario, ScenarioBatch, Slot, joint_distribution, load_scenario, save_scenario
 from test_scenario import brute_force_joint
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -216,6 +217,48 @@ def test_mr_bundle_flags_interference():
     assert rep.members["NSIT_0(1)2"].residual > 0.2
     d = rep.to_dict()
     assert d["holds"] is False
+
+
+def _nsit_check_reports(scenario):
+    """The condition reports and the bundle that nsit-check builds for a three-slot scenario."""
+    bundle = mr012_check(scenario)
+    reports = [check(scenario, i, j) for i, j in PAIRS for check in (nsit_two_time, aot_check)]
+    reports += [bundle.members[name] for name in ("NSIT_0(1)2", "NSIT_(0)12")]
+    for check in (lgi_012, nic_012):
+        try:
+            reports.append(check(scenario))
+        except ValueError:  # outcomes not labelled +-1, as nsit-check skips them
+            pass
+    return reports, bundle
+
+
+@pytest.mark.parametrize("name", ["mz_phi0", "mz_phi_half_pi", "random_qutrit"])
+def test_report_dicts_are_plain_json(name):
+    if name == "random_qutrit":
+        scenario = random_scenario(np.random.default_rng(41), dim=3)
+    else:
+        scenario = load_scenario(resources.files("macroreal") / "data" / f"{name}.json")
+    reports, bundle = _nsit_check_reports(scenario)
+    assert len(reports) >= 8
+    # json.dumps without a default= raises on any numpy value
+    for d in [*(r.to_dict() for r in reports), bundle.to_dict()]:
+        assert json.loads(json.dumps(d)) == d
+
+
+def test_report_dicts_are_copies():
+    scenario = random_scenario(np.random.default_rng(43), dim=3)
+    lgi = lgi_012(scenario)
+    bundle = mr012_check(scenario)
+    context, detail = dict(lgi.context), {k: dict(v) for k, v in bundle.mismatch_detail.items()}
+    assert context and detail
+    for d in (lgi.to_dict(), bundle.to_dict()["members"]["AoT"]):
+        d["context"]["K"] = -1.0
+        d["context"].clear()
+    out = bundle.to_dict()
+    out["mismatch_detail"]["P0"]["sup"] = -1.0
+    out["mismatch_detail"].clear()
+    assert lgi.context == context and bundle.members["AoT"].context == {}
+    assert bundle.mismatch_detail == detail
 
 
 def marginal(tables, of, keep):

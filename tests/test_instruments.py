@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import kraus_operator, random_scenario
+from helpers import born_probabilities, kraus_operator, random_scenario, ring_labels, single_slot_table, traced_peak
 from macroreal import hilbert, instruments
 from macroreal.hilbert import coherent_amplitudes, coherent_state, operator_norm
 from macroreal.instruments import (
@@ -21,7 +21,6 @@ from macroreal.instruments import (
     identity_family,
     parse_bin_border,
     projective_family,
-    ring_labels,
     ring_family,
     single_kraus_family,
     symmetrize_completeness,
@@ -138,9 +137,6 @@ def test_dense_channel_and_density_match_einsum_form():
     def channel_form(fam, rho):
         return np.einsum("a,aij,jk,alk->il", fam.weights, fam.ops, rho, fam.ops.conj())
 
-    def density_form(fam, rho):
-        return fam.weights * np.einsum("aji,ajk,ki->a", fam.ops.conj(), fam.ops, rho).real
-
     rng = np.random.default_rng(12)
     sweep = random_scenario(rng, dim=3).slots[0].instrument
     smeared = gaussian_x_family(0.8, 8)
@@ -157,7 +153,7 @@ def test_dense_channel_and_density_match_einsum_form():
     for fam in (sweep, weighted, cells):
         rho = random_rho(rng, fam.dim)
         assert np.max(np.abs(fam.channel(rho) - channel_form(fam, rho))) < 1e-14
-        assert np.max(np.abs(fam.probability_density(rho) - density_form(fam, rho))) < 1e-14
+        assert np.max(np.abs(single_slot_table(fam, rho) - born_probabilities(fam, rho))) < 1e-14
 
 
 def test_identity_and_single_kraus():
@@ -180,9 +176,9 @@ def test_probability_density_consistency_across_kinds():
         kind="dense",
         ops=fam.dense_ops(),
     )
-    assert np.max(np.abs(fam.probability_density(rho) - dense.probability_density(rho))) < 1e-12
+    assert np.max(np.abs(single_slot_table(fam, rho) - single_slot_table(dense, rho))) < 1e-12
     assert np.max(np.abs(fam.channel(rho) - dense.channel(rho))) < 1e-12
-    assert abs(fam.probability_density(rho).sum() - 1.0) < 1e-8
+    assert abs(single_slot_table(fam, rho).sum() - 1.0) < 1e-8
 
 
 def test_rank1_consistency_with_dense():
@@ -198,7 +194,7 @@ def test_rank1_consistency_with_dense():
         kind="dense",
         ops=fam.dense_ops(),
     )
-    assert np.max(np.abs(fam.probability_density(rho) - dense.probability_density(rho))) < 1e-12
+    assert np.max(np.abs(single_slot_table(fam, rho) - single_slot_table(dense, rho))) < 1e-12
     assert np.max(np.abs(fam.channel(rho) - dense.channel(rho))) < 1e-12
     assert abs(fam.completeness_defect - dense.completeness_defect) < 1e-12
 
@@ -312,7 +308,7 @@ def test_husimi_of_vacuum_through_family_density():
     fam = coherent_projector_family(lat, dim)
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
-    density = fam.probability_density(rho) / fam.weights
+    density = single_slot_table(fam, rho) / fam.weights
     expected = np.exp(-np.abs(lat.points) ** 2) / math.pi
     assert np.max(np.abs(density - expected)) < 1e-6
 
@@ -391,16 +387,6 @@ def test_ring_family_size_estimate_is_its_traced_peak_and_a_ceiling(monkeypatch)
     assert allocated < 10_000
 
 
-def _traced_peak(build):
-    tracemalloc.start()
-    try:
-        build()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 def test_coarse_family_size_estimates_bound_their_traced_peaks(monkeypatch):
     # coherent projectors on n points at dim d peak at n (16 k d + d + 80)
     # bytes within 10%, k = 2 stacks, or 4 when the defect is read; coarse
@@ -414,13 +400,13 @@ def test_coarse_family_size_estimates_bound_their_traced_peaks(monkeypatch):
         assert n == lattice.points.size
         for stacks, ceiling in ((2, None), (4, 2.0)):
             estimate = n * (16 * stacks * dim + dim + 80)
-            peak = _traced_peak(lambda: coherent_projector_family(lattice, dim, defect_ceiling=ceiling))
+            peak = traced_peak(lambda: coherent_projector_family(lattice, dim, defect_ceiling=ceiling))
             assert 0.9 * estimate < peak < 1.1 * estimate, (n, dim, stacks, peak / estimate)
         for side in (0.75, 1.0, 2.0, 4.0):
             labels, m = cell_labels(lattice.points, side, radius + 2.0 * step)
             labels = np.where(labels < 0, 0, labels)
             estimate = 16 * n * (3 * dim + 3) + 49 * m * dim * dim
-            peak = _traced_peak(lambda: coherent_coarse_family(labels, m, lattice, dim))
+            peak = traced_peak(lambda: coherent_coarse_family(labels, m, lattice, dim))
             assert peak <= estimate < 2.5 * peak, (n, dim, side, estimate / peak)
 
     # the side-0.75 cells of cell_overlap at |gamma| = 1: 324 cells at dim 29,
@@ -434,7 +420,7 @@ def test_coarse_family_size_estimates_bound_their_traced_peaks(monkeypatch):
         coherent_coarse_family(np.where(labels < 0, 0, labels), m, lattice, 29)
     estimate = lattice.size * (16 * 2 * 29 + 29 + 80)
     monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate - 1)
-    allocated = _traced_peak(lambda: pytest.raises(ValueError, coherent_projector_family, lattice, 29))
+    allocated = traced_peak(lambda: pytest.raises(ValueError, coherent_projector_family, lattice, 29))
     assert allocated < 10_000
     monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate)
     assert coherent_projector_family(lattice, 29).n_outcomes == 2401
@@ -563,7 +549,7 @@ def test_coherent_coarse_family_is_complete_after_correction():
     assert fam.completeness_defect < 1e-10
     assert fam.meta["raw_defect"] < 0.05
     rho = coherent_state(1.0, dim).density().matrix
-    p = fam.probability_density(rho)
+    p = single_slot_table(fam, rho)
     assert abs(p.sum() - 1.0) < 1e-9
     # |gamma|=1 sits inside the first ring; heterodyne smearing leaks a bit
     # of weight over the border at radius 2 but the first ring dominates

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import per_row_coherent_x_overlap
+from helpers import per_row_coherent_x_overlap, ring_labels, traced_peak
 
 from macroreal import hilbert, overlap
 from macroreal.hilbert import coherent_state, default_fock_dim, frame_diagonal
@@ -16,7 +16,6 @@ from macroreal.instruments import (
     coherent_columns,
     coherent_projector_family,
     fock_bin_family,
-    ring_labels,
     ring_family,
 )
 from macroreal.overlap import (
@@ -24,7 +23,6 @@ from macroreal.overlap import (
     QUADRATURE_CASES,
     OutcomeDistribution,
     bhattacharyya,
-    branch_husimi,
     cell_overlap,
     coherent_delta_overlap,
     coherent_x_exact,
@@ -136,7 +134,7 @@ def test_branch_readout_equals_the_readout_of_the_channel(name):
         fam = _fock_diagonal_family(name, dim)
         assert fam.completeness_defect < 1e-14
     psi = coherent_state(gamma, dim).amplitudes
-    branches = branch_husimi(psi, fam, lattice)
+    branches = overlap._block_readout(overlap._pair_read(psi, fam), lattice, dim)[1]
     mixed = husimi(fam.channel(np.outer(psi, psi.conj())), lattice)
     assert np.max(np.abs(branches.values - mixed.values)) < 1e-14
 
@@ -165,17 +163,17 @@ def test_blocked_reads_equal_the_full_stack_reads(lattice):
 
     psi = coherent_state(gamma, dim).amplitudes
     blocked = husimi(psi, lattice).values
-    assert np.array_equal(blocked, sliced(overlap._state_read(psi)))
+    assert np.array_equal(blocked, sliced(lambda block: np.abs(psi.conj() @ block) ** 2))
     # a threaded BLAS splits one product over the whole stack among its threads
     # by the column count and may sum a point at the split in another order;
     # |psi| = 1 and |<n|beta>| <= 1 bound the gap
     full = np.abs(psi.conj() @ cols) ** 2 / math.pi
     assert np.max(np.abs(blocked - full)) <= 2.0 * dim * np.finfo(float).eps / math.pi
     dephased = fock_bin_family("2m", dim).channel(np.outer(psi, psi.conj()))
-    assert np.array_equal(husimi(dephased, lattice).values, sliced(overlap._state_read(dephased)))
+    assert np.array_equal(husimi(dephased, lattice).values, sliced(lambda block: frame_diagonal(block, dephased)))
     for fam in (*(fock_bin_family(rule, dim) for rule in ("m", "2m^2", "100m^2")), ring_family(2.0, dim, 12.0)):
-        invaded = sliced(lambda block: overlap._pair_read(psi, fam)(block)[1])
-        assert np.array_equal(branch_husimi(psi, fam, lattice).values, invaded)
+        invaded = overlap._block_readout(overlap._pair_read(psi, fam), lattice, dim)[1]
+        assert np.array_equal(invaded.values, sliced(lambda block: overlap._pair_read(psi, fam)(block)[1]))
 
 
 def _first_block(gamma, dim):
@@ -264,7 +262,7 @@ def test_block_readout_holds_one_block_at_a_time():
     psi = coherent_state(2.0, dim).amplitudes
     tracemalloc.start()
     try:
-        overlap._block_readout(overlap._state_read(psi), lattice, dim)
+        husimi(psi, lattice)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -277,14 +275,6 @@ def test_cell_overlap_refuses_cells_over_physical_memory(monkeypatch):
     monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", 1_000_000)
     with pytest.raises(ValueError, match="^324 coarse cells on 2,401 lattice points need "):
         cell_overlap(0.75, 1.0)
-
-
-def test_branch_readout_refuses_families_off_the_fock_basis():
-    lattice = ComplexLattice.square(2.0, 0.5)
-    fam = coherent_projector_family(lattice, 10)
-    psi = coherent_state(0.5, 10).amplitudes
-    with pytest.raises(ValueError):
-        branch_husimi(psi, fam, lattice)
 
 
 def test_coherent_delta_overlap_near_ideal():
@@ -495,6 +485,59 @@ def test_quadrature_band_cut_against_the_full_circle(monkeypatch):
                 compared += 1
     # PP at t = 0 on 54 points reads momentum lags that cover the circle
     assert compared == 26 and covered == [("PP", 0.0, 54)]
+
+
+def _sharp_readout_estimate(delta_sq, gamma, step):
+    """(n, peak bytes) of coherent_x_overlap: two (n x cols) kernel temporaries,
+    cols the outcomes within 45 delta of the grid's first point, and 128 bytes
+    a position point for each of the m lattice rows."""
+    x_halfspan = abs(gamma) * math.sqrt(2.0) + 9.0
+    n = math.ceil(2.0 * x_halfspan / min(math.sqrt(delta_sq) / 2.0, 0.05)) + 1
+    cols = min(HUSIMI_BLOCK, math.ceil(45.0 * math.sqrt(delta_sq) * (n - 1) / x_halfspan))
+    m = ComplexLattice.square(6.0, step, center=gamma).re_axis.size
+    return n, n * (16 * cols + 128 * m)
+
+
+def test_grid_engine_size_estimates_bound_their_traced_peaks():
+    # each estimate is at least the traced peak and at most 2.5 times it
+    coherent_x_overlap(0.5)  # scipy.fft is imported before tracing
+    sharp = ((1.0, 0.0, 0.25), (1e-3, 0.0, 0.25), (1e-3, 2 + 1j, 0.125), (0.05, 1.0, 0.5), (9.0, 3.0, 0.5))
+    for delta_sq, gamma, step in sharp:
+        n, estimate = _sharp_readout_estimate(delta_sq, gamma, step)
+        assert n == coherent_x_overlap(delta_sq, gamma, step=step).meta["x_grid"]["n"]
+        peak = traced_peak(lambda: coherent_x_overlap(delta_sq, gamma, step=step))
+        assert peak <= estimate < 2.5 * peak, (delta_sq, gamma, step, estimate / peak)
+    quadrature = (
+        ("XX", 32, 0.0, {"sigma": 50.0}),
+        ("PX", 128, 1.0, {}),
+        ("PP", 1024, 1.0, {}),
+        ("XP", 4096, 2.0, {"delta": 0.5, "kappa": 2.0}),
+        ("XX", 16384, 1.0, {}),
+        ("PP", 65536, 1.0, {"sigma": 2.0}),
+    )
+    for case, n, t, kwargs in quadrature:
+        quadrature_overlap_numeric(case, t=t, n=n, **kwargs)  # FFT plans are made before tracing
+        peak = traced_peak(lambda: quadrature_overlap_numeric(case, t=t, n=n, **kwargs))
+        estimate = 736 * n + 65536
+        assert peak <= estimate < 2.5 * peak, (case, n, estimate / peak)
+
+
+def test_grid_engines_refuse_grids_over_physical_memory(monkeypatch):
+    # refused before any array of grid points is built
+    n, estimate = _sharp_readout_estimate(1e-3, 0.0, 0.25)
+    monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate - 1)
+    with pytest.raises(ValueError, match=f"^{n:,} position points of the sharp readout need {estimate:,} bytes"):
+        coherent_x_overlap(1e-3)
+    assert traced_peak(lambda: pytest.raises(ValueError, coherent_x_overlap, 1e-3)) < 10_000
+    monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate)
+    assert coherent_x_overlap(1e-3).meta["x_grid"]["n"] == n
+    estimate = 736 * 4096 + 65536
+    monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate - 1)
+    with pytest.raises(ValueError, match=f"^4,096 grid points of the quadrature engine need {estimate:,} bytes"):
+        quadrature_overlap_numeric("XX", t=1.0)
+    assert traced_peak(lambda: pytest.raises(ValueError, quadrature_overlap_numeric, "XX", t=1.0)) < 10_000
+    monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate)
+    assert quadrature_overlap_numeric("XX", t=1.0).meta["case"] == "XX"
 
 
 def test_quadrature_memory_does_not_scale_with_the_outcome_grid():
