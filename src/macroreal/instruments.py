@@ -542,14 +542,7 @@ def coherent_coarse_family(
     labels = np.asarray(labels)
     if labels.shape != pts.shape or np.any((labels < 0) | (labels >= n_outcomes)):
         raise ValueError(f"every lattice point needs a label in range({n_outcomes})")
-    # three (dim, n) complex stacks at most while the roots are taken: the
-    # scaled columns and their sorted copy, then the sorted columns, a group's
-    # point block and its left singular vectors; three (n_outcomes, dim, dim)
-    # ones once the columns are released, the ops and the two copies
-    # completeness_operator makes in symmetrize_completeness, and the ops'
-    # finite-entry mask
-    n, ops_size = pts.size, n_outcomes * dim * dim
-    require_bytes(16 * n * (3 * dim + 3) + 49 * ops_size, f"{n_outcomes:,} coarse cells on {n:,} lattice points")
+    require_coarse_bytes(n_outcomes, pts.size, dim)
     # the root of the moment B_a B_a', one column sqrt(w_j / pi) |alpha_j> of B_a
     # per point, is U s U' from the SVD B_a = U s V': exact to roundoff, where
     # eigh of B_a B_a' leaves ~sqrt(eps) in the null space of a small cell
@@ -574,6 +567,22 @@ def coherent_coarse_family(
         meta={"lattice": lattice.describe(), "dim": dim},
     )
     return symmetrize_completeness(fam)
+
+
+def require_coarse_bytes(n_outcomes: int, n_points: int, dim: int) -> None:
+    """Raise ValueError when coherent_coarse_family of these sizes would exceed physical memory.
+
+    Its peak holds three (dim, n_points) complex stacks at most while the
+    roots are taken: the scaled columns and their sorted copy, then the
+    sorted columns, a group's point block and its left singular vectors;
+    and three (n_outcomes, dim, dim) ones once the columns are released, the
+    ops and the two copies completeness_operator makes in
+    symmetrize_completeness, and the ops' finite-entry mask.
+    """
+    require_bytes(
+        16 * n_points * (3 * dim + 3) + 49 * n_outcomes * dim * dim,
+        f"{n_outcomes:,} coarse cells on {n_points:,} lattice points",
+    )
 
 
 def ring_family(d: float, dim: int, max_radius: float) -> KrausFamily:
@@ -613,13 +622,18 @@ def cell_labels(points, side: float, extent: float) -> tuple[np.ndarray, int]:
     with j, for n cells per axis from lo = -n side / 2. Returns (labels, n^2),
     with -1 for a point outside every cell.
     """
-    if side <= 0:
-        raise ValueError("cell side must be positive")
-    n = int(math.ceil(2 * extent / side))
+    n = cells_per_axis(side, extent)
     edges = -0.5 * n * side + side * np.arange(n + 1)
     i = _interval_labels(points.real, edges)
     j = _interval_labels(points.imag, edges)
     return np.where((i >= 0) & (j >= 0), i * n + j, -1), n * n
+
+
+def cells_per_axis(side: float, extent: float) -> int:
+    """Cells of the given side along each axis of the cell_labels partition of [-extent, extent]^2."""
+    if side <= 0:
+        raise ValueError("cell side must be positive")
+    return int(math.ceil(2 * extent / side))
 
 
 def _interval_labels(x: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ free evolution.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -24,10 +25,12 @@ from macroreal.instruments import (
     ComplexLattice,
     KrausFamily,
     cell_labels,
+    cells_per_axis,
     coherent_coarse_family,
     coherent_columns,
     coherent_projector_family,
     fock_bin_family,
+    require_coarse_bytes,
     ring_family,
 )
 
@@ -83,25 +86,71 @@ def bhattacharyya(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     return float(np.dot(p.weights, np.sqrt(pv * qv)))
 
 
-HUSIMI_BLOCK = 2048  # lattice points per readout block; bounds the (rows x block) temporaries and built columns
+HUSIMI_BLOCK = 2048  # points per readout block of _quadrant; bounds the built columns and the (rows x block) temporaries
 QUAD_BLOCK = 8  # first-readout outcomes per grid-engine block; bounds the (block x n) branch arrays
 
 
-def _block_readout(read, lattice: ComplexLattice, dim: int) -> list:
-    """Readout densities pi^{-1} read(block) over HUSIMI_BLOCK lattice points at a time.
+def _quadrant(lattice: ComplexLattice) -> tuple[np.ndarray, np.ndarray, int]:
+    """(points, where, count): the points whose columns are built, and where each lattice point is read.
 
-    read returns one density row per block, or a (k, block) stack of k rows,
-    and the list holds one distribution per row. Each block, the
-    coherent_columns of its points, is built once and released before the
-    next is built, so one block is held at a time.
+    When both axes are exact mirrors about 0, the points are the quadrant
+    Re, Im >= 0, each read as count = 4 images b, -b, b*, -b* (see _images),
+    and lattice point p is entry where[p] of the (count, points) read
+    flattened. Any other lattice is its own quadrant, read as the identity
+    image alone.
     """
-    pts, weights = lattice.points, lattice.weights
+    re, im = lattice.re_axis, lattice.im_axis
+    if not (np.array_equal(re, -re[::-1]) and np.array_equal(im, -im[::-1])):
+        return lattice.points, np.arange(lattice.size), 1
+
+    def fold(axis):
+        # each index's nonnegative mirror, counted from the axis's first
+        # nonnegative value, and whether the value is negative
+        k = np.arange(axis.size)
+        return np.maximum(k, axis.size - 1 - k) - axis.size // 2, axis < 0
+
+    (i, re_neg), (j, im_neg) = fold(re), fold(im)
+    points = (re[re.size // 2 :, None] + 1j * im[im.size // 2 :]).ravel()
+    image = 2 * (re_neg[:, None] != im_neg) + re_neg[:, None]  # 0: b, 1: -b, 2: b*, 3: -b*
+    where = image * points.size + i[:, None] * (im.size - im.size // 2) + j
+    return points, where.ravel(), 4
+
+
+def _images(x: np.ndarray, count: int, *, matrix: bool = False) -> np.ndarray:
+    """The first count of x, x P, x*, x* P, or for a matrix of x, P x P, x*, P x* P; P = diag((-1)^k).
+
+    They read the images b, -b, b*, -b* of a point b from the columns C(b) of
+    b alone: C_k(-b) = (-1)^k C_k(b) and C_k(b*) = C_k(b)* exactly, so a row r
+    reads r . C(-b) = r P . C(b) and r . C(b*) = (r* . C(b))*, of the same
+    modulus, and a density matrix rho reads Re <-b| rho |-b> as
+    Re C(b)' P rho P C(b) and Re <b*| rho |b*> as Re C(b)' rho* C(b).
+    """
+    sign = 1.0 - 2.0 * (np.arange(x.shape[-1]) % 2)
+    flipped = x * sign
+    if matrix:
+        flipped *= sign[:, None]
+    return np.stack([x, flipped, x.conj(), flipped.conj()][:count])
+
+
+def _block_readout(reader, lattice: ComplexLattice, dim: int) -> list:
+    """Readout densities pi^{-1} read(block) on the lattice, one distribution per read row.
+
+    _quadrant names the points whose coherent_columns are built, and how many
+    images each is read as; reader(count) returns the block read, which gives
+    a (rows, count, block) stack, or (count, block) for one row. The blocks
+    of HUSIMI_BLOCK points are built one at a time and each is released
+    before the next is built; the reads are gathered into lattice order.
+    """
+    points, where, count = _quadrant(lattice)
+    read = reader(count)
     parts = []
-    for lo in range(0, pts.size, HUSIMI_BLOCK):
-        block = coherent_columns(pts[lo : lo + HUSIMI_BLOCK], dim)
-        parts.append(np.atleast_2d(read(block)))
+    for lo in range(0, points.size, HUSIMI_BLOCK):
+        block = coherent_columns(points[lo : lo + HUSIMI_BLOCK], dim)
+        parts.append(read(block).reshape(-1, count, block.shape[1]))
         del block
-    return [OutcomeDistribution(pts, weights, v / math.pi) for v in np.hstack(parts)]
+    values = np.concatenate(parts, axis=2).reshape(parts[0].shape[0], -1)[:, where]
+    pts, weights = lattice.points, lattice.weights
+    return [OutcomeDistribution(pts, weights, v / math.pi) for v in values]
 
 
 def _level_runs(family: KrausFamily) -> np.ndarray | None:
@@ -120,46 +169,55 @@ def _level_runs(family: KrausFamily) -> np.ndarray | None:
     return starts if starts.size == np.unique(owner).size else None
 
 
-def _pair_read(psi: np.ndarray, family: KrausFamily):
-    """Block read of the stack (|<beta|psi>|^2, invaded readout) of psi and the nonselective family.
+def _pair_read(psi: np.ndarray, family: KrausFamily, count: int):
+    """Block read of the (|<beta|psi>|^2, invaded readout) stack of psi and the nonselective family.
 
-    Each block is read once for both rows. A Fock-bin partition sums psi*
-    times the columns over each bin's run of levels, a_b = psi*[b] . C[b], at
-    O(d) per point: the invaded readout is sum_b |a_b|^2, the untouched one
-    |sum_b a_b|^2. Any other family diagonal in the Fock basis stacks psi* on
-    top of its branch rows e_a * psi*, and any other family on top of the
-    density matrix family.channel(psi), read as Re <beta| rho |beta>; either
-    stack is one product with the block.
+    Each block is read once for both rows and all count images (_images). A
+    Fock-bin partition sums psi* times the columns over each bin's run of
+    levels, a_b = psi*[b] . C[b], at O(d) per point: the invaded readout is
+    sum_b |a_b|^2, the untouched one |sum_b a_b|^2, both accumulated run by
+    run. Any other family diagonal in the Fock basis stacks psi* on top of
+    its branch rows e_a * psi*, one product with the block for all images;
+    any other family reads the density matrix family.channel(psi) as
+    Re <beta| rho |beta> beside the row psi*.
     """
     conj = psi.conj()
     starts = _level_runs(family)
     if starts is not None:
+        rows = _images(conj, count)
         runs = list(zip(starts, [*starts[1:], psi.size]))
 
         def read(block):
-            amps = np.empty((len(runs), block.shape[1]), dtype=complex)
-            for out, (lo, hi) in zip(amps, runs):
-                np.dot(conj[lo:hi], block[lo:hi], out=out)
-            total = amps.sum(axis=0)
-            return np.stack([total.real**2 + total.imag**2, (amps.real**2 + amps.imag**2).sum(axis=0)])
+            total = np.zeros((count, block.shape[1]), dtype=complex)
+            invaded = np.zeros((count, block.shape[1]))
+            for lo, hi in runs:
+                amps = rows[:, lo:hi] @ block[lo:hi]
+                total += amps
+                invaded += _power(amps)
+            return np.stack([_power(total), invaded])
 
         return read
     if family.fock_diagonal:
-        stack = np.vstack([conj, family.envelopes * conj])
+        stack = _images(np.vstack([conj, family.envelopes * conj]), count).reshape(-1, psi.size)
 
         def read(block):
-            amps = stack @ block
-            power = amps.real**2 + amps.imag**2
-            return np.stack([power[0], family.weights @ power[1:]])
+            power = _power(stack @ block).reshape(count, -1, block.shape[1])
+            return np.stack([power[:, 0], family.weights @ power[:, 1:]])
 
         return read
-    stack = np.vstack([conj, family.channel(psi)])
+    rows, rhos = _images(conj, count), _images(family.channel(psi), count, matrix=True)
 
     def read(block):
-        prod = stack @ block
-        return np.stack([prod[0].real**2 + prod[0].imag**2, frame_diagonal(block, image=prod[1:])])
+        return np.stack([_power(rows @ block), frame_diagonal(block, rhos)])
 
     return read
+
+
+def _power(amps: np.ndarray) -> np.ndarray:
+    """|amps|^2 of a complex array, whose parts are squared in place."""
+    parts = amps.view(float)
+    np.square(parts, out=parts)
+    return parts[..., 0::2] + parts[..., 1::2]
 
 
 def husimi(state: np.ndarray, lattice: ComplexLattice) -> OutcomeDistribution:
@@ -169,8 +227,18 @@ def husimi(state: np.ndarray, lattice: ComplexLattice) -> OutcomeDistribution:
     which reads |<beta|psi>|^2 at O(d) per point instead of O(d^2).
     """
     if state.ndim == 2:
-        return _block_readout(lambda block: frame_diagonal(block, state), lattice, state.shape[0])[0]
-    return _block_readout(lambda block: np.abs(state.conj() @ block) ** 2, lattice, state.size)[0]
+
+        def reader(count):
+            rhos = _images(state, count, matrix=True)
+            return lambda block: frame_diagonal(block, rhos)
+
+    else:
+
+        def reader(count):
+            rows = _images(state.conj(), count)
+            return lambda block: _power(rows @ block)
+
+    return _block_readout(reader, lattice, state.shape[0])[0]
 
 
 def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[OverlapResult, KrausFamily]:
@@ -193,7 +261,7 @@ def _readout_overlap(gamma, dim: int | None, step: float, readout) -> tuple[Over
     lattice = ComplexLattice.square(radius, step)
     family = readout(lattice, radius, dim)
     psi = coherent_state(g, dim).amplitudes
-    reference, invaded = _block_readout(_pair_read(psi, family), lattice, dim)
+    reference, invaded = _block_readout(functools.partial(_pair_read, psi, family), lattice, dim)
     meta = {
         "reference_mass": reference.mass,
         "invaded_mass": invaded.mass,
@@ -243,7 +311,10 @@ def cell_overlap(side: float, gamma, *, dim: int | None = None, step: float = 0.
     """
 
     def readout(lattice, radius, dim):
-        labels, n_cells = cell_labels(lattice.points, side, radius + 2.0 * step)
+        extent = radius + 2.0 * step
+        # refused before the lattice points and their labels are built
+        require_coarse_bytes(cells_per_axis(side, extent) ** 2, lattice.size, dim)
+        labels, n_cells = cell_labels(lattice.points, side, extent)
         return coherent_coarse_family(labels, n_cells, lattice, dim, label=f"cells(side={side:g})")
 
     result, _ = _readout_overlap(gamma, dim, step, readout)
@@ -305,10 +376,11 @@ def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> Ove
     dx = min(delta / 2.0, 0.05)
     n = int(math.ceil(2.0 * x_halfspan / dx)) + 1
     # two (n x cols) kernel temporaries, cols the outcomes from 6 delta below
-    # xs[0] to 38.6 delta above it, where the envelope underflows; then about
-    # 128 bytes a position point for each lattice row's arrays and spectra
+    # xs[0] to 38.6 delta above it, where the envelope underflows; then at most
+    # 64 bytes a position point for each lattice row: its row and the row's
+    # spectrum, at least 2n long
     cols = min(HUSIMI_BLOCK, math.ceil(45.0 * delta * (n - 1) / x_halfspan))
-    require_bytes(n * (16 * cols + 128 * lattice.re_axis.size), f"{n:,} position points of the sharp readout")
+    require_bytes(n * (16 * cols + 64 * lattice.re_axis.size), f"{n:,} position points of the sharp readout")
     xs = np.linspace(-x_halfspan, x_halfspan, n)
     dx = xs[1] - xs[0]
 
@@ -344,11 +416,20 @@ def coherent_x_overlap(delta_sq: float, gamma=0.0, *, step: float = 0.25) -> Ove
     # R_r(-tau) = R_r(tau)* and k is even, its real part sums tau >= 0 with
     # weight 1 at tau = 0 and 2 beyond. R_r is ifft(|fft(e_r, L)|^2) at a fast
     # length L >= 2n - 1, where no lag wraps around.
+    # Each full-length array is released once read: the rows after their
+    # spectra, the spectra after their power, and the inverse transform once
+    # its first n lags are copied out.
     length = scipy.fft.next_fast_len(2 * n - 1)
     spectra = scipy.fft.fft(rows, length, axis=1)
-    autocorr = scipy.fft.ifft(spectra.real**2 + spectra.imag**2, axis=1)[:, :n]
+    del rows
+    power = _power(spectra)
+    del spectra
+    lags = scipy.fft.ifft(power, axis=1)
+    del power
+    weighted = lags[:, :n].copy()
+    del lags
     first[1:] *= 2.0  # c_tau k(tau)
-    weighted = autocorr * first
+    weighted *= first
     phases = np.outer(omega, dx * np.arange(n))
     # Re(R e^{-i phi}) = Re R cos(phi) + Im R sin(phi); einsum sums in its own
     # loops, not BLAS, so no thread count moves a bit
@@ -466,8 +547,22 @@ def quadrature_overlap_numeric(
     """Grid-engine overlap for smeared quadrature pairs.
 
     The first instrument is applied branch by branch on its outcome grid,
-    QUAD_BLOCK outcomes at a time, and each branch evolves freely via FFT. The
-    final smeared readout acts on the summed intensity v as one circular
+    QUAD_BLOCK outcomes at a time, and each branch evolves freely via FFT.
+    Parity maps both grids onto themselves by the index mirror
+    j -> (n - j) mod n: the positions are the multiples (j - n / 2) dx and
+    the outcomes a_step * (-m, ..., m). So only the outcomes a >= 0 are
+    evolved, a = 0 at half weight, and their summed intensity is added to its
+    mirror. The mirror is exact but at one sample without a partner on the
+    grid, where the envelopes of a and -a differ: x_0 = -h for a first X
+    readout, the Nyquist momentum -pi / dx of an even n for a first P
+    readout. Only that sample of each branch's amplitude moves, so by
+    Cauchy-Schwarz over the unitary free flight the summed intensity moves by
+    less than 3 sqrt(p_0) in total, p_0 the packet's probability at the
+    sample: below dx (pi sigma^2)^{-1/2} e^{-64} at x_0, since h > 8 sigma,
+    and about 4 dp sigma pi^{-1/2} e^{-36} or less at the Nyquist momentum,
+    since pi / dx >= 6 / sigma.
+
+    The final smeared readout acts on the summed intensity v as one circular
     convolution with the sampled Gaussian kernel k, normalised to unit mass on
     the axis, on the engine's own periodic axis: the positions xs for an X
     readout, the FFT momenta in fftfreq order for a P readout. The convolution
@@ -492,13 +587,15 @@ def quadrature_overlap_numeric(
         raise ValueError(f"position grid needs at least 2 points, got {n}")
     # traced peaks run from 450 to 770 bytes a point (the axes, packet and phases,
     # and QUAD_BLOCK rows of envelopes, branch spectra, FFT copies and
-    # intensities), plus under 64 KiB of small arrays on the coarsest grids
-    require_bytes(736 * n + 65536, f"{n:,} grid points of the quadrature engine")
+    # intensities), plus under 32 KiB of small arrays on the coarsest grids
+    require_bytes(736 * n + 32768, f"{n:,} grid points of the quadrature engine")
     drift = abs(t / mass) * 3.0 * (1.0 / sigma + (1.0 / delta if case[0] == "X" else kappa))
     # A P readout of width kappa leaves branches about 1/kappa wide in position,
     # and its kernel needs a momentum step pi / halfspan finer than kappa.
     halfspan = 8.0 * max(sigma, 1.0, 1.0 / kappa) + drift + 6.0 * max(delta, kappa)
-    xs, dx = np.linspace(-halfspan, halfspan, n, endpoint=False, retstep=True)
+    # integer multiples of dx / 2, so that -xs[j] is xs[(n - j) mod n] exactly for j >= 1
+    dx = 2.0 * halfspan / n
+    xs = (np.arange(n) - n / 2) * dx
     commuting = case == "XX" and t == 0.0
     if "X" in case and delta < 1.5 * dx and not commuting:
         raise ValueError(
@@ -519,12 +616,15 @@ def quadrature_overlap_numeric(
     # quadrature; in momentum the packet width is 1/sigma.
     spread1 = 6.0 * (sigma if first == "X" else 1.0 / sigma) + 6.0 * width1
     a_step = width1 / 4.0
-    agrid = np.arange(-spread1, spread1 + a_step / 2.0, a_step)
+    # the outcomes a >= 0 of the grid a_step * (-m, ..., m); outcome -a's
+    # branch is the index mirror of outcome a's
+    agrid = a_step * np.arange(round(spread1 / a_step) + 1)
 
     # Branches and reference after the free flight, as FFT coefficients; a
     # momentum filter commutes with the free-flight phase. The branches are
     # built, evolved and read QUAD_BLOCK outcomes at a time, with the envelope
-    # arithmetic in place, and only their summed intensity is kept.
+    # arithmetic in place, and only their summed intensity is kept, a = 0 at
+    # half weight since its mirror is itself.
     phase = np.exp(-1j * ps**2 * t / (2.0 * mass))
     ref_k = np.fft.fft(psi0) * phase
     summed = np.zeros(n)
@@ -542,7 +642,10 @@ def quadrature_overlap_numeric(
             branches_k = ref_k * env
         amp = np.abs(np.fft.ifft(branches_k, axis=1) if second == "X" else branches_k)
         np.square(amp, out=amp)
+        if lo == 0:
+            amp[0] *= 0.5
         summed += amp.sum(axis=0)
+    summed += summed[-np.arange(n)]
 
     # Intensities as probabilities per axis sample; by Parseval a momentum
     # sample carries |fft|^2 dx / n.

@@ -184,3 +184,56 @@ def per_row_coherent_x_overlap(delta_sq, gamma=0.0, step=0.25):
     p_ref = OutcomeDistribution(lattice.points, lattice.weights, q0.ravel())
     p_inv = OutcomeDistribution(lattice.points, lattice.weights, np.clip(q1.ravel(), 0.0, None))
     return bhattacharyya(p_ref, p_inv), p_ref.mass, p_inv.mass
+
+
+def coherent_column_oracle(points, dim):
+    """<k|b> = e^{-|b|^2 / 2} b^k / sqrt(k!) for every point b, from powers and factorials."""
+    k = np.arange(dim)[:, None]
+    root_factorials = np.sqrt([float(math.factorial(i)) for i in range(dim)])[:, None]
+    return np.exp(-0.5 * np.abs(points) ** 2) * points**k / root_factorials
+
+
+def full_lattice_reads(psi, family, points):
+    """(reference, invaded): the Husimi densities pi^{-1} |<b|psi>|^2 and
+    pi^{-1} sum_a w_a |<b|A_a psi>|^2 at every point b, with the columns of
+    every point built and A_a from kraus_operator."""
+    cols = coherent_column_oracle(points, psi.size)
+    reference = np.abs(cols.conj().T @ psi) ** 2 / math.pi
+    branches = np.array([kraus_operator(family, a) @ psi for a in range(family.n_outcomes)])
+    invaded = family.weights @ np.abs(branches.conj() @ cols) ** 2 / math.pi
+    return reference, invaded
+
+
+def full_lattice_density_read(rho, points):
+    """pi^{-1} Re <b| rho |b> at every point b, with the columns of every point built."""
+    cols = coherent_column_oracle(points, rho.shape[0])
+    return np.einsum("ib,ij,jb->b", cols.conj(), rho, cols).real / math.pi
+
+
+def all_outcome_intensities(case, delta=1.0, kappa=1.0, sigma=1.0, t=0.0, mass=1.0, n=4096):
+    """(invaded, reference) intensities of quadrature_overlap_numeric before its final smear.
+
+    The same grids: position step dx = 2 h / n with xs = (j - n / 2) dx, the
+    FFT momenta, and the first readout's outcomes a_step * (-m, ..., m); but
+    every outcome's branch is built, evolved and summed on its own.
+    """
+    first, second = case
+    drift = abs(t / mass) * 3.0 * (1.0 / sigma + (1.0 / delta if first == "X" else kappa))
+    halfspan = 8.0 * max(sigma, 1.0, 1.0 / kappa) + drift + 6.0 * max(delta, kappa)
+    dx = 2.0 * halfspan / n
+    xs = (np.arange(n) - n / 2) * dx
+    ps = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
+    psi0 = (math.pi * sigma**2) ** -0.25 * np.exp(-(xs**2) / (2.0 * sigma**2))
+    width = delta if first == "X" else kappa
+    a_step = width / 4.0
+    m = round((6.0 * (sigma if first == "X" else 1.0 / sigma) + 6.0 * width) / a_step)
+    phase = np.exp(-1j * ps**2 * t / (2.0 * mass))
+    ref_k = np.fft.fft(psi0) * phase
+    summed = np.zeros(n)
+    for a in a_step * np.arange(-m, m + 1):
+        env = (math.pi * width**2) ** -0.25 * np.exp(-((a - (xs if first == "X" else ps)) ** 2) / (2.0 * width**2))
+        branch_k = np.fft.fft(env * psi0) * phase if first == "X" else ref_k * env
+        summed += np.abs(np.fft.ifft(branch_k) if second == "X" else branch_k) ** 2
+    if second == "X":
+        return a_step * dx * summed, dx * np.abs(np.fft.ifft(ref_k)) ** 2
+    return a_step * dx / n * summed, dx / n * np.abs(ref_k) ** 2

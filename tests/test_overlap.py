@@ -1,9 +1,18 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import per_row_coherent_x_overlap, ring_labels, traced_peak
+from helpers import (
+    all_outcome_intensities,
+    full_lattice_density_read,
+    full_lattice_reads,
+    per_row_coherent_x_overlap,
+    random_density,
+    ring_labels,
+    traced_peak,
+)
 
 from macroreal import hilbert, overlap
 from macroreal.hilbert import coherent_state, default_fock_dim, frame_diagonal
@@ -36,6 +45,7 @@ from macroreal.overlap import (
 from macroreal.scenario import Scenario, Slot
 
 IDEAL_DELTA = 2.0 * math.sqrt(2.0) / 3.0
+EPS = np.finfo(float).eps
 
 
 def gaussian_distribution(mean, var, grid):
@@ -59,6 +69,11 @@ def _fock_diagonal_family(name, dim):
     return KrausFamily(
         label=name, outcomes=np.arange(weights.size), weights=weights, kind="diagonal", envelopes=envelopes
     )
+
+
+def _pair_readout(psi, fam, lattice, dim):
+    """(reference, invaded) distributions of the one pair read the Fock-engine overlaps take."""
+    return overlap._block_readout(functools.partial(overlap._pair_read, psi, fam), lattice, dim)
 
 
 def test_bhattacharyya_identical_and_disjoint():
@@ -134,75 +149,88 @@ def test_branch_readout_equals_the_readout_of_the_channel(name):
         fam = _fock_diagonal_family(name, dim)
         assert fam.completeness_defect < 1e-14
     psi = coherent_state(gamma, dim).amplitudes
-    branches = overlap._block_readout(overlap._pair_read(psi, fam), lattice, dim)[1]
+    branches = _pair_readout(psi, fam, lattice, dim)[1]
     mixed = husimi(fam.channel(np.outer(psi, psi.conj())), lattice)
     assert np.max(np.abs(branches.values - mixed.values)) < 1e-14
+
+
+def _squared_modulus(amps):
+    return amps.real**2 + amps.imag**2
 
 
 @pytest.mark.parametrize(
     "lattice",
     [
-        ComplexLattice.square(5.0, 0.25),  # 1,681 points, below one block
-        ComplexLattice(-7.875, 7.875, -7.875, 7.875, 0.25),  # 4,096 points, two blocks
-        ComplexLattice.square(6.0, 0.25),  # 2,401 points, one block and a remainder
+        ComplexLattice.square(5.0, 0.25),  # a 21 x 21 quadrant, below one block
+        ComplexLattice(-15.875, 15.875, -15.875, 15.875, 0.25),  # a 64 x 64 quadrant, two blocks
+        ComplexLattice.square(12.0, 0.25),  # a 49 x 49 quadrant, one block and a remainder
     ],
 )
 def test_blocked_reads_equal_the_full_stack_reads(lattice):
-    # each HUSIMI_BLOCK block of columns is built on its own; the recurrence is
-    # elementwise per point, so every block is its slice of the full stack and
-    # each read of the blocks gives the bits of the same read of those slices
+    # each HUSIMI_BLOCK block of the quadrant's columns is built on its own; the
+    # recurrence is elementwise per point, so every block is its slice of the
+    # quadrant's full stack, and each read of the blocks, gathered into lattice
+    # order, gives the bits of the same read of those slices
     gamma = 2.0 - 1.0j
     dim = default_fock_dim(gamma)
-    pts = lattice.points
-    cols = coherent_columns(pts, dim)
-    blocks = [slice(lo, lo + HUSIMI_BLOCK) for lo in range(0, pts.size, HUSIMI_BLOCK)]
-    assert all(np.array_equal(coherent_columns(pts[b], dim), cols[:, b]) for b in blocks)
+    points, where, count = overlap._quadrant(lattice)
+    assert count == 4 and where.size == lattice.size
+    cols = coherent_columns(points, dim)
+    blocks = [slice(lo, lo + HUSIMI_BLOCK) for lo in range(0, points.size, HUSIMI_BLOCK)]
+    assert all(np.array_equal(coherent_columns(points[b], dim), cols[:, b]) for b in blocks)
 
     def sliced(read):
-        return np.concatenate([read(cols[:, b]) for b in blocks]) / math.pi
+        return np.concatenate([read(cols[:, b]) for b in blocks], axis=-1).ravel()[where] / math.pi
 
     psi = coherent_state(gamma, dim).amplitudes
+    rows = overlap._images(psi.conj(), count)
     blocked = husimi(psi, lattice).values
-    assert np.array_equal(blocked, sliced(lambda block: np.abs(psi.conj() @ block) ** 2))
-    # a threaded BLAS splits one product over the whole stack among its threads
-    # by the column count and may sum a point at the split in another order;
-    # |psi| = 1 and |<n|beta>| <= 1 bound the gap
-    full = np.abs(psi.conj() @ cols) ** 2 / math.pi
-    assert np.max(np.abs(blocked - full)) <= 2.0 * dim * np.finfo(float).eps / math.pi
+    assert np.array_equal(blocked, sliced(lambda block: _squared_modulus(rows @ block)))
+    # against one product over the columns of every lattice point: the mirror
+    # images flip the signs of the same terms, and a threaded BLAS splits one
+    # product among its threads by the column count and may sum a point at the
+    # split in another order; |psi| = 1 and |<n|beta>| <= 1 bound the gap
+    full = np.abs(psi.conj() @ coherent_columns(lattice.points, dim)) ** 2 / math.pi
+    assert np.max(np.abs(blocked - full)) <= 2.0 * dim * EPS / math.pi
     dephased = fock_bin_family("2m", dim).channel(np.outer(psi, psi.conj()))
-    assert np.array_equal(husimi(dephased, lattice).values, sliced(lambda block: frame_diagonal(block, dephased)))
+    rhos = overlap._images(dephased, count, matrix=True)
+    assert np.array_equal(husimi(dephased, lattice).values, sliced(lambda block: frame_diagonal(block, rhos)))
     for fam in (*(fock_bin_family(rule, dim) for rule in ("m", "2m^2", "100m^2")), ring_family(2.0, dim, 12.0)):
-        invaded = overlap._block_readout(overlap._pair_read(psi, fam), lattice, dim)[1]
-        assert np.array_equal(invaded.values, sliced(lambda block: overlap._pair_read(psi, fam)(block)[1]))
+        invaded = _pair_readout(psi, fam, lattice, dim)[1]
+        assert np.array_equal(invaded.values, sliced(lambda block: overlap._pair_read(psi, fam, count)(block)[1]))
 
 
-def _first_block(gamma, dim):
-    lattice = ComplexLattice.square(abs(gamma) + 5.0, 0.25)
-    return coherent_columns(lattice.points[:HUSIMI_BLOCK], dim)
+def _image_points(gamma):
+    """The points b of the first quadrant block of the overlap's lattice, and their images b, -b, b*, -b*."""
+    points = overlap._quadrant(ComplexLattice.square(abs(gamma) + 5.0, 0.25))[0][:HUSIMI_BLOCK]
+    return points, (points, -points, points.conj(), -points.conj())
 
 
-def _assert_pair_read_is_the_dense_branch_read(psi, fam, block):
-    # the dense-envelope branch product, the reads' route before the runs of
-    # levels and the stacked untouched row
-    amps = (fam.envelopes * psi.conj()) @ block
-    invaded = fam.weights @ (amps.real**2 + amps.imag**2)
-    reference = np.abs(psi.conj() @ block) ** 2
-    pair = overlap._pair_read(psi, fam)(block)
-    assert pair.shape == (2, block.shape[1])
-    assert np.max(np.abs(pair[0] - reference)) <= 1e-13
-    assert np.max(np.abs(pair[1] - invaded)) <= 1e-13
+def _assert_pair_read_is_the_dense_branch_read(psi, fam, gamma):
+    # the pair read of the four images from the columns of the quadrant block,
+    # against the dense-envelope branch product, the reads' route before the
+    # runs of levels and the stacked untouched row, on the columns of each image
+    points, images = _image_points(gamma)
+    pair = overlap._pair_read(psi, fam, 4)(coherent_columns(points, psi.size))
+    assert pair.shape == (2, 4, points.size)
+    for g, image in enumerate(images):
+        block = coherent_columns(image, psi.size)
+        amps = (fam.envelopes * psi.conj()) @ block
+        invaded = fam.weights @ _squared_modulus(amps)
+        reference = np.abs(psi.conj() @ block) ** 2
+        assert np.max(np.abs(pair[0, g] - reference)) <= 1e-13
+        assert np.max(np.abs(pair[1, g] - invaded)) <= 1e-13
 
 
 @pytest.mark.parametrize("modulus", [0.5, 1.25, 2.0, 2.75, 3.5, 4.25, 5.0, 6.0])
 def test_fock_bin_runs_read_the_dense_branch_product(modulus):
     gamma = modulus * np.exp(0.7j * modulus)
     dim = default_fock_dim(gamma)
-    block = _first_block(gamma, dim)
     psi = coherent_state(gamma, dim).amplitudes
     for rule in ("m", "2m", "m^2", "2m^2", "10m^2", "100m^2"):
         fam = fock_bin_family(rule, dim)
         assert overlap._level_runs(fam) is not None, rule
-        _assert_pair_read_is_the_dense_branch_read(psi, fam, block)
+        _assert_pair_read_is_the_dense_branch_read(psi, fam, gamma)
 
 
 @pytest.mark.parametrize("name", ["rings(d=2)", "weighted", "interleaved"])
@@ -211,7 +239,7 @@ def test_other_fock_diagonal_reads_are_the_dense_branch_product(name):
     dim = default_fock_dim(gamma)
     fam = ring_family(2.0, dim, 12.0) if name == "rings(d=2)" else _fock_diagonal_family(name, dim)
     assert overlap._level_runs(fam) is None
-    _assert_pair_read_is_the_dense_branch_read(coherent_state(gamma, dim).amplitudes, fam, _first_block(gamma, dim))
+    _assert_pair_read_is_the_dense_branch_read(coherent_state(gamma, dim).amplitudes, fam, gamma)
 
 
 @pytest.mark.parametrize("kind", ["cells", "points"])
@@ -225,10 +253,59 @@ def test_channel_pair_read_is_the_frame_diagonal_of_the_channel(kind):
     else:
         fam = coherent_projector_family(lattice, dim)
     psi = coherent_state(gamma, dim).amplitudes
-    block = _first_block(gamma, dim)
-    pair = overlap._pair_read(psi, fam)(block)
-    assert np.max(np.abs(pair[0] - np.abs(psi.conj() @ block) ** 2)) <= 1e-13
-    assert np.max(np.abs(pair[1] - frame_diagonal(block, fam.channel(psi)))) <= 1e-13
+    points, images = _image_points(gamma)
+    pair = overlap._pair_read(psi, fam, 4)(coherent_columns(points, dim))
+    for g, image in enumerate(images):
+        block = coherent_columns(image, dim)
+        assert np.max(np.abs(pair[0, g] - np.abs(psi.conj() @ block) ** 2)) <= 1e-13
+        assert np.max(np.abs(pair[1, g] - frame_diagonal(block, fam.channel(psi)))) <= 1e-13
+
+
+MIRROR_LATTICES = {
+    "odd": ComplexLattice.square(4.5, 0.5),  # 19 x 19 points, a 10 x 10 quadrant
+    "even": ComplexLattice(-4.25, 4.25, -4.25, 4.25, 0.5),  # 18 x 18 points, a 9 x 9 quadrant
+    "shifted": ComplexLattice.square(4.5, 0.5, center=0.25 + 0.5j),
+    # 19 x 19 points from -(4.5 + 2^-49) to 4.5 - 2^-49: mirrors only to the ulp
+    "ulp": ComplexLattice.square(4.5 + 2.0**-49, 0.5),
+}
+
+
+def _mirror_test_family(kind, lattice, dim):
+    if kind in ("m", "2m"):
+        return fock_bin_family(kind, dim)
+    if kind == "rings":
+        return ring_family(1.5, dim, 8.0)
+    if kind == "weighted":
+        return _fock_diagonal_family("weighted", dim)
+    if kind == "cells":
+        labels, n_cells = cell_labels(lattice.points, 1.0, 6.0)
+        return coherent_coarse_family(labels, n_cells, lattice, dim)
+    return coherent_projector_family(lattice, dim)
+
+
+@pytest.mark.parametrize("name", list(MIRROR_LATTICES))
+def test_mirrored_reads_match_the_full_lattice_oracle(name, monkeypatch):
+    # blocks of 32 points: 4 for the quadrant of the odd lattice, 3 for the
+    # even one, 12 for a lattice read whole; a random state and density matrix
+    # have no symmetry of their own; every value is at most 1 / pi
+    monkeypatch.setattr(overlap, "HUSIMI_BLOCK", 32)
+    lattice = MIRROR_LATTICES[name]
+    count = overlap._quadrant(lattice)[2]
+    assert count == (4 if name in ("odd", "even") else 1)
+    dim = 16
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    for kind in ("m", "2m", "rings", "weighted", "cells", "delta"):
+        fam = _mirror_test_family(kind, lattice, dim)
+        assert (overlap._level_runs(fam) is not None) == (kind in ("m", "2m")), kind
+        reads = _pair_readout(psi, fam, lattice, dim)
+        for read, oracle in zip(reads, full_lattice_reads(psi, fam, lattice.points)):
+            assert np.max(np.abs(read.values - oracle)) <= 4 * EPS, kind
+    reference = full_lattice_reads(psi, fock_bin_family("m", dim), lattice.points)[0]
+    assert np.max(np.abs(husimi(psi, lattice).values - reference)) <= 4 * EPS
+    rho = random_density(rng, dim).matrix
+    assert np.max(np.abs(husimi(rho, lattice).values - full_lattice_density_read(rho, lattice.points))) <= 4 * EPS
 
 
 @pytest.mark.parametrize(
@@ -254,8 +331,9 @@ def test_fock_diagonal_overlap_memory_does_not_scale_with_the_lattice(read):
 
 
 def test_block_readout_holds_one_block_at_a_time():
-    # eight blocks of 2,048 points at dim 100: each block is released before
-    # the next is built, so the traced peak stays near one block's bytes
+    # 16,384 points, whose quadrant is two blocks of 2,048 points at dim 100:
+    # each block is released before the next is built, so the traced peak
+    # stays near one block's bytes
     lattice = ComplexLattice(-7.9375, 7.9375, -7.9375, 7.9375, 0.125)
     assert lattice.points.size == 8 * HUSIMI_BLOCK
     dim = 100
@@ -275,6 +353,13 @@ def test_cell_overlap_refuses_cells_over_physical_memory(monkeypatch):
     monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", 1_000_000)
     with pytest.raises(ValueError, match="^324 coarse cells on 2,401 lattice points need "):
         cell_overlap(0.75, 1.0)
+
+
+def test_cell_overlap_refuses_before_building_points_and_labels(monkeypatch):
+    # the guard runs on the lattice and cell counts alone
+    cell_overlap(0.75, 1.0)  # scipy is imported before tracing
+    monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", 1_000_000)
+    assert traced_peak(lambda: pytest.raises(ValueError, cell_overlap, 0.75, 1.0)) < 10_000
 
 
 def test_coherent_delta_overlap_near_ideal():
@@ -487,15 +572,38 @@ def test_quadrature_band_cut_against_the_full_circle(monkeypatch):
     assert compared == 26 and covered == [("PP", 0.0, 54)]
 
 
+@pytest.mark.parametrize("case", QUADRATURE_CASES)
+@pytest.mark.parametrize("n", [4096, 4095])
+def test_mirrored_outcomes_match_the_all_outcome_branch_sum(case, n, monkeypatch):
+    # the intensities the engine smears, read as it passes them on, against
+    # every outcome's branch evolved and summed on its own; the sums differ in
+    # order and in FFT roundoff only, the unpartnered samples x_0 = -h and the
+    # Nyquist momentum carrying below 1e-27 of the packet here
+    smear = overlap._circular_smear
+    for t in (0.0, 1.0, 3.7):
+        seen = []
+
+        def spy(v, kernel):
+            seen.append(v)
+            return smear(v, kernel)
+
+        with monkeypatch.context() as m:
+            m.setattr(overlap, "_circular_smear", spy)
+            quadrature_overlap_numeric(case, t=t, n=n)
+        invaded, reference = all_outcome_intensities(case, t=t, n=n)
+        assert np.max(np.abs(seen[0] - invaded)) <= 16 * EPS * invaded.max(), t
+        assert np.max(np.abs(seen[1] - reference)) <= 2 * EPS * reference.max(), t
+
+
 def _sharp_readout_estimate(delta_sq, gamma, step):
     """(n, peak bytes) of coherent_x_overlap: two (n x cols) kernel temporaries,
-    cols the outcomes within 45 delta of the grid's first point, and 128 bytes
+    cols the outcomes within 45 delta of the grid's first point, and 64 bytes
     a position point for each of the m lattice rows."""
     x_halfspan = abs(gamma) * math.sqrt(2.0) + 9.0
     n = math.ceil(2.0 * x_halfspan / min(math.sqrt(delta_sq) / 2.0, 0.05)) + 1
     cols = min(HUSIMI_BLOCK, math.ceil(45.0 * math.sqrt(delta_sq) * (n - 1) / x_halfspan))
     m = ComplexLattice.square(6.0, step, center=gamma).re_axis.size
-    return n, n * (16 * cols + 128 * m)
+    return n, n * (16 * cols + 64 * m)
 
 
 def test_grid_engine_size_estimates_bound_their_traced_peaks():
@@ -518,7 +626,7 @@ def test_grid_engine_size_estimates_bound_their_traced_peaks():
     for case, n, t, kwargs in quadrature:
         quadrature_overlap_numeric(case, t=t, n=n, **kwargs)  # FFT plans are made before tracing
         peak = traced_peak(lambda: quadrature_overlap_numeric(case, t=t, n=n, **kwargs))
-        estimate = 736 * n + 65536
+        estimate = 736 * n + 32768
         assert peak <= estimate < 2.5 * peak, (case, n, estimate / peak)
 
 
@@ -531,7 +639,7 @@ def test_grid_engines_refuse_grids_over_physical_memory(monkeypatch):
     assert traced_peak(lambda: pytest.raises(ValueError, coherent_x_overlap, 1e-3)) < 10_000
     monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate)
     assert coherent_x_overlap(1e-3).meta["x_grid"]["n"] == n
-    estimate = 736 * 4096 + 65536
+    estimate = 736 * 4096 + 32768
     monkeypatch.setattr(hilbert, "PHYSICAL_MEMORY_BYTES", estimate - 1)
     with pytest.raises(ValueError, match=f"^4,096 grid points of the quadrature engine need {estimate:,} bytes"):
         quadrature_overlap_numeric("XX", t=1.0)
@@ -598,7 +706,7 @@ def test_exact_rings_agree_with_the_lattice_ring_route(d, gamma):
     rings = ring_family(d, dim, max_radius)
     # ring_overlap reads the exact annuli through their branches, in one
     # product with the untouched row
-    reference, invaded = overlap._block_readout(overlap._pair_read(psi, rings), lattice, dim)
+    reference, invaded = _pair_readout(psi, rings, lattice, dim)
     exact = bhattacharyya(reference, invaded)
     exact_mixed, lattice_route = (
         bhattacharyya(husimi(psi, lattice), husimi(fam.channel(rho), lattice))
