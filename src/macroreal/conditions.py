@@ -257,16 +257,6 @@ def nsit_two_time(
     return _report(f"NSIT_({i}){j}", nsit_residual(scenario.tables, i, j), threshold)
 
 
-def nsit_sandwich(scenario: Scenario, threshold: float = DEFAULT_THRESHOLD) -> ConditionReport:
-    """NSIT_0(1)2 on a three-slot scenario: the middle slot must be ignorable."""
-    return mr012_check(scenario, threshold).members["NSIT_0(1)2"]
-
-
-def nsit_leading(scenario: Scenario, threshold: float = DEFAULT_THRESHOLD) -> ConditionReport:
-    """NSIT_(0)12 on a three-slot scenario: the first slot must be ignorable."""
-    return mr012_check(scenario, threshold).members["NSIT_(0)12"]
-
-
 def aot_check(
     scenario: Scenario, i: int, j: int, threshold: float = DEFAULT_THRESHOLD
 ) -> ConditionReport:

@@ -243,19 +243,17 @@ def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def frame_diagonal(frame: np.ndarray, x: np.ndarray | None = None, *, image: np.ndarray | None = None) -> np.ndarray:
+def frame_diagonal(frame: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
     """Real diagonal of F' x F for a (d, n) frame F, or of F' F when x is None.
 
     Entry a is Re <f_a| x |f_a> for the column f_a, so no (n, n) matrix is
-    formed. A (..., d, d) stack x gives one (..., n) diagonal per matrix.
-    image, when given in place of x, is the product x F already formed. The
+    formed. A (..., d, d) stack x gives one (..., n) diagonal per matrix. The
     sum runs over the interleaved real and imaginary parts of F and x F, so
     no conjugate copy of the frame is made.
     """
     frame = np.ascontiguousarray(frame, dtype=complex)
-    if image is None:
-        image = frame if x is None else x @ frame
-    sums = np.einsum("...ia,...ia->...a", frame.view(float), np.ascontiguousarray(image, dtype=complex).view(float))
+    image = frame if x is None else x @ frame
+    sums = np.einsum("...ia,...ia->...a", frame.view(float), np.ascontiguousarray(image).view(float))
     return sums[..., 0::2] + sums[..., 1::2]
 
 

@@ -451,29 +451,25 @@ def fock_bin_family(border, dim: int) -> KrausFamily:
     )
 
 
-def coherent_projector_family(
-    lattice: ComplexLattice, dim: int, *, defect_ceiling: float | None = None
-) -> KrausFamily:
+def coherent_projector_family(lattice: ComplexLattice, dim: int) -> KrausFamily:
     """Discretized coherent-state readout with Kraus pi^{-1/2} |a><a|.
 
     The bra side keeps the raw truncated coherent amplitudes so that the POVM
     element is exactly the truncated heterodyne effect pi^{-1} |a><a|; the ket
     side is renormalized so the post-measurement state is a unit vector.
     Completeness holds only where the lattice covers the Fock levels kept by
-    the cutoff (level n sits at radius ~ sqrt(n)); pass defect_ceiling to
-    enforce a bound, or inspect completeness_defect afterwards.
+    the cutoff (level n sits at radius ~ sqrt(n)); completeness_defect reads
+    how far it falls short.
     """
     n = lattice.size
     # two (dim, n) complex stacks, the columns and the kets, the finite-entry
-    # mask of one and five complex n-vectors; reading the defect for
-    # defect_ceiling copies the columns twice more
-    stacks = 2 if defect_ceiling is None else 4
-    require_bytes(n * (16 * stacks * dim + dim + 80), f"coherent projectors on {n:,} lattice points")
+    # mask of one and five complex n-vectors
+    require_bytes(n * (32 * dim + dim + 80), f"coherent projectors on {n:,} lattice points")
     pts = lattice.points
     cols = coherent_columns(pts, dim)
     norms = np.sqrt(frame_diagonal(cols))
     kets = cols / np.where(norms > 0, norms, 1.0)
-    fam = KrausFamily(
+    return KrausFamily(
         label="coherent_projectors",
         outcomes=pts,
         weights=lattice.weights,
@@ -483,12 +479,6 @@ def coherent_projector_family(
         scale=np.full(pts.size, math.pi**-0.5),
         meta={"lattice": lattice.describe(), "dim": dim},
     )
-    if defect_ceiling is not None and fam.completeness_defect > defect_ceiling:
-        raise ValueError(
-            f"coherent family defect {fam.completeness_defect:.3g} exceeds "
-            f"{defect_ceiling:.3g}; grow the lattice or lower dim"
-        )
-    return fam
 
 
 _UNDERFLOW_EXPONENT = 700.0  # exp(-x) is a normal double for x below about 708

@@ -100,8 +100,8 @@ class ScenarioBatch:
 class Tables(dict):
     """The experiment tables of N scenarios with shared slots.
 
-    every is the read-only (N, 1 + n_0, 1 + n_1, ...) array of one kernel pass
-    over every slot, weighted and run when first read: index 0 leaves a slot
+    every is the read-only C-ordered (N, 1 + n_0, 1 + n_1, ...) array of one
+    kernel pass over every slot, run when first read: index 0 leaves a slot
     unmeasured and 1 + a reads its outcome a, so the table of any experiment
     is a slice of it. The key is the sorted tuple of measured slots, the value
     the read-only (N, n_a, n_b, ...) contiguous copy of that slice, made when
@@ -118,16 +118,8 @@ class Tables(dict):
 
     @functools.cached_property
     def every(self) -> np.ndarray:
-        every = _tables(self.initial, self.evolutions, self.slots)
-        weights = [s.instrument.weights for s in self.slots]
-        if any((w != 1.0).any() for w in weights):
-            # index 0 leaves a slot unmeasured and has weight 1, 1 + a is outcome a
-            wgrid = np.ones(())
-            for w in weights:
-                wgrid = np.multiply.outer(wgrid, np.append(1.0, w))
-            every = np.multiply(every, wgrid, order="C")
-        else:
-            every = np.ascontiguousarray(every)
+        # copied once the pass has returned and let go of its stacks
+        every = np.ascontiguousarray(_tables(self.initial, self.evolutions, self.slots))
         every.flags.writeable = False
         return every
 
@@ -148,7 +140,11 @@ def table_key(n_slots: int, measured: tuple) -> tuple[int, ...]:
     """measured itself when it is a valid table key: a sorted tuple of distinct
     slots. Raises ValueError for a slot out of range or repeated, KeyError
     naming the sorted key for one out of order."""
-    key = _measured_slots(n_slots, measured)
+    key = tuple(sorted(measured))
+    if any(m < 0 or m >= n_slots for m in key):
+        raise ValueError(f"measured slots {key} out of range")
+    if len(set(key)) != len(key):
+        raise ValueError("measured slots must be distinct")
     if key != tuple(measured):
         raise KeyError(f"tables are keyed by the sorted tuple of measured slots, {key}")
     return key
@@ -215,17 +211,6 @@ class ProbabilityTable:
             raise ValueError(f"table mass {self.mass!r} differs from 1")
 
 
-def _measured_slots(n_slots: int, measured) -> tuple[int, ...]:
-    if measured is None:
-        measured = tuple(range(n_slots))
-    measured = tuple(sorted(measured))
-    if any(m < 0 or m >= n_slots for m in measured):
-        raise ValueError(f"measured slots {measured} out of range")
-    if len(set(measured)) != len(measured):
-        raise ValueError("measured slots must be distinct")
-    return measured
-
-
 def _peak_bytes(n: int, d: int, slots) -> int:
     """Bytes that the table pass holds at its peak, N = n.
 
@@ -235,9 +220,8 @@ def _peak_bytes(n: int, d: int, slots) -> int:
     evolution before a growth holds less); reading m outcomes the stack,
     operators, effects, U' and F (1 + m) read matrices (F = N behind an
     evolution, else 1), then two products of min(d, m) effects or the complex
-    probabilities; weighting the complex probabilities, weight grid and
-    weighted tables (the contiguous copy of unweighted tables holds no more:
-    the complex probabilities and 8 N b (1 + m) bytes).
+    probabilities; the contiguous copy of the tables the complex
+    probabilities and 8 N b (1 + m) bytes.
     """
     *prefix, last = slots
     m, f = last.instrument.n_outcomes, n if prefix else 1
@@ -248,11 +232,11 @@ def _peak_bytes(n: int, d: int, slots) -> int:
         grow = max(grow, 2 * b * n + o)
     entries = b * (1 + m)
     read = 16 * (b * n + 2 * m + o + f * (2 + m)) * d * d + max(32 * f * min(d, m) * d * d, 16 * n * entries)
-    return max(16 * grow * d * d, read, 24 * n * entries + 8 * entries)
+    return max(16 * grow * d * d, read, 24 * n * entries)
 
 
 def _tables(initial: np.ndarray, evolutions, slots) -> np.ndarray:
-    """Unweighted tables of every experiment on a subset of the slots.
+    """Weighted tables of every experiment on a subset of the slots.
 
     Returns the (N, 1 + n_0, 1 + n_1, ...) array over the slots: index 0
     leaves that slot unmeasured and 1 + i reads its outcome i, so the table of
@@ -260,15 +244,16 @@ def _tables(initial: np.ndarray, evolutions, slots) -> np.ndarray:
     (B, N, d, d) stack, newest outcome slowest. At each slot before the last
     every branch is carried on unmeasured and under each Kraus operator K_a,
     shared by all items: rho K_a' in products whose rows run over (branch,
-    item, row), a conjugating transpose, and (rho K_a')' K_a' = K_a rho' K_a'.
-    A branch may be carried as its conjugate transpose: every map of the pass
-    commutes with ' and a table keeps only Re tr(E rho), E Hermitian. An
-    evolution is two products per item over all its branches. The last slot
-    is read in the Heisenberg picture, tr(rho E) for E in [I, U' K_i' K_i U]
-    in one product per item. Shared factors meet N only in the rows and
-    per-item products have fixed shapes, so a batch item's tables are bit for
-    bit its one-scenario tables. Up to d = 12 the BLAS thread count does not
-    move them either (checked for 1 and 2).
+    item, row), a conjugating transpose, and (rho K_a')' w_a K_a' =
+    w_a K_a rho' K_a' with the weight w_a scaled into K_a' (by 1.0, bit for
+    bit, for unit weights). A branch may be carried as its conjugate
+    transpose: every map of the pass commutes with ' and a table keeps only
+    Re tr(E rho), E Hermitian. An evolution is two products per item over all
+    its branches. The last slot is read in the Heisenberg picture, tr(rho E)
+    for E in [I, w_i U' K_i' K_i U] in one product per item. Shared factors
+    meet N only in the rows and per-item products have fixed shapes, so a
+    batch item's tables are bit for bit its one-scenario tables. Up to d = 12
+    the BLAS thread count does not move them either (checked for 1 and 2).
     """
     n, d = initial.shape[0], initial.shape[-1]
     require_bytes(_peak_bytes(n, d, slots), "outcome tables")
@@ -282,16 +267,21 @@ def _tables(initial: np.ndarray, evolutions, slots) -> np.ndarray:
                 (u @ branches.transpose(1, 2, 0, 3).reshape(n, d, b * d)).reshape(n, d * b, d)
                 @ u.conj().swapaxes(-1, -2)
             ).reshape(n, d, b, d).transpose(2, 0, 1, 3)
-        # rho K_a' into grown[1 + a], then (rho K_a')' K_a' in its place
-        kh = slot.instrument.dense_ops().conj().swapaxes(-1, -2)
+        # rho K_a' into grown[1 + a], then (rho K_a')' w_a K_a' in its place; kh
+        # views kc, the fresh C-ordered copy conj() makes, never the family's ops
+        kc = np.conj(slot.instrument.dense_ops(), order="C")
+        kh = kc.swapaxes(-1, -2)
         grown = np.empty((1 + len(kh), b, n, d, d), dtype=complex)
         grown[0] = branches
         rk = np.matmul(branches.reshape(-1, d), kh, out=grown[1:].reshape(len(kh), -1, d))
+        # w_a scales the real view: a complex product with w_a + 0j could flip a zero's sign
+        np.multiply(kc.view(float), slot.instrument.weights[:, None, None], out=kc.view(float))
         np.matmul(np.conj(rk.reshape(-1, d, d).swapaxes(1, 2), order="C").reshape(rk.shape), kh, out=rk)
         branches = grown.reshape((1 + len(kh)) * b, n, d, d)
     ops = last.instrument.dense_ops()
-    # E_a = K_a' K_a side by side; row 1 + a of read is the transpose of U' E_a U
+    # E_a = w_a K_a' K_a side by side; row 1 + a of read is the transpose of U' E_a U
     effects = (ops.conj().swapaxes(-1, -2) @ ops).transpose(1, 0, 2).reshape(d, -1)
+    np.multiply(effects.view(float), last.instrument.weights.repeat(2 * d), out=effects.view(float))
     u = evolutions[-1] if prefix else np.eye(d)[None]
     uh = u.conj().swapaxes(-1, -2).reshape(-1, d)
     read = np.empty((len(u), 1 + len(ops), d, d), dtype=complex)
@@ -313,7 +303,7 @@ def joint_distribution(scenario: Scenario, measured=None) -> ProbabilityTable:
 
     The values are the read-only item 0 of scenario.tables[measured].
     """
-    measured = _measured_slots(scenario.n_slots, measured)
+    measured = tuple(range(scenario.n_slots)) if measured is None else tuple(sorted(measured))
     values = scenario.tables[measured][0]
     fams = [scenario.slots[k].instrument for k in measured]
     return ProbabilityTable(

@@ -1,5 +1,6 @@
 """Shared generators for randomized scenario sweeps, and reference routes."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ import scipy.fft
 from macroreal.hilbert import DensityState
 from macroreal.instruments import ComplexLattice, projective_family
 from macroreal.overlap import HUSIMI_BLOCK, OutcomeDistribution, _coherent_wavefunction, bhattacharyya
-from macroreal.scenario import Scenario, Slot
+from macroreal.scenario import Scenario, ScenarioBatch, Slot
 
 
 def haar_unitary(rng, dim):
@@ -68,6 +69,20 @@ def assert_tables_are_slices_of_one_pass(tables):
         part = tables.every[(slice(None), *pick)]
         assert values.tobytes() == np.ascontiguousarray(part).tobytes(), key
         assert values.size == part.size and not values.flags.writeable, key
+
+
+def weight_grid_tables(batch):
+    """tables.every of a batch by the weight-grid route: the tables of twin
+    families with unit weights, times the outer product of (1, w) over the
+    slots (index 0 leaves a slot unmeasured and has weight 1)."""
+    twins = tuple(
+        dataclasses.replace(s, instrument=dataclasses.replace(s.instrument, weights=np.ones(s.instrument.n_outcomes)))
+        for s in batch.slots
+    )
+    grid = np.ones(())
+    for s in batch.slots:
+        grid = np.multiply.outer(grid, np.append(1.0, s.instrument.weights))
+    return ScenarioBatch(batch.initial, twins, batch.evolutions).tables.every * grid
 
 
 def random_density(rng, dim, rank=None):

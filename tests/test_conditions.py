@@ -34,10 +34,8 @@ from macroreal.conditions import (
     mr012_residuals,
     nic_012,
     nic_values,
-    nsit_leading,
     nsit_operator_residual,
     nsit_residual,
-    nsit_sandwich,
     nsit_two_time,
     projective_necessity_check,
 )
@@ -118,7 +116,12 @@ def test_nsit_sandwich_trivial_middle():
         (Slot(0.0, fam), Slot(1.0, identity_family(2)), Slot(2.0, fam)),
         (splitter(0.3), splitter(0.7)),
     )
-    assert nsit_sandwich(sc).residual < 1e-14
+    assert mr012_check(sc).members["NSIT_0(1)2"].residual < 1e-14
+    # the three-slot conditions refuse a two-slot scenario
+    two = Scenario(init, (Slot(0.0, fam), Slot(2.0, fam)), (splitter(0.3),))
+    for check in (mr012_check, lgi_012, nic_012):
+        with pytest.raises(ValueError, match="needs a 3-slot scenario, got 2"):
+            check(two)
 
 
 def test_aot_is_automatic():
@@ -196,7 +199,7 @@ def test_nic_bounded_by_sandwich():
     for _ in range(40):
         sc = random_scenario(rng, dim=2)
         nic = nic_012(sc).residual
-        sand = nsit_sandwich(sc).residual
+        sand = mr012_check(sc).members["NSIT_0(1)2"].residual
         assert nic <= 4.0 * sand + 1e-12
 
 
@@ -670,7 +673,7 @@ def test_each_experiment_table_is_computed_once(passes, capsys, tmp_path):
 
     # each bundle condition alone
     rng = np.random.default_rng(33)
-    for check in (lgi_012, nic_012, nsit_sandwich, nsit_leading):
+    for check in (lgi_012, nic_012, mr012_check):
         passes.clear()
         check(random_scenario(rng))
         assert passes == [3], check.__name__
@@ -737,8 +740,6 @@ def test_table_functions_on_a_batch_equal_the_single_scenario_reports(dim, dicho
             assert aot_residual(t, i, j)[n] == aot_check(sc, i, j).residual
             assert correlator(t, i, j)[n] == correlator(sc.tables, i, j)[0]
         residuals = mr012_residuals(t)
-        assert residuals["NSIT_0(1)2"][n] == nsit_sandwich(sc).residual
-        assert residuals["NSIT_(0)12"][n] == nsit_leading(sc).residual
         members = mr012_check(sc).members
         assert {k: v[n] for k, v in residuals.items()} == {
             k: r.residual for k, r in members.items()

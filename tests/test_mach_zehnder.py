@@ -268,12 +268,12 @@ def test_counterexample_search_finds_two_time_blind_spot():
     assert found["sandwich"] > 0.1
     p = found["params"]
     sc = mz_scenario(MZParams(p["r1"], p["r2"], p["phi"], p["q"], complex(*p["c"])))
-    from macroreal.conditions import nsit_sandwich, nsit_two_time
+    from macroreal.conditions import mr012_check, nsit_two_time
 
     assert nsit_two_time(sc, 0, 1).residual < 1e-12
     assert nsit_two_time(sc, 1, 2).residual < 1e-12
     assert nsit_two_time(sc, 0, 2).residual < 1e-12
-    assert nsit_sandwich(sc).residual > 0.1
+    assert mr012_check(sc).members["NSIT_0(1)2"].residual > 0.1
 
 
 def test_verify_lattice_checks_r2_and_only_a_nonempty_lattice():

@@ -13,13 +13,16 @@ from helpers import (
     random_density,
     random_dichotomic_family,
     random_full_projective_family,
+    weight_grid_tables,
 )
 from macroreal.conditions import correlator
 from macroreal.hilbert import DensityState, coherent_state
 from macroreal.instruments import (
     ComplexLattice,
     Grid1D,
+    KrausFamily,
     coherent_projector_family,
+    gaussian_p_family,
     gaussian_x_family,
     projective_family,
 )
@@ -169,7 +172,7 @@ def test_table_size_estimate_raises_before_allocating():
     # four 625-outcome slots at dim 30: growing the stack to 626^3 branches of
     # 30 x 30 matrices holds two stacks of that size (the old one, its conjugate
     # transposes and the new one) and the slot's 625 K_a', more than the read of
-    # the last slot or the weighting
+    # the last slot or the copy of the tables
     fam = coherent_projector_family(ComplexLattice.square(3.0, 0.25), 30)
     assert fam.n_outcomes == 625
     sc = Scenario(
@@ -193,7 +196,7 @@ def test_table_size_estimate_raises_before_allocating():
 def test_table_size_estimate_is_the_traced_peak():
     # each case names the term of _peak_bytes that peaks there, and each term
     # peaks in at least one: the growth of the branch stack, the read's
-    # products or its complex probabilities, and the weighting of the tables
+    # products or its complex probabilities, and the contiguous copy of the tables
     rng = np.random.default_rng(16)
     cells = coherent_projector_family(ComplexLattice.square(3.0, 0.25), 30)
     grid = gaussian_x_family(0.8, 12, Grid1D(-9.0, 9.0, 301))
@@ -209,9 +212,9 @@ def test_table_size_estimate_is_the_traced_peak():
         ([qubit] * 3, 3000, "probabilities"),
         ([coarse] * 2, 4, "products"),
         ([coarse] * 3, 4, "growth"),
-        ([fine] * 2, 4, "weighting"),
+        ([fine] * 2, 4, "copy"),
     ]
-    assert {step for *_, step in cases} == {"growth", "products", "probabilities", "weighting"}
+    assert {step for *_, step in cases} == {"growth", "products", "probabilities", "copy"}
     for fams, n, step in cases:
         dim = fams[0].dim
         batch = _random_batch(rng, dim, fams, n)[0]
@@ -241,7 +244,7 @@ def _peak_step(n, d, slots):
         "growth": 16 * grow * d * d,
         "products": held + 32 * f * min(d, m) * d * d,
         "probabilities": held + 16 * n * entries,
-        "weighting": 24 * n * entries + 8 * entries,
+        "copy": 24 * n * entries,
     }
     assert max(terms.values()) == _peak_bytes(n, d, slots)
     return max(terms, key=terms.get)
@@ -301,6 +304,35 @@ def test_one_pass_yields_every_subset_table(passes):
             assert np.array_equal(values[i], sc.tables[measured][0]), measured
         assert np.array_equal(batch.tables.every[i], sc.tables.every[0])
     assert_tables_are_slices_of_one_pass(batch.tables)
+
+
+def test_weighted_tables_are_the_weight_grid_route():
+    # the pass scales K_a' and the last slot's effects by w_a; the weight-grid
+    # route multiplies the tables of unit-weight twins by the outer product of
+    # (1, w). Both round once per weighted factor, so they agree within a few
+    # ulps of the largest entry (0.25 eps measured); unit weights multiply by
+    # 1.0 on both routes and agree bit for bit
+    rng = np.random.default_rng(19)
+    dim = 6
+    p = gaussian_p_family(0.8, dim, Grid1D(-9.0, 9.0, 23))
+    weighted = [
+        gaussian_x_family(0.8, dim, Grid1D(-9.0, 9.0, 21)),  # diagonal in a basis
+        KrausFamily("p", p.outcomes, p.weights, ops=p.dense_ops()).adjoint(),  # dense, ops not C-ordered
+        coherent_projector_family(ComplexLattice.square(1.0, 0.5), dim),  # rank one
+    ]
+    assert not weighted[1].ops.flags.c_contiguous
+    eps = np.finfo(float).eps
+    for n in (1, 3):
+        for mask in range(8):  # bit k weights slot k: first, middle, last and mixes
+            fams = [weighted[k] if mask >> k & 1 else random_full_projective_family(rng, dim) for k in range(3)]
+            assert all((f.weights != 1.0).all() == bool(mask >> k & 1) for k, f in enumerate(fams))
+            batch = _random_batch(rng, dim, fams, n)[0]
+            every, oracle = batch.tables.every, weight_grid_tables(batch)
+            assert every.flags.c_contiguous and not every.flags.writeable, (n, mask)
+            if mask == 0:
+                assert np.array_equal(every, oracle), n
+            else:
+                assert np.max(np.abs(every - oracle)) <= 4 * eps * np.max(np.abs(oracle)), (n, mask)
 
 
 def test_batch_items_are_their_one_scenario_tables_bit_for_bit():
